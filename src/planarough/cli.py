@@ -49,6 +49,7 @@ from .calculus import (
 from .controlled import SmoothFunctionWithDerivatives, compose_FX
 from .forest_core import (
     EMPTY,
+    MAX_WEIGHT,
     all_forests,
     base_alphabet,
     bracket_alphabet,
@@ -85,6 +86,16 @@ def _require(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"missing key {key!r} in {where}")
     return cfg[key]
+
+
+def _int_in(sec: dict, key: str, default: int, lo: int, hi: int, where: str) -> int:
+    """An integer option of ``sec`` that must lie in ``lo..hi``."""
+    value = sec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ConfigError(
+            f"{where} {key} must be an integer in {lo}..{hi}, got {value!r}"
+        )
+    return value
 
 
 def signal_from(cfg) -> object:
@@ -396,7 +407,8 @@ def run_selftest(d: int = 2, max_weight: int = 3) -> dict:
 def _cmd_hopf_selftest(exp: dict, out_dir: str) -> dict:
     sec = exp.get("hopf", {})
     report = run_selftest(
-        d=int(sec.get("d", 2)), max_weight=int(sec.get("max_weight", 3))
+        d=_int_in(sec, "d", 2, 1, 9, "hopf"),
+        max_weight=_int_in(sec, "max_weight", 3, 2, MAX_WEIGHT, "hopf"),
     )
     write_json(os.path.join(out_dir, "hopf_selftest.json"), report)
     return {"passed": report["passed"], "report": "hopf_selftest.json"}
@@ -532,8 +544,8 @@ def _cmd_dump(exp: dict, out_dir: str) -> dict:
     sec = exp.get("dump", {})
     what = sec.get("what", "coproduct")
     alphabet = sec.get("alphabet", "base")
-    d = int(sec.get("d", 2))
-    mw = int(sec.get("max_weight", 3))
+    d = _int_in(sec, "d", 2, 1, 9, "dump")
+    mw = _int_in(sec, "max_weight", 3, 0, MAX_WEIGHT, "dump")
     if alphabet == "base":
         letters = base_alphabet(d)
     elif alphabet == "bracket":

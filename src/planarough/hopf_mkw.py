@@ -40,7 +40,6 @@ from .forest_core import (
     PlanarTree,
     all_forests,
     forest,
-    letter_weight,
     sort_key,
     tree,
 )
@@ -189,14 +188,6 @@ def bracket_reduce(f: PlanarForest) -> dict:
     return {f: 1}
 
 
-def bracket_reduce_series(a: dict) -> dict:
-    out: dict = {}
-    for f, c in a.items():
-        for g, m in bracket_reduce(f).items():
-            out[g] = out.get(g, 0) + c * m
-    return {g: c for g, c in out.items() if c != 0}
-
-
 def is_primitive(a: dict) -> bool:
     """Whether the series is primitive, modulo the bracket-vertex relation.
 
@@ -296,14 +287,6 @@ class TruncatedBasis:
                 out[f] = out.get(f, Fraction(0)) + c
         return {f: c for f, c in out.items() if c != 0}
 
-    def bplus_index(self, k: int, letter) -> int:
-        """Index of ``[forest_k]_letter``, or -1 if it leaves the truncation."""
-        f = self.forests[k]
-        if f.weight + letter_weight(letter) > self.max_weight:
-            return -1
-        grafted = forest((tree(letter, f.trees),))
-        return self.index.get(grafted, -1)
-
 
 def pairing(a: dict, b: dict):
     """Canonical pairing of a dual series against a primal series."""
@@ -349,7 +332,9 @@ class FloatAlgebra:
         return out
 
     def commutator(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.star(A, B) - self.star(B, A)
+        out = self.star(A, B)
+        out -= self.star(B, A)  # in place: one batch-sized temporary fewer
+        return out
 
     def exp(self, O: np.ndarray) -> np.ndarray:
         """★-exponential of batched infinitesimal vectors (index 0 must be 0)."""
@@ -369,13 +354,6 @@ class FloatAlgebra:
             chars = self.star(chars[..., 0::2, :], chars[..., 1::2, :])
             n //= 2
         return chars[..., 0, :]
-
-    def index_map(self, other: "FloatAlgebra") -> np.ndarray:
-        """For each basis forest here, its index in ``other`` (or -1)."""
-        return np.array(
-            [other.basis.index.get(f, -1) for f in self.basis.forests],
-            dtype=np.intp,
-        )
 
 
 # ---------------------------------------------------------------------------

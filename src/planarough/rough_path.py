@@ -19,6 +19,12 @@ The bracket extension re-lifts the driver over the alphabet extended by
 bracket letters ``(i j)``, whose level-one increments are defined per substep
 as ``⟨g, •_j •_i⟩ − ⟨g, [•_j]_i⟩`` of the base substep character.  Restricted
 to base-letter forests the extension reproduces the original lift exactly.
+
+Both paths share one Magnus pipeline.  The lift samples each distinct signal
+once (values on the substep nodes, rates on the two Gauss arrays) and keeps
+those samples and the substep bracket increments on the :class:`RoughPath`;
+the extension reuses them instead of sampling the driver or rebuilding the
+base substep characters again.
 """
 
 from __future__ import annotations
@@ -254,37 +260,66 @@ def get_algebra(letters, max_weight: int) -> FloatAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _substep_nodes(driver: DriverSpec) -> np.ndarray:
-    n = driver.cells * driver.substeps
-    return np.linspace(0.0, driver.T, n + 1)
+@dataclass(eq=False)
+class SubstepSamples:
+    """What a lift sampled on its Magnus substeps, kept for the extension.
+
+    A column is ``(forest, increments, rates at c₁, rates at c₂)`` per substep
+    of length ``h``, with Gauss points ``c₁, c₂``.  ``columns`` covers base
+    letters and intensities; ``brackets`` covers the letters ``(i j)``, with
+    increments ``⟨g, •_j •_i⟩ − ⟨g, [•_j]_i⟩`` of the base substep characters.
+    """
+
+    h: np.ndarray
+    columns: list
+    brackets: list = field(default_factory=list)
 
 
-def _generator_columns(driver: DriverSpec, algebra: FloatAlgebra):
-    """Column indices and signals of the lift generator in a target algebra."""
-    cols = []
-    for i in range(driver.d):
-        cols.append((algebra.basis.index[single(i + 1)], driver.base[i]))
-    for f, sig in driver.intensities:
-        cols.append((algebra.basis.index[f], sig))
-    return cols
+def _sample_substeps(driver: DriverSpec):
+    """Sample each distinct signal once on the substep nodes and Gauss points.
 
-
-def _magnus_generators(driver: DriverSpec, algebra: FloatAlgebra) -> np.ndarray:
-    """Per-substep Magnus generators Ω, shape ``(cells·substeps, dim)``."""
-    nodes = _substep_nodes(driver)
+    Returns the samples and the base signals on the grid, which is every
+    ``substeps``-th node.
+    """
+    nodes = np.linspace(0.0, driver.T, driver.cells * driver.substeps + 1)
     lo, hi = nodes[:-1], nodes[1:]
     h = hi - lo
     c1 = lo + h * (0.5 - _SQRT3 / 6.0)
     c2 = lo + h * (0.5 + _SQRT3 / 6.0)
-    n = len(h)
-    lin = np.zeros((n, algebra.dim))
-    a1 = np.zeros((n, algebra.dim))
-    a2 = np.zeros((n, algebra.dim))
-    for col, sig in _generator_columns(driver, algebra):
-        lin[:, col] = sig.value(hi) - sig.value(lo)
-        a1[:, col] = sig.rate(c1)
-        a2[:, col] = sig.rate(c2)
-    return lin + ((h * h) * (_SQRT3 / 12.0))[:, None] * algebra.commutator(a1, a2)
+    pairs = [(single(i + 1), sig) for i, sig in enumerate(driver.base)]
+    pairs += list(driver.intensities)
+    seen = {}
+    for _f, sig in pairs:
+        if id(sig) not in seen:
+            v = sig.value(nodes)
+            seen[id(sig)] = (v, v[1:] - v[:-1], sig.rate(c1), sig.rate(c2))
+    columns = [(f, *seen[id(sig)][1:]) for f, sig in pairs]
+    base_values = np.stack([seen[id(s)][0][:: driver.substeps] for s in driver.base])
+    return SubstepSamples(h, columns), base_values
+
+
+def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
+    """Substep characters ``exp(Ω)``, shape ``(substeps in all, dim)``.
+
+    Ω is the exact increment plus the two-point Gauss commutator correction
+    ``h²·√3/12·[a₁, a₂]``.  Each temporary is dropped once used, so at most
+    four arrays of Ω's shape are alive at a time.
+    """
+    index = algebra.basis.index
+    a1 = np.zeros((len(h), algebra.dim))
+    a2 = np.zeros_like(a1)
+    for f, _inc, r1, r2 in columns:
+        a1[:, index[f]] = r1
+        a2[:, index[f]] = r2
+    correction = algebra.commutator(a1, a2)
+    del a1, a2
+    correction *= ((h * h) * (_SQRT3 / 12.0))[:, None]
+    omega = np.zeros_like(correction)
+    for f, inc, _r1, _r2 in columns:
+        omega[:, index[f]] = inc
+    omega += correction
+    del correction
+    return algebra.exp(omega)
 
 
 def _pyramid(algebra: FloatAlgebra, cell_chars: np.ndarray):
@@ -302,6 +337,8 @@ class RoughPath:
     ``levels[l]`` holds the characters of the ``cells >> l`` aligned blocks of
     ``2**l`` consecutive cells, so every stride of the dyadic mesh ladder is a
     plain array lookup and arbitrary node intervals compose from O(log) rows.
+    A computed path keeps its ``driver`` and the lift's ``samples``, which
+    :func:`bracket_extension` needs; a loaded one has neither.
     """
 
     algebra: FloatAlgebra
@@ -310,6 +347,7 @@ class RoughPath:
     base_values: np.ndarray  # (d, nodes) sampled base signals
     alpha: float
     driver: DriverSpec | None = None
+    samples: SubstepSamples | None = None
 
     @property
     def cells(self) -> int:
@@ -453,24 +491,36 @@ class RoughPath:
         )
 
 
-def lift(driver: DriverSpec) -> RoughPath:
-    """Lift a driver to a branched rough path over its base alphabet."""
-    algebra = get_algebra(base_alphabet(driver.d), driver.N)
-    omega = _magnus_generators(driver, algebra)
-    sub_chars = algebra.exp(omega)
+def _path(driver, algebra, sub_chars, base_values, samples) -> RoughPath:
     cell_chars = algebra.star_reduce(
         sub_chars.reshape(driver.cells, driver.substeps, algebra.dim)
     )
-    grid = driver.grid
-    base_values = np.stack([sig.value(grid) for sig in driver.base])
     return RoughPath(
         algebra=algebra,
-        grid=grid,
+        grid=driver.grid,
         levels=_pyramid(algebra, cell_chars),
         base_values=base_values,
         alpha=driver.alpha,
         driver=driver,
+        samples=samples,
     )
+
+
+def lift(driver: DriverSpec) -> RoughPath:
+    """Lift a driver to a branched rough path over its base alphabet."""
+    algebra = get_algebra(base_alphabet(driver.d), driver.N)
+    samples, base_values = _sample_substeps(driver)
+    sub_chars = _substep_chars(algebra, samples.h, samples.columns)
+    idx = algebra.basis.index
+    for i in range(1, driver.d + 1):
+        for j in range(1, driver.d + 1):
+            delta = (
+                sub_chars[:, idx[concat(single(j), single(i))]]
+                - sub_chars[:, idx[b_plus(single(j), i)]]
+            )
+            rate = delta / samples.h
+            samples.brackets.append((single((i, j)), delta, rate, rate))
+    return _path(driver, algebra, sub_chars, base_values, samples)
 
 
 def bracket_extension(x: RoughPath) -> RoughPath:
@@ -479,58 +529,16 @@ def bracket_extension(x: RoughPath) -> RoughPath:
     Level-one bracket components integrate ``⟨•_j •_i⟩ − ⟨[•_j]_i⟩`` of the
     base lift substep by substep, so the defining identity holds exactly on
     every grid interval (that combination is primitive, hence additive), and
-    base-letter components are reproduced bit for bit.
+    base-letter components are reproduced bit for bit.  The signal samples
+    and the bracket increments are the ones the lift kept.
     """
-    driver = x.driver
-    if driver is None:
+    driver, samples = x.driver, x.samples
+    if driver is None or samples is None:
         raise ValueError("bracket_extension needs a lift that kept its driver")
-    d, n_trunc = driver.d, driver.N
-    base_alg = get_algebra(base_alphabet(d), n_trunc)
-    ext_alg = get_algebra(bracket_alphabet(d), n_trunc)
-
-    nodes = _substep_nodes(driver)
-    lo, hi = nodes[:-1], nodes[1:]
-    h = hi - lo
-    c1 = lo + h * (0.5 - _SQRT3 / 6.0)
-    c2 = lo + h * (0.5 + _SQRT3 / 6.0)
-    n = len(h)
-
-    lin = np.zeros((n, ext_alg.dim))
-    a1 = np.zeros((n, ext_alg.dim))
-    a2 = np.zeros((n, ext_alg.dim))
-    for col, sig in _generator_columns(driver, ext_alg):
-        lin[:, col] = sig.value(hi) - sig.value(lo)
-        a1[:, col] = sig.rate(c1)
-        a2[:, col] = sig.rate(c2)
-
-    base_sub = base_alg.exp(_magnus_generators(driver, base_alg))
-    bidx = base_alg.basis.index
-    eidx = ext_alg.basis.index
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            delta = (
-                base_sub[:, bidx[concat(single(j), single(i))]]
-                - base_sub[:, bidx[b_plus(single(j), i)]]
-            )
-            col = eidx[single((i, j))]
-            lin[:, col] = delta
-            rate = delta / h
-            a1[:, col] = rate
-            a2[:, col] = rate
-
-    omega = lin + ((h * h) * (_SQRT3 / 12.0))[:, None] * ext_alg.commutator(a1, a2)
-    sub_chars = ext_alg.exp(omega)
-    cell_chars = ext_alg.star_reduce(
-        sub_chars.reshape(driver.cells, driver.substeps, ext_alg.dim)
-    )
-    return RoughPath(
-        algebra=ext_alg,
-        grid=x.grid,
-        levels=_pyramid(ext_alg, cell_chars),
-        base_values=x.base_values,
-        alpha=x.alpha,
-        driver=driver,
-    )
+    ext_alg = get_algebra(bracket_alphabet(driver.d), driver.N)
+    columns = samples.columns + samples.brackets
+    sub_chars = _substep_chars(ext_alg, samples.h, columns)
+    return _path(driver, ext_alg, sub_chars, x.base_values, samples)
 
 
 # ---------------------------------------------------------------------------

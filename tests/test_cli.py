@@ -130,6 +130,9 @@ def test_jobs_flag_runs_experiments_in_processes(tmp_path):
     assert rc == EXIT_OK
     summary = read_json(tmp_path, "out", "summary.json")
     assert [r["name"] for r in summary["experiments"]] == ["b1", "b2"]
+    rc = main(["ito", "--config", cfg, "--out", str(tmp_path / "serial")])
+    assert rc == EXIT_OK
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "serial")
 
 
 def test_integrate_command(tmp_path):
@@ -281,6 +284,21 @@ def test_exit_config_on_bad_expression(tmp_path):
     exp["ito"]["F"] = {"exprs": ["x1***2"], "vars": ["x1"]}
     cfg = write_config(tmp_path, "c.json", exp)
     assert main(["ito", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("dump", {"dump": {"what": "basis", "max_weight": 4}}),
+        ("dump", {"dump": {"d": 0}}),
+        ("dump", {"dump": {"d": "x"}}),
+        ("hopf-selftest", {"hopf": {"max_weight": 5}}),
+    ],
+)
+def test_exit_config_on_bad_table_size(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, "c.json", {"name": "t", **doc})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_exit_config_without_config_flag(tmp_path, capsys):

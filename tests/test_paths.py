@@ -326,6 +326,76 @@ def test_scalar_extension_path_consistency():
 
 
 # ---------------------------------------------------------------------------
+# One Magnus pipeline: the lift samples once, the extension reuses it
+# ---------------------------------------------------------------------------
+
+
+class CountingSignal:
+    """Wraps a signal and records the size of every ``value``/``rate`` call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.value_sizes, self.rate_sizes = [], []
+
+    def value(self, t):
+        self.value_sizes.append(np.size(t))
+        return self.inner.value(t)
+
+    def rate(self, t):
+        self.rate_sizes.append(np.size(t))
+        return self.inner.rate(t)
+
+
+def test_lift_and_extension_sample_each_signal_once():
+    trig = TrigSignal(((0.9, 2.0, 0.1), (0.3, 7.0, 0.8)))
+    spectral = SpectralSignal(hurst=0.78, modes=33, seed=11, amplitude=0.35)
+
+    def spec(first, second):
+        # the first signal also drives an intensity: still one distinct signal
+        return DriverSpec(
+            d=2,
+            base=(first, second),
+            intensities=((parse_forest("[•1]2"), first),),
+            cells=32,
+            substeps=4,
+            N=3,
+            alpha=0.30,
+        )
+
+    counted = (CountingSignal(trig), CountingSignal(spectral))
+    x = lift(spec(*counted))
+    xhat = bracket_extension(x)
+    n = 32 * 4
+    for sig in counted:
+        assert sig.value_sizes == [n + 1]
+        assert sig.rate_sizes == [n, n]
+    plain = lift(spec(trig, spectral))
+    assert np.array_equal(x.base_values, plain.base_values)
+    for a, b in zip(xhat.levels, bracket_extension(plain).levels):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("modes", [7, 33, 64, 96])
+@pytest.mark.parametrize("T, cells, substeps", [(1.0, 64, 8), (2.5, 256, 4)])
+def test_spectral_samples_do_not_depend_on_the_array(modes, T, cells, substeps):
+    # the lift takes increments and grid values from one sample of the
+    # substep nodes; that is bitwise what separate samples would give
+    sig = SpectralSignal(hurst=0.6, modes=modes, seed=modes, amplitude=0.5)
+    nodes = np.linspace(0.0, T, cells * substeps + 1)
+    v = sig.value(nodes)
+    assert np.array_equal(
+        v[1:] - v[:-1], sig.value(nodes[1:]) - sig.value(nodes[:-1])
+    )
+    assert np.array_equal(v[::substeps], sig.value(np.linspace(0.0, T, cells + 1)))
+
+
+def test_bracket_extension_needs_the_lift_driver(tmp_path):
+    lift(trig_driver(cells=32)).dump(str(tmp_path), "probe")
+    with pytest.raises(ValueError, match="needs a lift that kept its driver"):
+        bracket_extension(RoughPath.load(str(tmp_path), "probe"))
+
+
+# ---------------------------------------------------------------------------
 # Persistence, determinism, validation
 # ---------------------------------------------------------------------------
 
