@@ -38,6 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
+from sympy.core.function import AppliedUndef
 
 from .calculus import (
     ConvergenceReport,
@@ -88,14 +89,40 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
-def _int_in(sec: dict, key: str, default: int, lo: int, hi: int, where: str) -> int:
-    """An integer option of ``sec`` that must lie in ``lo..hi``."""
-    value = sec.get(key, default)
+def _integer(value, what: str, lo: int, hi: float = math.inf) -> int:
+    """``value`` if it is a JSON integer in ``lo..hi``."""
     if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
-        raise ConfigError(
-            f"{where} {key} must be an integer in {lo}..{hi}, got {value!r}"
-        )
+        bound = f"in {lo}..{hi}" if hi < math.inf else f">= {lo}"
+        raise ConfigError(f"{what} must be an integer {bound}, got {value!r}")
     return value
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, what: str, length=None) -> tuple:
+    """A JSON list of numbers, of the given length if one is given."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ConfigError(f"{what} must be {size} numbers, got {values!r}")
+    return tuple(_number(v, what) for v in values)
+
+
+def _check_exprs(exprs, symbols, where: str) -> None:
+    """Reject free symbols outside ``vars`` and calls of undefined functions."""
+    for e in exprs:
+        unknown = e.free_symbols - set(symbols)
+        if unknown:
+            names = ", ".join(sorted(map(str, unknown)))
+            raise ConfigError(f"{where} uses symbols not in vars: {names}")
+        undefined = e.atoms(AppliedUndef)
+        if undefined:
+            names = ", ".join(sorted(map(str, undefined)))
+            raise ConfigError(f"{where} calls undefined functions: {names}")
 
 
 def signal_from(cfg) -> object:
@@ -105,19 +132,19 @@ def signal_from(cfg) -> object:
     kind = _require(cfg, "kind", "signal")
     if kind == "poly":
         coeffs = _require(cfg, "coeffs", "poly signal")
-        return PolySignal(tuple(float(c) for c in coeffs))
+        return PolySignal(_numbers(coeffs, "poly coeffs"))
     if kind == "trig":
         terms = _require(cfg, "terms", "trig signal")
-        return TrigSignal(
-            tuple((float(a), float(w), float(p)) for a, w, p in terms)
-        )
+        if not isinstance(terms, list):
+            raise ConfigError(f"trig terms must be a list, got {terms!r}")
+        return TrigSignal(tuple(_numbers(t, "trig term", 3) for t in terms))
     if kind == "spectral":
         return SpectralSignal(
-            hurst=float(_require(cfg, "hurst", "spectral signal")),
-            modes=int(_require(cfg, "modes", "spectral signal")),
-            seed=int(cfg.get("seed", 0)),
-            amplitude=float(cfg.get("amplitude", 1.0)),
-            period=float(cfg.get("period", 1.0)),
+            hurst=_number(_require(cfg, "hurst", "spectral signal"), "hurst"),
+            modes=_integer(_require(cfg, "modes", "spectral signal"), "modes", 0),
+            seed=_integer(cfg.get("seed", 0), "signal seed", 0),
+            amplitude=_number(cfg.get("amplitude", 1.0), "amplitude"),
+            period=_number(cfg.get("period", 1.0), "period"),
         )
     raise ConfigError(f"unknown signal kind {kind!r}")
 
@@ -136,14 +163,14 @@ def driver_from(cfg) -> DriverSpec:
             raise ConfigError(str(exc)) from exc
         intensities.append((f, signal_from(_require(item, "signal", "intensity"))))
     return DriverSpec(
-        d=int(_require(cfg, "d", "driver")),
+        d=_integer(_require(cfg, "d", "driver"), "driver d", 1),
         base=base,
         intensities=tuple(intensities),
-        T=float(cfg.get("T", 1.0)),
-        cells=int(cfg.get("cells", 1024)),
-        substeps=int(cfg.get("substeps", 64)),
-        N=int(cfg.get("N", 2)),
-        alpha=float(cfg.get("alpha", 0.45)),
+        T=_number(cfg.get("T", 1.0), "driver T"),
+        cells=_integer(cfg.get("cells", 1024), "driver cells", 1),
+        substeps=_integer(cfg.get("substeps", 64), "driver substeps", 1),
+        N=_integer(cfg.get("N", 2), "driver N", 1),
+        alpha=_number(cfg.get("alpha", 0.45), "driver alpha"),
     )
 
 
@@ -153,11 +180,13 @@ def func_from(cfg, max_order: int = 3) -> SmoothFunctionWithDerivatives:
     exprs = _require(cfg, "exprs", "function")
     variables = _require(cfg, "vars", "function")
     try:
-        return SmoothFunctionWithDerivatives.from_expressions(
+        func = SmoothFunctionWithDerivatives.from_expressions(
             exprs, variables, max_order=max_order
         )
     except (ValueError, TypeError, SyntaxError) as exc:
         raise ConfigError(f"bad function expressions: {exc}") from exc
+    _check_exprs(func.exprs, func.symbols, "function")
+    return func
 
 
 def fields_from(cfg) -> VectorFieldFamily:
@@ -166,9 +195,12 @@ def fields_from(cfg) -> VectorFieldFamily:
     exprs = _require(cfg, "exprs", "fields")
     variables = _require(cfg, "vars", "fields")
     try:
-        return VectorFieldFamily.from_expressions(exprs, variables)
+        fields = VectorFieldFamily.from_expressions(exprs, variables)
     except (ValueError, TypeError, SyntaxError) as exc:
         raise ConfigError(f"bad field expressions: {exc}") from exc
+    for f in fields.fields:
+        _check_exprs(f.exprs, f.symbols, "fields")
+    return fields
 
 
 def load_experiments(path: str) -> list:
@@ -407,19 +439,21 @@ def run_selftest(d: int = 2, max_weight: int = 3) -> dict:
 def _cmd_hopf_selftest(exp: dict, out_dir: str) -> dict:
     sec = exp.get("hopf", {})
     report = run_selftest(
-        d=_int_in(sec, "d", 2, 1, 9, "hopf"),
-        max_weight=_int_in(sec, "max_weight", 3, 2, MAX_WEIGHT, "hopf"),
+        d=_integer(sec.get("d", 2), "hopf d", 1, 4),
+        max_weight=_integer(
+            sec.get("max_weight", 3), "hopf max_weight", 2, MAX_WEIGHT
+        ),
     )
     write_json(os.path.join(out_dir, "hopf_selftest.json"), report)
     return {"passed": report["passed"], "report": "hopf_selftest.json"}
 
 
 def _cmd_lift(exp: dict, out_dir: str) -> dict:
-    x = lift(driver_from(_require(exp, "driver", "experiment")))
     sec = exp.get("lift", {})
-    probes = int(sec.get("probes", 256))
-    seed = int(sec.get("seed", 0))
-    tol = float(sec.get("tolerance", 1e-10))
+    probes = _integer(sec.get("probes", 256), "lift probes", 1)
+    seed = _integer(sec.get("seed", 0), "lift seed", 0)
+    tol = _number(sec.get("tolerance", 1e-10), "lift tolerance")
+    x = lift(driver_from(_require(exp, "driver", "experiment")))
     chen = chen_residuals(x, probes, seed)
     char = character_residuals(x, probes, seed)
     passed = bool(chen.max() < tol and char.max() < tol)
@@ -544,8 +578,8 @@ def _cmd_dump(exp: dict, out_dir: str) -> dict:
     sec = exp.get("dump", {})
     what = sec.get("what", "coproduct")
     alphabet = sec.get("alphabet", "base")
-    d = _int_in(sec, "d", 2, 1, 9, "dump")
-    mw = _int_in(sec, "max_weight", 3, 0, MAX_WEIGHT, "dump")
+    d = _integer(sec.get("d", 2), "dump d", 1, 9)
+    mw = _integer(sec.get("max_weight", 3), "dump max_weight", 0, MAX_WEIGHT)
     if alphabet == "base":
         letters = base_alphabet(d)
     elif alphabet == "bracket":

@@ -9,10 +9,11 @@ transported expansion
 
 has remainders of order ``(N − weight(τ)) · α`` in ``t − s``.  This module
 provides the function objects used everywhere (values plus exact derivative
-tensors, compiled from symbolic expressions), the three coefficient
-constructions (composition with a function of the driver, composition with a
-function of a controlled path, and the lifted indefinite integral), and the
-transport remainder with its empirical rate fit.
+tensors from symbolic expressions, each order compiled on its first use),
+the three coefficient constructions (composition with a function of the
+driver, composition with a function of a controlled path, and the lifted
+indefinite integral), and the transport remainder with its empirical rate
+fit.
 """
 
 from __future__ import annotations
@@ -52,28 +53,19 @@ class SmoothFunctionWithDerivatives:
     ``value(u)`` evaluates the map at points ``u`` of shape ``(..., n_in)``;
     ``dm(u, (v1, …, vm))`` evaluates the m-th derivative as a symmetric
     multilinear form on the given direction arrays.  All evaluations
-    broadcast over leading axes.
+    broadcast over leading axes.  Each derivative order is differentiated
+    and compiled on its first use, as one function returning every
+    component of that tensor, so orders that are never evaluated cost
+    nothing.
     """
 
     exprs: tuple
     symbols: tuple
     max_order: int = 3
-    _tensors: list = field(init=False, repr=False)
+    _tensors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.exprs = tuple(sympy.sympify(e) for e in self.exprs)
-        n_in = len(self.symbols)
-        tensors = []
-        for m in range(self.max_order + 1):
-            funcs = []
-            for e in self.exprs:
-                for multi in itertools.product(range(n_in), repeat=m):
-                    de = e
-                    for a in multi:
-                        de = de.diff(self.symbols[a])
-                    funcs.append(sympy.lambdify(self.symbols, de, modules="numpy"))
-            tensors.append(funcs)
-        self._tensors = tensors
 
     @classmethod
     def from_expressions(cls, exprs, variables, max_order: int = 3):
@@ -91,24 +83,31 @@ class SmoothFunctionWithDerivatives:
     def n_out(self) -> int:
         return len(self.exprs)
 
-    def _eval_flat(self, funcs, u):
+    def _eval_flat(self, m: int, u):
+        """Order-m components at ``u``, row-major in ``(output, a1, …, am)``."""
+        if m not in self._tensors:
+            comps = list(self.exprs)
+            for _ in range(m):
+                comps = [c.diff(s) for c in comps for s in self.symbols]
+            self._tensors[m] = sympy.lambdify(self.symbols, comps, modules="numpy")
         u = np.asarray(u, dtype=float)
         cols = [u[..., k] for k in range(self.n_in)]
         shape = u.shape[:-1]
-        out = np.empty((len(funcs),) + shape)
-        for i, fn in enumerate(funcs):
-            out[i] = np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape)
+        comps = self._tensors[m](*cols)
+        out = np.empty((len(comps),) + shape)
+        for i, c in enumerate(comps):
+            out[i] = np.broadcast_to(np.asarray(c, dtype=float), shape)
         return np.moveaxis(out, 0, -1)
 
     def value(self, u) -> np.ndarray:
         """Map values, shape ``(..., n_out)``."""
-        return self._eval_flat(self._tensors[0], u)
+        return self._eval_flat(0, u)
 
     def tensor(self, u, m: int) -> np.ndarray:
         """m-th derivative tensor, shape ``(..., n_out, n_in**m)`` (flat)."""
         if m > self.max_order:
             raise ValueError(f"derivative order {m} exceeds max_order={self.max_order}")
-        flat = self._eval_flat(self._tensors[m], u)
+        flat = self._eval_flat(m, u)
         return flat.reshape(flat.shape[:-1] + (self.n_out, self.n_in**m))
 
     def dm(self, u, directions) -> np.ndarray:

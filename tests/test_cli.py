@@ -293,10 +293,53 @@ def test_exit_config_on_bad_expression(tmp_path):
         ("dump", {"dump": {"d": 0}}),
         ("dump", {"dump": {"d": "x"}}),
         ("hopf-selftest", {"hopf": {"max_weight": 5}}),
+        ("hopf-selftest", {"hopf": {"d": 5}}),
     ],
 )
 def test_exit_config_on_bad_table_size(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "c.json", {"name": "t", **doc})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+GENERAL_FIELD_Z = {
+    "theorem": "general",
+    "F": {"exprs": ["x1**2"], "vars": ["x1"]},
+    "fields": {"exprs": [["z"]], "vars": ["x1"]},
+    "xi": [1.0],
+}
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("lift", ("driver", "cells"), "x"),
+        ("lift", ("driver", "substeps"), "x"),
+        ("lift", ("driver", "d"), "x"),
+        ("lift", ("driver", "N"), "x"),
+        ("lift", ("driver", "base", 0, "coeffs", 1), "a"),
+        ("lift", ("driver", "base", 0), {"kind": "trig", "terms": [[1.0, 2.0]]}),
+        (
+            "lift",
+            ("driver", "base", 0),
+            {"kind": "spectral", "hurst": 0.7, "modes": "x"},
+        ),
+        ("lift", ("lift",), {"probes": "x"}),
+        ("lift", ("lift",), {"probes": 0}),
+        ("ito", ("ito", "F", "exprs"), ["sin(z)"]),
+        ("ito", ("ito", "F", "exprs"), ["foo(x1)"]),
+        ("ito", ("ito",), GENERAL_FIELD_Z),
+    ],
+)
+def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
+    exp = analytic_ito_experiment("bad")
+    exp["driver"]["cells"] = 64
+    exp["lift"] = {}
+    node = exp
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg = write_config(tmp_path, "c.json", exp)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 

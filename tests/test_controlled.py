@@ -1,7 +1,10 @@
 """Derivative tensors and controlled-coefficient constructions."""
 
+import itertools
+
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,6 +101,49 @@ def test_tensor_order_cap():
     func = example_func()
     with pytest.raises(ValueError):
         func.tensor(np.zeros((1, 2)), 4)
+
+
+def test_each_order_compiles_once_on_first_use(monkeypatch):
+    calls = []
+    lambdify = sympy.lambdify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sympy, "lambdify", counted)
+    func = SmoothFunctionWithDerivatives.from_expressions(
+        ("sin(x1)*x2", "0.25"), ("x1", "x2")
+    )
+    assert len(calls) == 0
+    u = np.array([[0.3, -1.2], [1.1, 0.4]])
+    func.value(u)
+    func.value(u)
+    assert len(calls) == 1
+    func.tensor(u, 2)
+    func.tensor(u, 2)
+    assert len(calls) == 2
+    func.partial(1).partial(2)
+    assert len(calls) == 2
+
+
+def test_tensor_matches_per_component_reference():
+    # a constant output, constant and zero derivatives: scalars broadcast
+    func = SmoothFunctionWithDerivatives.from_expressions(
+        ("sin(x1)*x2**2", "0.25", "x1**2 + exp(x2)"), ("x1", "x2")
+    )
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal((3, 4, 2))
+    for m in range(4):
+        want = np.empty(u.shape[:-1] + (func.n_out, 2**m))
+        for i, e in enumerate(func.exprs):
+            for flat, multi in enumerate(itertools.product(range(2), repeat=m)):
+                de = e
+                for a in multi:
+                    de = de.diff(func.symbols[a])
+                fn = sympy.lambdify(func.symbols, de, modules="numpy")
+                want[..., i, flat] = fn(u[..., 0], u[..., 1])
+        assert np.array_equal(func.tensor(u, m), want), m
 
 
 @given(st.floats(-2.0, 2.0))
