@@ -32,7 +32,7 @@ from .controlled import (
     dm_contract_exprs,
     _as_symbols,
 )
-from .rates import fit_loglog
+from .rates import MeshLadder, fit_loglog
 from .rough_path import RoughPath
 
 
@@ -264,16 +264,12 @@ def solve_rde(
 
 
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(MeshLadder):
     """Mesh-refinement record for one scalar quantity."""
 
     quantity: str
-    strides: list
-    scales: list
     values: list
     reference: float
-    residuals: list
-    slope: float
     tolerance: float
     threshold: float
     passed: bool
@@ -289,34 +285,25 @@ class ConvergenceReport:
         tolerance: float,
         threshold: float,
     ) -> "ConvergenceReport":
-        residuals = [abs(v - reference) for v in values]
-        slope = fit_loglog(scales, residuals)
-        finest = residuals[-1]
-        passed = finest <= tolerance and slope >= threshold
+        ladder = MeshLadder.fit(strides, scales, values, reference)
+        passed = ladder["residuals"][-1] <= tolerance and ladder["slope"] >= threshold
         return cls(
             quantity=quantity,
-            strides=list(int(s) for s in strides),
-            scales=list(float(s) for s in scales),
             values=list(float(v) for v in values),
             reference=float(reference),
-            residuals=list(float(r) for r in residuals),
-            slope=float(slope),
             tolerance=float(tolerance),
             threshold=float(threshold),
             passed=bool(passed),
+            **ladder,
         )
 
     def to_dict(self) -> dict:
         return {
             "quantity": self.quantity,
-            "strides": self.strides,
-            "scales": self.scales,
             "values": self.values,
             "reference": self.reference,
-            "residuals": self.residuals,
-            "slope": None if math.isinf(self.slope) else self.slope,
-            "slope_is_converged_sentinel": math.isinf(self.slope),
             "tolerance": self.tolerance,
             "threshold": self.threshold,
             "passed": self.passed,
+            **self.ladder_dict(),
         }

@@ -6,8 +6,9 @@ Usage::
 
 Commands:
 
-* ``hopf-selftest`` — exact combinatorial/algebraic self-checks (no config
-  needed; an optional ``hopf`` section overrides alphabet size and weight).
+* ``hopf-selftest`` — the exact combinatorial/algebraic self-checks of
+  :func:`planarough.hopf_mkw.run_selftest` (no config needed; an optional
+  ``hopf`` section overrides alphabet size and weight).
 * ``lift``          — build the lift of the configured driver and probe the
   Chen and character identities at random nodes.
 * ``integrate``     — compensated rough integral of ``F(driver)`` against one
@@ -24,18 +25,21 @@ JSON with sorted keys, two-space indent, and a trailing newline; no
 timestamps or machine identifiers are written.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 a solution
-diverged, 3 an I/O failure, 64 a malformed config.
+diverged, 3 an I/O failure, 64 a malformed config, 70 an internal error (an
+uncaught exception, in this process or in a ``--jobs`` worker, reported as
+one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 from sympy.core.function import AppliedUndef
@@ -51,15 +55,13 @@ from .controlled import SmoothFunctionWithDerivatives, compose_FX
 from .forest_core import (
     EMPTY,
     MAX_WEIGHT,
-    all_forests,
     base_alphabet,
     bracket_alphabet,
-    concat,
     parse_forest,
-    single,
 )
-from .hopf_mkw import TruncatedBasis, coproduct_table, star_table
+from .hopf_mkw import TruncatedBasis, coproduct_table, run_selftest, star_table
 from .ito_verify import verify_general, verify_simple
+from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
     DriverSpec,
@@ -76,6 +78,7 @@ EXIT_VERDICT = 1
 EXIT_DIVERGED = 2
 EXIT_IO = 3
 EXIT_CONFIG = 64
+EXIT_INTERNAL = 70
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +107,24 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _numbers(values, what: str, length=None) -> tuple:
-    """A JSON list of numbers, of the given length if one is given."""
+def _list(values, what: str, length=None) -> list:
+    """``values`` if it is a JSON list, of the given length if one is given."""
     if not isinstance(values, list) or length not in (None, len(values)):
         size = "a list" if length is None else f"a list of {length}"
-        raise ConfigError(f"{what} must be {size} numbers, got {values!r}")
-    return tuple(_number(v, what) for v in values)
+        raise ConfigError(f"{what} must be {size}, got {values!r}")
+    return values
+
+
+def _numbers(values, what: str, length=None) -> tuple:
+    """A JSON list of numbers, of the given length if one is given."""
+    return tuple(_number(v, what) for v in _list(values, what, length))
+
+
+def _object(value, what: str) -> dict:
+    """``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {value!r}")
+    return value
 
 
 def _check_exprs(exprs, symbols, where: str) -> None:
@@ -127,16 +142,12 @@ def _check_exprs(exprs, symbols, where: str) -> None:
 
 def signal_from(cfg) -> object:
     """Build a scalar signal from its JSON description."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"signal must be an object, got {cfg!r}")
-    kind = _require(cfg, "kind", "signal")
+    kind = _require(_object(cfg, "signal"), "kind", "signal")
     if kind == "poly":
         coeffs = _require(cfg, "coeffs", "poly signal")
         return PolySignal(_numbers(coeffs, "poly coeffs"))
     if kind == "trig":
-        terms = _require(cfg, "terms", "trig signal")
-        if not isinstance(terms, list):
-            raise ConfigError(f"trig terms must be a list, got {terms!r}")
+        terms = _list(_require(cfg, "terms", "trig signal"), "trig terms")
         return TrigSignal(tuple(_numbers(t, "trig term", 3) for t in terms))
     if kind == "spectral":
         return SpectralSignal(
@@ -151,12 +162,13 @@ def signal_from(cfg) -> object:
 
 def driver_from(cfg) -> DriverSpec:
     """Build a :class:`DriverSpec` from its JSON description."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("driver section must be an object")
-    base = tuple(signal_from(s) for s in _require(cfg, "base", "driver"))
+    _object(cfg, "driver section")
+    base = _list(_require(cfg, "base", "driver"), "driver base")
     intensities = []
-    for item in cfg.get("intensities", ()):
-        key = _require(item, "tree", "intensity")
+    for item in _list(cfg.get("intensities", []), "driver intensities"):
+        key = _require(_object(item, "intensity"), "tree", "intensity")
+        if not isinstance(key, str):
+            raise ConfigError(f"intensity tree must be a forest key, got {key!r}")
         try:
             f = parse_forest(key)
         except ValueError as exc:
@@ -164,7 +176,7 @@ def driver_from(cfg) -> DriverSpec:
         intensities.append((f, signal_from(_require(item, "signal", "intensity"))))
     return DriverSpec(
         d=_integer(_require(cfg, "d", "driver"), "driver d", 1),
-        base=base,
+        base=tuple(signal_from(s) for s in base),
         intensities=tuple(intensities),
         T=_number(cfg.get("T", 1.0), "driver T"),
         cells=_integer(cfg.get("cells", 1024), "driver cells", 1),
@@ -175,8 +187,7 @@ def driver_from(cfg) -> DriverSpec:
 
 
 def func_from(cfg, max_order: int = 3) -> SmoothFunctionWithDerivatives:
-    if not isinstance(cfg, dict):
-        raise ConfigError("function section must be an object")
+    _object(cfg, "function section")
     exprs = _require(cfg, "exprs", "function")
     variables = _require(cfg, "vars", "function")
     try:
@@ -190,8 +201,7 @@ def func_from(cfg, max_order: int = 3) -> SmoothFunctionWithDerivatives:
 
 
 def fields_from(cfg) -> VectorFieldFamily:
-    if not isinstance(cfg, dict):
-        raise ConfigError("fields section must be an object")
+    _object(cfg, "fields section")
     exprs = _require(cfg, "exprs", "fields")
     variables = _require(cfg, "vars", "fields")
     try:
@@ -210,7 +220,7 @@ def load_experiments(path: str) -> list:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "experiments" in doc:
-        exps = doc["experiments"]
+        exps = _list(doc["experiments"], "experiments")
     elif isinstance(doc, dict):
         exps = [doc]
     else:
@@ -220,7 +230,8 @@ def load_experiments(path: str) -> list:
         if not isinstance(exp, dict):
             raise ConfigError("each experiment must be an object")
         name = _require(exp, "name", "experiment")
-        if not name or "/" in name or "\\" in name or name.startswith("."):
+        bad = not isinstance(name, str) or not name or name.startswith(".")
+        if bad or "/" in name or "\\" in name:
             raise ConfigError(f"bad experiment name {name!r}")
         if name in names:
             raise ConfigError(f"duplicate experiment name {name!r}")
@@ -249,195 +260,12 @@ def write_csv(path: str, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exact self-checks
-# ---------------------------------------------------------------------------
-
-
-def _catalan(n: int) -> int:
-    return math.comb(2 * n, n) // (n + 1)
-
-
-_PINNED_COPRODUCTS = {
-    # forest key -> {(left key, right key): coefficient}
-    "•1": {("e", "•1"): 1, ("•1", "e"): 1},
-    "•2•1": {("e", "•2•1"): 1, ("•2•1", "e"): 1, ("•2", "•1"): 1},
-    "[•2]1": {("e", "[•2]1"): 1, ("[•2]1", "e"): 1, ("•2", "•1"): 1},
-    "[•3•2]1": {
-        ("e", "[•3•2]1"): 1,
-        ("[•3•2]1", "e"): 1,
-        ("•3", "[•2]1"): 1,
-        ("•3•2", "•1"): 1,
-    },
-    "[•3](12)": {("e", "[•3](12)"): 1, ("[•3](12)", "e"): 1, ("•3", "•(12)"): 1},
-}
-
-
-def run_selftest(d: int = 2, max_weight: int = 3) -> dict:
-    """Exact structural checks of the combinatorial algebra; no tolerances."""
-    from .hopf_mkw import coproduct_mkw, coproduct_series, is_primitive, shuffle
-    from .forest_core import b_plus
-
-    checks = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
-
-    base = all_forests(base_alphabet(d), max_weight)
-    by_weight = {}
-    for f in base:
-        by_weight[f.weight] = by_weight.get(f.weight, 0) + 1
-    expected = {0: 1}
-    for k in range(1, max_weight + 1):
-        expected[k] = _catalan(k) * d**k
-    check(
-        "forest census matches the planar count",
-        by_weight == expected,
-        f"{by_weight} vs {expected}",
-    )
-
-    pinned_ok = True
-    detail = ""
-    for src, want in _PINNED_COPRODUCTS.items():
-        got = {
-            (l.key, r.key): c for (l, r), c in coproduct_mkw(parse_forest(src)).items()
-        }
-        if got != want:
-            pinned_ok = False
-            detail = f"{src}: {got}"
-            break
-    check("pinned coproduct expansions", pinned_ok, detail)
-
-    ext = all_forests(bracket_alphabet(d), max_weight)
-
-    def coassoc(forests) -> bool:
-        for f in forests:
-            lhs = {}
-            rhs = {}
-            for (a, b), c in coproduct_mkw(f).items():
-                for (a1, a2), c2 in coproduct_mkw(a).items():
-                    key = (a1, a2, b)
-                    lhs[key] = lhs.get(key, 0) + c * c2
-                for (b1, b2), c2 in coproduct_mkw(b).items():
-                    key = (a, b1, b2)
-                    rhs[key] = rhs.get(key, 0) + c * c2
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
-                return False
-        return True
-
-    check("coproduct is coassociative (base alphabet)", coassoc(base))
-    check("coproduct is coassociative (bracket alphabet)", coassoc(ext))
-
-    morphism_ok = True
-    small = [f for f in base if 1 <= f.weight]
-    for f1 in small:
-        for f2 in small:
-            if f1.weight + f2.weight > max_weight:
-                continue
-            left = coproduct_series(shuffle(f1, f2))
-            right = {}
-            for (a1, b1), c1 in coproduct_mkw(f1).items():
-                for (a2, b2), c2 in coproduct_mkw(f2).items():
-                    for fa, ca in shuffle(a1, a2).items():
-                        for fb, cb in shuffle(b1, b2).items():
-                            key = (fa, fb)
-                            right[key] = right.get(key, 0) + c1 * c2 * ca * cb
-            left = {k: v for k, v in left.items() if v}
-            right = {k: v for k, v in right.items() if v}
-            if left != right:
-                morphism_ok = False
-    check("coproduct is a shuffle morphism", morphism_ok)
-
-    counit_ok = True
-    for f in ext:
-        terms = coproduct_mkw(f)
-        left = {}
-        right = {}
-        for (a, b), c in terms.items():
-            if a is EMPTY:
-                left[b] = left.get(b, 0) + c
-            if b is EMPTY:
-                right[a] = right.get(a, 0) + c
-        if left != {f: 1} or right != {f: 1}:
-            counit_ok = False
-    check("counit axioms", counit_ok)
-
-    basis = TruncatedBasis(bracket_alphabet(d), max_weight)
-    graft_ok = True
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            got = basis.star({single(j): 1}, {single(i): 1})
-            want = {concat(single(j), single(i)): 1, b_plus(single(j), i): 1}
-            if got != want:
-                graft_ok = False
-    check("product grafts a single vertex both ways", graft_ok)
-
-    unit_ok = all(
-        basis.star({EMPTY: 1}, {f: 1}) == {f: 1}
-        and basis.star({f: 1}, {EMPTY: 1}) == {f: 1}
-        for f in basis.forests
-    )
-    check("empty forest is the product unit", unit_ok)
-
-    gens = [{single(l): 1} for l in bracket_alphabet(d)]
-    assoc_ok = True
-    for a in gens:
-        for b in gens:
-            ab = basis.star(a, b)
-            for c in gens:
-                if basis.star(ab, c) != basis.star(a, basis.star(b, c)):
-                    assoc_ok = False
-    check("product is associative on generators", assoc_ok)
-
-    prim_ok = True
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            expanded = {
-                concat(single(j), single(i)): 1,
-                b_plus(single(j), i): -1,
-            }
-            if not is_primitive(expanded):
-                prim_ok = False
-            if not is_primitive({single((i, j)): 1}):
-                prim_ok = False
-    check("second-order compensators are primitive", prim_ok)
-
-    neg = {concat(single(1), single(1)): 1}
-    check("bare two-letter word is not primitive", not is_primitive(neg))
-
-    gen = {single(1): Fraction(1), b_plus(single(1), 1): Fraction(1, 3)}
-    g = basis.exp_star(gen)
-    char_ok = g.get(b_plus(single(1), 1), 0) == Fraction(1, 2) + Fraction(1, 3)
-    for f1 in basis.forests:
-        for f2 in basis.forests:
-            if f1.weight + f2.weight > max_weight or not f1.weight or not f2.weight:
-                continue
-            lhs = Fraction(0)
-            for f, c in shuffle(f1, f2).items():
-                lhs += c * g.get(f, Fraction(0))
-            if lhs != g.get(f1, Fraction(0)) * g.get(f2, Fraction(0)):
-                char_ok = False
-    check("exponentials are shuffle characters (exact)", char_ok)
-
-    passed = all(c["passed"] for c in checks)
-    return {
-        "alphabet_size": d,
-        "max_weight": max_weight,
-        "dim_base": len(base),
-        "dim_bracket": len(ext),
-        "checks": checks,
-        "passed": passed,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Per-experiment command bodies (top-level functions: picklable for --jobs)
 # ---------------------------------------------------------------------------
 
 
 def _cmd_hopf_selftest(exp: dict, out_dir: str) -> dict:
-    sec = exp.get("hopf", {})
+    sec = _object(exp.get("hopf", {}), "hopf section")
     report = run_selftest(
         d=_integer(sec.get("d", 2), "hopf d", 1, 4),
         max_weight=_integer(
@@ -449,7 +277,7 @@ def _cmd_hopf_selftest(exp: dict, out_dir: str) -> dict:
 
 
 def _cmd_lift(exp: dict, out_dir: str) -> dict:
-    sec = exp.get("lift", {})
+    sec = _object(exp.get("lift", {}), "lift section")
     probes = _integer(sec.get("probes", 256), "lift probes", 1)
     seed = _integer(sec.get("seed", 0), "lift seed", 0)
     tol = _number(sec.get("tolerance", 1e-10), "lift tolerance")
@@ -477,30 +305,31 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
 
 def _cmd_integrate(exp: dict, out_dir: str) -> dict:
     x = lift(driver_from(_require(exp, "driver", "experiment")))
-    sec = _require(exp, "integrate", "experiment")
+    sec = _object(_require(exp, "integrate", "experiment"), "integrate section")
     func = func_from(_require(sec, "F", "integrate"))
+    d = x.base_values.shape[0]
     if func.n_out != 1:
         raise ConfigError("integrate needs a scalar F")
-    if func.n_in != x.base_values.shape[0]:
-        raise ConfigError(
-            f"F takes {func.n_in} variables, driver has {x.base_values.shape[0]}"
-        )
-    letter = int(sec.get("letter", 1))
-    if not 1 <= letter <= x.base_values.shape[0]:
-        raise ConfigError(f"letter {letter} outside this driver's alphabet")
-    rungs = min(int(sec.get("rungs", 6)), len(x.levels))
+    if func.n_in != d:
+        raise ConfigError(f"F takes {func.n_in} variables, driver has {d}")
+    letter = _integer(sec.get("letter", 1), "integrate letter", 1, d)
+    rungs = _integer(sec.get("rungs", 6), "integrate rungs", 1)
+    tolerance = _number(sec.get("tolerance", 1e-6), "integrate tolerance")
+    threshold = _number(sec.get("threshold", 0.0), "integrate threshold")
+    reference = None
+    if "reference" in sec:
+        reference = _number(sec["reference"], "integrate reference")
     z = compose_FX(x, func, x.N - 1)
-    strides = [1 << (rungs - 1 - r) for r in range(rungs)]
+    strides, scales = MeshLadder.rungs_of(x, rungs)
     values = [float(rough_integral(z, x, letter, s).sum()) for s in strides]
-    reference = float(sec["reference"]) if "reference" in sec else values[-1]
     report = ConvergenceReport.from_values(
         quantity=f"integral of F against letter {letter}",
         strides=strides,
-        scales=[x.T * s / x.cells for s in strides],
+        scales=scales,
         values=values,
-        reference=reference,
-        tolerance=float(sec.get("tolerance", 1e-6)),
-        threshold=float(sec.get("threshold", 0.0)),
+        reference=values[-1] if reference is None else reference,
+        tolerance=tolerance,
+        threshold=threshold,
     )
     write_json(os.path.join(out_dir, "integrate_report.json"), report.to_dict())
     return {"passed": report.passed, "report": "integrate_report.json"}
@@ -508,9 +337,9 @@ def _cmd_integrate(exp: dict, out_dir: str) -> dict:
 
 def _cmd_rde(exp: dict, out_dir: str) -> dict:
     x = lift(driver_from(_require(exp, "driver", "experiment")))
-    sec = _require(exp, "rde", "experiment")
+    sec = _object(_require(exp, "rde", "experiment"), "rde section")
     fields = fields_from(_require(sec, "fields", "rde"))
-    xi = [float(v) for v in _require(sec, "xi", "rde")]
+    xi = _numbers(_require(sec, "xi", "rde"), "rde xi")
     if len(xi) != fields.n:
         raise ConfigError(f"initial state has {len(xi)} entries for {fields.n} fields")
     y = solve_rde(x, fields, xi)
@@ -534,7 +363,7 @@ def _cmd_rde(exp: dict, out_dir: str) -> dict:
             raise ConfigError("oracle must map one time variable to the state space")
         ref = oracle.value(x.grid[:, None])
         err = float(np.abs(yv - ref).max())
-        tol = float(sec.get("tolerance", 1e-4))
+        tol = _number(sec.get("tolerance", 1e-4), "rde tolerance")
         passed = err <= tol
         report.update({"oracle_error_max": err, "tolerance": tol})
     report["passed"] = passed
@@ -544,13 +373,13 @@ def _cmd_rde(exp: dict, out_dir: str) -> dict:
 
 def _cmd_ito(exp: dict, out_dir: str) -> dict:
     x = lift(driver_from(_require(exp, "driver", "experiment")))
-    sec = _require(exp, "ito", "experiment")
+    sec = _object(_require(exp, "ito", "experiment"), "ito section")
     theorem = sec.get("theorem", "simple")
     func = func_from(_require(sec, "F", "ito"))
     if func.n_out != 1:
         raise ConfigError("the observable F must be scalar-valued")
-    rungs = int(sec.get("rungs", 6))
-    tol = float(sec.get("tolerance", 1e-5))
+    rungs = _integer(sec.get("rungs", 6), "ito rungs", 1)
+    tol = _number(sec.get("tolerance", 1e-5), "ito tolerance")
     d = x.base_values.shape[0]
     if theorem == "simple":
         if func.n_in != d:
@@ -558,7 +387,7 @@ def _cmd_ito(exp: dict, out_dir: str) -> dict:
         rep = verify_simple(x, func, name=exp["name"], rungs=rungs, tolerance=tol)
     elif theorem == "general":
         fields = fields_from(_require(sec, "fields", "ito"))
-        xi = [float(v) for v in _require(sec, "xi", "ito")]
+        xi = _numbers(_require(sec, "xi", "ito"), "ito xi")
         if fields.d != d:
             raise ConfigError(f"{fields.d} fields for a driver with {d} letters")
         if len(xi) != fields.n:
@@ -575,7 +404,7 @@ def _cmd_ito(exp: dict, out_dir: str) -> dict:
 
 
 def _cmd_dump(exp: dict, out_dir: str) -> dict:
-    sec = exp.get("dump", {})
+    sec = _object(exp.get("dump", {}), "dump section")
     what = sec.get("what", "coproduct")
     alphabet = sec.get("alphabet", "base")
     d = _integer(sec.get("d", 2), "dump d", 1, 9)
@@ -665,24 +494,16 @@ def main(argv=None) -> int:
 
         rows = []
         diverged = False
-        if args.jobs > 1 and len(experiments) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [
-                    pool.submit(run_experiment, args.command, exp, args.out)
-                    for exp in experiments
-                ]
-                for exp, fut in zip(experiments, futures):
-                    try:
-                        rows.append(fut.result())
-                    except DivergenceError as exc:
-                        diverged = True
-                        rows.append(
-                            {"name": exp["name"], "passed": False, "error": str(exc)}
-                        )
-        else:
-            for exp in experiments:
+        runs = [(args.command, exp, args.out) for exp in experiments]
+        with contextlib.ExitStack() as stack:
+            if args.jobs > 1 and len(runs) > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+                calls = [pool.submit(run_experiment, *run).result for run in runs]
+            else:
+                calls = [functools.partial(run_experiment, *run) for run in runs]
+            for exp, call in zip(experiments, calls):
                 try:
-                    rows.append(run_experiment(args.command, exp, args.out))
+                    rows.append(call())
                 except DivergenceError as exc:
                     diverged = True
                     rows.append(
@@ -708,6 +529,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # any other fault is internal: exit 70, never 1
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

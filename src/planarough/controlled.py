@@ -10,10 +10,9 @@ transported expansion
 has remainders of order ``(N − weight(τ)) · α`` in ``t − s``.  This module
 provides the function objects used everywhere (values plus exact derivative
 tensors from symbolic expressions, each order compiled on its first use),
-the three coefficient constructions (composition with a function of the
-driver, composition with a function of a controlled path, and the lifted
-indefinite integral), and the transport remainder with its empirical rate
-fit.
+the two coefficient constructions (composition with a function of the
+driver and composition with a function of a controlled path), and the
+transport remainder with its empirical rate fit.
 """
 
 from __future__ import annotations
@@ -24,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy
 
-from .forest_core import (
-    EMPTY,
-    PlanarForest,
-    b_plus,
-    forest,
-    letter_weight,
-    tree,
-)
+from .forest_core import EMPTY, PlanarForest, forest, tree
 from .hopf_mkw import coproduct_mkw
 from .rates import fit_loglog
 from .rough_path import RoughPath
@@ -324,24 +316,3 @@ def compose_FY(
         if acc is not None and np.any(acc):
             coeffs[f] = acc
     return ControlledPath(x=y.x, order=order, coeffs=coeffs, n_out=func.n_out)
-
-
-def lift_integral(
-    z: ControlledPath,
-    integrator: RoughPath,
-    letter,
-    node_values: np.ndarray,
-) -> ControlledPath:
-    """The indefinite rough integral as a controlled path.
-
-    The empty forest carries the running integral (``node_values``); the
-    forest ``[τ]_letter`` carries ``⟨τ, Z⟩`` whenever its weight fits the
-    order; everything else is zero.
-    """
-    order = integrator.N - 1
-    coeffs = {EMPTY: node_values.reshape(-1, z.n_out)}
-    lw = letter_weight(letter)
-    for tau, arr in z.coeffs.items():
-        if tau.weight + lw <= order:
-            coeffs[b_plus(tau, letter)] = arr
-    return ControlledPath(x=integrator, order=order, coeffs=coeffs, n_out=z.n_out)

@@ -19,7 +19,9 @@ of the rigid word ωL with all blocks, the right factor is the pruned ωR.
 
 Everything in this module is exact (int / Fraction coefficients) except
 :class:`FloatAlgebra`, which compiles the structure constants into numpy
-arrays for batched numerical work.
+arrays for batched numerical work.  The module ends with its own exact
+self-checks (coassociativity, counit, shuffle morphism, characters, …),
+run by :func:`run_selftest` and by the test suite.
 
 Series are plain dictionaries ``{PlanarForest: coefficient}``; omitted keys
 are zero.  Tensor series are ``{(left, right): coefficient}``.
@@ -28,6 +30,7 @@ are zero.  Tensor series are ``{(left, right): coefficient}``.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -39,7 +42,13 @@ from .forest_core import (
     PlanarForest,
     PlanarTree,
     all_forests,
+    b_plus,
+    base_alphabet,
+    bracket_alphabet,
+    concat,
     forest,
+    parse_forest,
+    single,
     sort_key,
     tree,
 )
@@ -375,3 +384,183 @@ def star_table(basis: TruncatedBasis):
         res = basis.forests[k].key
         for li, ri, c in rows:
             yield (basis.forests[li].key, basis.forests[ri].key, res, c)
+
+
+# ---------------------------------------------------------------------------
+# Exact self-checks
+# ---------------------------------------------------------------------------
+#
+# Each check returns its defect, which is empty (or zero) exactly when the
+# identity holds; ``run_selftest`` and the tests both call them.
+
+
+def coassociativity_defect(f: PlanarForest) -> dict:
+    """``(Δ⊗id)Δf − (id⊗Δ)Δf`` as ``{(a1, a2, a3): coefficient}``."""
+    out: Counter = Counter()
+    for (a, b), c in coproduct_mkw(f).items():
+        for (a1, a2), c2 in coproduct_mkw(a).items():
+            out[(a1, a2, b)] += c * c2
+        for (b1, b2), c2 in coproduct_mkw(b).items():
+            out[(a, b1, b2)] -= c * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def counit_defect(f: PlanarForest) -> dict:
+    """``(ε⊗id)Δf − f`` and ``(id⊗ε)Δf − f``, keyed ``("left"|"right", forest)``."""
+    out: Counter = Counter({("left", f): -1, ("right", f): -1})
+    for (a, b), c in coproduct_mkw(f).items():
+        if a is EMPTY:
+            out[("left", b)] += c
+        if b is EMPTY:
+            out[("right", a)] += c
+    return {k: v for k, v in out.items() if v}
+
+
+def shuffle_morphism_defect(f1: PlanarForest, f2: PlanarForest) -> dict:
+    """``Δ(f1 ⧢ f2) − Δf1 ⧢ Δf2`` as ``{(left, right): coefficient}``."""
+    out: Counter = Counter(coproduct_series(shuffle(f1, f2)))
+    for (a1, b1), c1 in coproduct_mkw(f1).items():
+        for (a2, b2), c2 in coproduct_mkw(f2).items():
+            for fa, ca in shuffle(a1, a2).items():
+                for fb, cb in shuffle(b1, b2).items():
+                    out[(fa, fb)] -= c1 * c2 * ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def character_defect(g: dict, f1: PlanarForest, f2: PlanarForest):
+    """``⟨g, f1 ⧢ f2⟩ − ⟨g, f1⟩⟨g, f2⟩``: zero on every pair for a character."""
+    return pairing(g, shuffle(f1, f2)) - g.get(f1, 0) * g.get(f2, 0)
+
+
+def _catalan(n: int) -> int:
+    return math.comb(2 * n, n) // (n + 1)
+
+
+_PINNED_COPRODUCTS = {
+    # forest key -> {(left key, right key): coefficient}
+    "•1": {("e", "•1"): 1, ("•1", "e"): 1},
+    "•2•1": {("e", "•2•1"): 1, ("•2•1", "e"): 1, ("•2", "•1"): 1},
+    "[•2]1": {("e", "[•2]1"): 1, ("[•2]1", "e"): 1, ("•2", "•1"): 1},
+    "[•3•2]1": {
+        ("e", "[•3•2]1"): 1,
+        ("[•3•2]1", "e"): 1,
+        ("•3", "[•2]1"): 1,
+        ("•3•2", "•1"): 1,
+    },
+    "[•3](12)": {("e", "[•3](12)"): 1, ("[•3](12)", "e"): 1, ("•3", "•(12)"): 1},
+}
+
+
+def run_selftest(d: int = 2, max_weight: int = 3) -> dict:
+    """Exact structural checks of the combinatorial algebra; no tolerances.
+
+    The coproduct checks run exhaustively over all forests (and all pairs of
+    forests) up to ``max_weight`` on the ``d``-letter alphabets.
+    """
+    checks = []
+
+    def check(name: str, ok: bool, detail: str = "") -> None:
+        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+
+    base = all_forests(base_alphabet(d), max_weight)
+    ext = all_forests(bracket_alphabet(d), max_weight)
+    letters = range(1, d + 1)
+
+    by_weight = {}
+    for f in base:
+        by_weight[f.weight] = by_weight.get(f.weight, 0) + 1
+    expected = {k: _catalan(k) * d**k for k in range(max_weight + 1)}
+    check(
+        "forest census matches the planar count",
+        by_weight == expected,
+        f"{by_weight} vs {expected}",
+    )
+
+    wrong = []
+    for src, want in _PINNED_COPRODUCTS.items():
+        got = {
+            (l.key, r.key): c for (l, r), c in coproduct_mkw(parse_forest(src)).items()
+        }
+        if got != want:
+            wrong.append(f"{src}: {got}")
+    check("pinned coproduct expansions", not wrong, wrong[0] if wrong else "")
+
+    for label, forests in (("base", base), ("bracket", ext)):
+        check(
+            f"coproduct is coassociative ({label} alphabet)",
+            not any(coassociativity_defect(f) for f in forests),
+        )
+    small = [f for f in base if f.weight]
+    check(
+        "coproduct is a shuffle morphism",
+        not any(
+            shuffle_morphism_defect(f1, f2)
+            for f1 in small
+            for f2 in small
+            if f1.weight + f2.weight <= max_weight
+        ),
+    )
+    check("counit axioms", not any(counit_defect(f) for f in ext))
+
+    basis = TruncatedBasis(bracket_alphabet(d), max_weight)
+    check(
+        "product grafts a single vertex both ways",
+        all(
+            basis.star({single(j): 1}, {single(i): 1})
+            == {concat(single(j), single(i)): 1, b_plus(single(j), i): 1}
+            for i in letters
+            for j in letters
+        ),
+    )
+    check(
+        "empty forest is the product unit",
+        all(
+            basis.star({EMPTY: 1}, {f: 1}) == {f: 1}
+            and basis.star({f: 1}, {EMPTY: 1}) == {f: 1}
+            for f in basis.forests
+        ),
+    )
+    gens = [{single(l): 1} for l in bracket_alphabet(d)]
+    check(
+        "product is associative on generators",
+        all(
+            basis.star(basis.star(a, b), c) == basis.star(a, basis.star(b, c))
+            for a in gens
+            for b in gens
+            for c in gens
+        ),
+    )
+    check(
+        "second-order compensators are primitive",
+        all(
+            is_primitive({concat(single(j), single(i)): 1, b_plus(single(j), i): -1})
+            and is_primitive({single((i, j)): 1})
+            for i in letters
+            for j in letters
+        ),
+    )
+    check(
+        "bare two-letter word is not primitive",
+        not is_primitive({concat(single(1), single(1)): 1}),
+    )
+
+    g = basis.exp_star({single(1): Fraction(1), b_plus(single(1), 1): Fraction(1, 3)})
+    check(
+        "exponentials are shuffle characters (exact)",
+        g.get(b_plus(single(1), 1), 0) == Fraction(1, 2) + Fraction(1, 3)
+        and not any(
+            character_defect(g, f1, f2)
+            for f1 in basis.forests
+            for f2 in basis.forests
+            if f1.weight and f2.weight and f1.weight + f2.weight <= max_weight
+        ),
+    )
+
+    return {
+        "alphabet_size": d,
+        "max_weight": max_weight,
+        "dim_base": len(base),
+        "dim_bracket": len(ext),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+    }

@@ -16,6 +16,12 @@ evaluated on a ladder of dyadic coarsenings of the lift grid:
                           ``Σ_{ijk} ∫ D³F:(f_i,f_j,f_k)(Y) dX̃^{(ijk)}`` and
                           ``Σ_{ijk} ∫ D²F:(f_i, Df_j:f_k)(Y) dc̄X^{(ijk)}``.
 
+Each identity is a table of :class:`Term` rows, one per sum above: a name,
+the integrands per letter, pair or triple, and the integrator (the base lift,
+the bracket extension ``X̂``, or the scalar Young paths ``X̃`` and ``c̄X``).
+:func:`verify_simple` and :func:`verify_general` only build their tables;
+one loop evaluates every term on every rung of the mesh ladder.
+
 Each report records per-term totals on every rung, the identity residual, and
 the empirical convergence order of the residual, with verdicts against a
 tolerance at the finest mesh and an order threshold ``(N+1)·α − 1 − 0.3``.
@@ -24,7 +30,6 @@ tolerance at the finest mesh and an order threshold ``(N+1)·α − 1 − 0.3``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +42,12 @@ from .controlled import (
     dm_contract_exprs,
 )
 from .forest_core import EMPTY
-from .rates import fit_loglog
+from .rates import MeshLadder
 from .rough_path import RoughPath, bracket_extension, cbar_path, tilde_path
 
 
 @dataclass
-class ItoReport:
+class ItoReport(MeshLadder):
     """Per-rung bookkeeping and verdict of one identity verification."""
 
     name: str
@@ -50,13 +55,9 @@ class ItoReport:
     N: int
     alpha: float
     lhs: float
-    strides: list
-    scales: list
     terms: dict
     rhs: list
-    residuals: list
     finest_residual: float
-    slope: float
     tolerance: float
     order_threshold: float
     passed_residual: bool
@@ -70,55 +71,75 @@ class ItoReport:
             "truncation": self.N,
             "alpha": self.alpha,
             "lhs": self.lhs,
-            "strides": self.strides,
-            "scales": self.scales,
             "terms": self.terms,
             "rhs": self.rhs,
-            "residuals": self.residuals,
             "finest_residual": self.finest_residual,
-            "slope": None if math.isinf(self.slope) else self.slope,
-            "slope_is_converged_sentinel": math.isinf(self.slope),
             "tolerance": self.tolerance,
             "order_threshold": self.order_threshold,
             "passed_residual": self.passed_residual,
             "passed_order": self.passed_order,
             "passed": self.passed,
+            **self.ladder_dict(),
         }
 
 
-def _strides(x: RoughPath, rungs: int):
-    """Dyadic mesh ladder, finest (stride 1) last."""
-    rungs = min(rungs, len(x.levels))
-    return [1 << (rungs - 1 - r) for r in range(rungs)]
+@dataclass(frozen=True)
+class Term:
+    """One sum of an identity: ``Σ_l ∫ integrands[l] d integrator[l]``.
+
+    A :class:`RoughPath` integrator takes controlled integrands and the
+    compensated rough sum against its letter ``l``.  A dict of scalar
+    extension paths takes smooth integrands, evaluated at the mesh states,
+    and the left-point Young sum against ``integrator[l]``.
+    """
+
+    name: str
+    integrands: dict
+    integrator: object
+
+    def total(self, stride: int, states: np.ndarray, T: float) -> float:
+        """The sum over the ``stride``-cell mesh."""
+        if isinstance(self.integrator, RoughPath):
+            return sum(
+                float(rough_integral(z, self.integrator, l, stride).sum())
+                for l, z in self.integrands.items()
+            )
+        mesh = states[::stride]
+        total = 0.0
+        for l, g in self.integrands.items():
+            increments = self.integrator[l].cell_increments(stride)
+            total += float(young_integral(g.value(mesh)[:, 0], increments, T=T).sum())
+        return total
 
 
-def _assemble(name, theorem, x, lhs, strides, terms, tolerance) -> ItoReport:
-    scales = [x.T * s / x.cells for s in strides]
+def _verify(name, theorem, x, lhs, table, states, rungs, tolerance) -> ItoReport:
+    """Evaluate every term of ``table`` on every rung and judge the identity."""
+    strides, scales = MeshLadder.rungs_of(x, rungs)
+    terms = {t.name: [] for t in table}
+    for stride in strides:
+        for t in table:
+            terms[t.name].append(t.total(stride, states, x.T))
     rhs = [sum(terms[k][r] for k in terms) for r in range(len(strides))]
-    residuals = [abs(lhs - v) for v in rhs]
-    slope = fit_loglog(scales, residuals)
+    ladder = MeshLadder.fit(strides, scales, rhs, lhs)
     threshold = (x.N + 1) * x.alpha - 1.0 - 0.3
-    finest = residuals[-1]
+    finest = ladder["residuals"][-1]
     passed_res = finest <= tolerance
-    passed_ord = slope >= threshold
+    passed_ord = ladder["slope"] >= threshold
     return ItoReport(
         name=name,
-        theorem=theorem,
+        theorem=f"{theorem}-n{x.N}",
         N=x.N,
         alpha=x.alpha,
         lhs=float(lhs),
-        strides=[int(s) for s in strides],
-        scales=[float(s) for s in scales],
         terms={k: [float(v) for v in vals] for k, vals in terms.items()},
         rhs=[float(v) for v in rhs],
-        residuals=[float(r) for r in residuals],
-        finest_residual=float(finest),
-        slope=slope,
+        finest_residual=finest,
         tolerance=float(tolerance),
         order_threshold=float(threshold),
         passed_residual=bool(passed_res),
         passed_order=bool(passed_ord),
         passed=bool(passed_res and passed_ord),
+        **ladder,
     )
 
 
@@ -137,61 +158,39 @@ def verify_simple(
 ) -> ItoReport:
     """Check the change-of-variable identity for ``F(driver)``."""
     _scalar(func)
-    d = x.base_values.shape[0]
-    n_trunc = x.N
+    letters = range(1, x.base_values.shape[0] + 1)
     xhat = bracket_extension(x)
     u = x.base_values.T
     lhs = float(func.value(u)[-1, 0] - func.value(u)[0, 0])
 
-    letters = range(1, d + 1)
-    z_first = {i: compose_FX(x, func.partial(i), n_trunc - 1) for i in letters}
-    z_second = {
-        (i, j): compose_FX(x, func.partial(i).partial(j), n_trunc - 2)
-        for i in letters
-        for j in letters
-    }
-    if n_trunc == 3:
-        third_funcs = {
-            (i, j, k): func.partial(i).partial(j).partial(k)
-            for i in letters
-            for j in letters
-            for k in letters
-        }
-        tildes = {
-            ijk: tilde_path(xhat, *ijk) for ijk in third_funcs
-        }
-
-    strides = _strides(x, rungs)
-    terms = {"rough_first_order": [], "bracket_second_order": []}
-    if n_trunc == 3:
-        terms["tilde_third_order"] = []
-    for stride in strides:
-        terms["rough_first_order"].append(
-            sum(
-                float(rough_integral(z_first[i], x, i, stride).sum())
-                for i in letters
+    table = [
+        Term(
+            "rough_first_order",
+            {i: compose_FX(x, func.partial(i), x.N - 1) for i in letters},
+            x,
+        ),
+        Term(
+            "bracket_second_order",
+            {
+                (i, j): compose_FX(x, func.partial(i).partial(j), x.N - 2)
+                for i, j in itertools.product(letters, repeat=2)
+            },
+            xhat,
+        ),
+    ]
+    if x.N == 3:
+        triples = list(itertools.product(letters, repeat=3))
+        table.append(
+            Term(
+                "tilde_third_order",
+                {
+                    (i, j, k): func.partial(i).partial(j).partial(k)
+                    for i, j, k in triples
+                },
+                {ijk: tilde_path(xhat, *ijk) for ijk in triples},
             )
         )
-        terms["bracket_second_order"].append(
-            sum(
-                float(rough_integral(z_second[ij], xhat, ij, stride).sum())
-                for ij in z_second
-            )
-        )
-        if n_trunc == 3:
-            mesh_u = u[::stride]
-            total = 0.0
-            for ijk, g in third_funcs.items():
-                gv = g.value(mesh_u)[:, 0]
-                total += float(
-                    young_integral(
-                        gv, tildes[ijk].cell_increments(stride), T=x.T
-                    ).sum()
-                )
-            terms["tilde_third_order"].append(total)
-
-    theorem = f"simple-n{n_trunc}"
-    return _assemble(name, theorem, x, lhs, strides, terms, tolerance)
+    return _verify(name, "simple", x, lhs, table, u, rungs, tolerance)
 
 
 def verify_general(
@@ -208,93 +207,55 @@ def verify_general(
     _scalar(func)
     if tuple(func.symbols) != tuple(fields.symbols):
         raise ValueError("F and the vector fields must share one symbol tuple")
-    d = x.base_values.shape[0]
-    n_trunc = x.N
+    letters = range(1, x.base_values.shape[0] + 1)
     xhat = bracket_extension(x)
     y = solve_rde(x, fields, xi)
     yv = y.coeffs[EMPTY]
     lhs = float(func.value(yv)[-1, 0] - func.value(yv)[0, 0])
 
     symbols = fields.symbols
-    letters = range(1, d + 1)
 
-    def sfwd(exprs):
+    def f(i):
+        return fields.fields[i - 1].exprs
+
+    def contract(*directions):
+        """``D^m F:(directions)`` as a function object."""
         return SmoothFunctionWithDerivatives(
-            exprs=exprs, symbols=symbols, max_order=func.max_order
+            exprs=dm_contract_exprs(func.exprs, symbols, directions),
+            symbols=symbols,
+            max_order=func.max_order,
         )
 
-    g_first = {
-        i: sfwd(dm_contract_exprs(func.exprs, symbols, [fields.fields[i - 1].exprs]))
-        for i in letters
-    }
-    g_second = {
-        (i, j): sfwd(
-            dm_contract_exprs(
-                func.exprs,
-                symbols,
-                [fields.fields[i - 1].exprs, fields.fields[j - 1].exprs],
-            )
-        )
-        for i in letters
-        for j in letters
-    }
-    z_first = {i: compose_FY(y, g_first[i], n_trunc - 1) for i in letters}
-    z_second = {
-        ij: compose_FY(y, g_second[ij], n_trunc - 2) for ij in g_second
-    }
-    if n_trunc == 3:
-        g_third, g_mixed, tildes, cbars = {}, {}, {}, {}
-        for i, j, k in itertools.product(letters, repeat=3):
-            fi = fields.fields[i - 1].exprs
-            fj = fields.fields[j - 1].exprs
-            fk = fields.fields[k - 1].exprs
-            g_third[(i, j, k)] = sfwd(
-                dm_contract_exprs(func.exprs, symbols, [fi, fj, fk])
-            )
-            djk = dm_contract_exprs(fj, symbols, [fk])
-            g_mixed[(i, j, k)] = sfwd(
-                dm_contract_exprs(func.exprs, symbols, [fi, djk])
-            )
-            tildes[(i, j, k)] = tilde_path(xhat, i, j, k)
-            cbars[(i, j, k)] = cbar_path(xhat, i, j, k)
-
-    strides = _strides(x, rungs)
-    terms = {"rough_first_order": [], "bracket_second_order": []}
-    if n_trunc == 3:
-        terms["tilde_third_order"] = []
-        terms["cbar_mixed_order"] = []
-    for stride in strides:
-        terms["rough_first_order"].append(
-            sum(
-                float(rough_integral(z_first[i], x, i, stride).sum())
-                for i in letters
-            )
-        )
-        terms["bracket_second_order"].append(
-            sum(
-                float(rough_integral(z_second[ij], xhat, ij, stride).sum())
-                for ij in z_second
-            )
-        )
-        if n_trunc == 3:
-            mesh_y = yv[::stride]
-            t3 = 0.0
-            t4 = 0.0
-            for ijk in g_third:
-                gv = g_third[ijk].value(mesh_y)[:, 0]
-                t3 += float(
-                    young_integral(
-                        gv, tildes[ijk].cell_increments(stride), T=x.T
-                    ).sum()
-                )
-                cv = g_mixed[ijk].value(mesh_y)[:, 0]
-                t4 += float(
-                    young_integral(
-                        cv, cbars[ijk].cell_increments(stride), T=x.T
-                    ).sum()
-                )
-            terms["tilde_third_order"].append(t3)
-            terms["cbar_mixed_order"].append(t4)
-
-    theorem = f"general-n{n_trunc}"
-    return _assemble(name, theorem, x, lhs, strides, terms, tolerance)
+    table = [
+        Term(
+            "rough_first_order",
+            {i: compose_FY(y, contract(f(i)), x.N - 1) for i in letters},
+            x,
+        ),
+        Term(
+            "bracket_second_order",
+            {
+                (i, j): compose_FY(y, contract(f(i), f(j)), x.N - 2)
+                for i, j in itertools.product(letters, repeat=2)
+            },
+            xhat,
+        ),
+    ]
+    if x.N == 3:
+        triples = list(itertools.product(letters, repeat=3))
+        table += [
+            Term(
+                "tilde_third_order",
+                {(i, j, k): contract(f(i), f(j), f(k)) for i, j, k in triples},
+                {ijk: tilde_path(xhat, *ijk) for ijk in triples},
+            ),
+            Term(
+                "cbar_mixed_order",
+                {
+                    (i, j, k): contract(f(i), dm_contract_exprs(f(j), symbols, [f(k)]))
+                    for i, j, k in triples
+                },
+                {ijk: cbar_path(xhat, *ijk) for ijk in triples},
+            ),
+        ]
+    return _verify(name, "general", x, lhs, table, yv, rungs, tolerance)

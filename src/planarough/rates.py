@@ -5,11 +5,16 @@ implements one shared convention: residuals at or below ``floor`` are treated
 as exact (pure roundoff) and excluded from the fit, and when fewer than two
 informative points remain the fit returns ``+inf`` — "converged faster than
 measurable", which passes any threshold.
+
+:class:`MeshLadder` holds the one mesh-ladder policy of the reports: which
+strides a refinement study uses, their mesh sizes, the residual fit along
+them, and how a ``+inf`` slope is serialised.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,3 +42,54 @@ def fit_loglog(scales, values, floor: float = RESIDUAL_FLOOR) -> float:
     if keep.sum() < 2:
         return math.inf
     return float(np.polyfit(np.log(scales[keep]), np.log(values[keep]), 1)[0])
+
+
+@dataclass
+class MeshLadder:
+    """Residuals of one quantity along a dyadic mesh ladder, and their slope.
+
+    The ladder runs coarsest first, so the finest rung (stride 1) is last;
+    a rung of stride ``s`` cells has mesh size ``scales = T·s/cells``.
+    Reports built on a ladder inherit its fields and serialise them with
+    :meth:`ladder_dict`.
+    """
+
+    strides: list
+    scales: list
+    residuals: list
+    slope: float
+
+    @staticmethod
+    def rungs_of(x, rungs: int) -> tuple:
+        """Strides and mesh sizes of up to ``rungs`` rungs on the grid of ``x``.
+
+        The request is clamped to the dyadic levels the lift ``x`` holds.
+        """
+        used = min(rungs, len(x.levels))
+        strides = [1 << (used - 1 - r) for r in range(used)]
+        return strides, [x.T * s / x.cells for s in strides]
+
+    @staticmethod
+    def fit(strides, scales, values, reference) -> dict:
+        """Ladder fields of ``values`` converging to ``reference``.
+
+        Residuals are ``|value − reference|`` per rung; the slope is their
+        :func:`fit_loglog` fit against the mesh sizes.
+        """
+        residuals = [abs(v - reference) for v in values]
+        return {
+            "strides": [int(s) for s in strides],
+            "scales": [float(s) for s in scales],
+            "residuals": [float(r) for r in residuals],
+            "slope": fit_loglog(scales, residuals),
+        }
+
+    def ladder_dict(self) -> dict:
+        """JSON fields; a ``+inf`` slope is written as ``None`` plus a flag."""
+        return {
+            "strides": self.strides,
+            "scales": self.scales,
+            "residuals": self.residuals,
+            "slope": None if math.isinf(self.slope) else self.slope,
+            "slope_is_converged_sentinel": math.isinf(self.slope),
+        }

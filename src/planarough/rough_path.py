@@ -246,13 +246,8 @@ def _letters_of(f: PlanarForest):
 
 
 @lru_cache(maxsize=None)
-def get_basis(letters, max_weight: int) -> TruncatedBasis:
-    return TruncatedBasis(letters, max_weight)
-
-
-@lru_cache(maxsize=None)
 def get_algebra(letters, max_weight: int) -> FloatAlgebra:
-    return FloatAlgebra(get_basis(letters, max_weight))
+    return FloatAlgebra(TruncatedBasis(letters, max_weight))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,14 @@ from test_paths import CANONICAL_AT_ONE, canonical_driver, trig_driver
 
 from planarough.calculus import VectorFieldFamily, solve_rde
 from planarough.cli import main as cli_main
-from planarough.cli import run_selftest
 from planarough.controlled import SmoothFunctionWithDerivatives, compose_FX
 from planarough.forest_core import EMPTY, parse_forest, single
-from planarough.hopf_mkw import coproduct_mkw, is_primitive, reduced_coproduct
+from planarough.hopf_mkw import (
+    coproduct_mkw,
+    is_primitive,
+    reduced_coproduct,
+    run_selftest,
+)
 from planarough.ito_verify import verify_simple
 from planarough.rough_path import (
     DriverSpec,

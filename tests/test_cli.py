@@ -1,20 +1,23 @@
 """End-to-end CLI behavior: commands, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from planarough import cli
 from planarough.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_VERDICT,
     load_experiments,
     main,
-    run_selftest,
 )
+from planarough.hopf_mkw import run_selftest
 from planarough.rough_path import ConfigError
 
 
@@ -302,11 +305,17 @@ def test_exit_config_on_bad_table_size(tmp_path, capsys, command, doc):
     assert "config error" in capsys.readouterr().err
 
 
-GENERAL_FIELD_Z = {
+GENERAL = {
     "theorem": "general",
     "F": {"exprs": ["x1**2"], "vars": ["x1"]},
-    "fields": {"exprs": [["z"]], "vars": ["x1"]},
+    "fields": {"exprs": [["x1"]], "vars": ["x1"]},
     "xi": [1.0],
+}
+INTEGRATE = {"F": {"exprs": ["x1**2"], "vars": ["x1"]}}
+RDE = {
+    "fields": {"exprs": [["x1"]], "vars": ["x1"]},
+    "xi": [1.0],
+    "oracle": {"exprs": ["exp(t)"], "vars": ["t"]},
 }
 
 
@@ -328,7 +337,28 @@ GENERAL_FIELD_Z = {
         ("lift", ("lift",), {"probes": 0}),
         ("ito", ("ito", "F", "exprs"), ["sin(z)"]),
         ("ito", ("ito", "F", "exprs"), ["foo(x1)"]),
-        ("ito", ("ito",), GENERAL_FIELD_Z),
+        ("ito", ("ito",), {**GENERAL, "fields": {"exprs": [["z"]], "vars": ["x1"]}}),
+        ("ito", ("ito", "rungs"), "x"),
+        ("ito", ("ito", "rungs"), 0),
+        ("ito", ("ito", "tolerance"), "x"),
+        ("ito", ("ito",), {**GENERAL, "xi": "ab"}),
+        ("integrate", ("integrate",), {**INTEGRATE, "letter": "x"}),
+        ("integrate", ("integrate",), {**INTEGRATE, "rungs": 0}),
+        ("integrate", ("integrate",), {**INTEGRATE, "reference": "x"}),
+        ("integrate", ("integrate",), {**INTEGRATE, "tolerance": "x"}),
+        ("integrate", ("integrate",), {**INTEGRATE, "threshold": "x"}),
+        ("rde", ("rde",), {**RDE, "xi": ["x"]}),
+        ("rde", ("rde",), {**RDE, "xi": 5}),
+        ("rde", ("rde",), {**RDE, "tolerance": "x"}),
+        # container types
+        ("lift", ("driver", "base"), 5),
+        ("lift", ("driver", "intensities"), 5),
+        ("lift", ("driver", "intensities", 0), 5),
+        ("lift", ("driver", "intensities", 0, "tree"), 5),
+        ("lift", ("lift",), [1]),
+        ("hopf-selftest", ("hopf",), [2]),
+        ("ito", ("ito",), [1]),
+        ("lift", ("name",), 5),
     ],
 )
 def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
@@ -344,6 +374,22 @@ def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
     assert "config error" in capsys.readouterr().err
 
 
+def _fail(exp, out_dir):
+    raise RuntimeError("forced fault")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_exit_internal_on_uncaught_exception(tmp_path, capsys, monkeypatch, jobs):
+    # --jobs workers are forked, so they run the patched command too
+    monkeypatch.setitem(cli._COMMANDS, "dump", _fail)
+    doc = {"experiments": [{"name": "a"}, {"name": "b"}]}
+    cfg = write_config(tmp_path, "c.json", doc)
+    rc = main(["dump", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError('forced fault')"]
+
+
 def test_exit_config_without_config_flag(tmp_path, capsys):
     assert main(["ito", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "needs --config" in capsys.readouterr().err
@@ -353,6 +399,81 @@ def test_exit_io_on_missing_config(tmp_path, capsys):
     rc = main(["ito", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Frozen report bytes
+# ---------------------------------------------------------------------------
+
+PIN_DRIVER = {
+    "d": 2,
+    "N": 3,
+    "alpha": 0.3,
+    "cells": 128,
+    "substeps": 2,
+    "base": [
+        {"kind": "trig", "terms": [[0.6, 2.0, 0.3], [0.2, 5.0, 1.1]]},
+        {"kind": "poly", "coeffs": [0.0, 0.7, -0.3]},
+    ],
+    "intensities": [
+        {"tree": "[•1]2", "signal": {"kind": "poly", "coeffs": [0.0, 0.2]}}
+    ],
+}
+FROZEN_REPORTS = {
+    "simple-d2n3": (
+        "ito",
+        {
+            "driver": PIN_DRIVER,
+            "ito": {
+                "theorem": "simple",
+                "F": {"exprs": ["sin(x1)*x2 + x2**3/3"], "vars": ["x1", "x2"]},
+                "rungs": 4,
+            },
+        },
+        "ito_report.json",
+        "7be873ac4f83bfddc74c2b2c4dd808130fa8b5a30d68a56f3b7539dcc8253126",
+    ),
+    "general-d2n3": (
+        "ito",
+        {
+            "driver": PIN_DRIVER,
+            "ito": {
+                "theorem": "general",
+                "F": {"exprs": ["sin(y1) + 0.3*y1*y2"], "vars": ["y1", "y2"]},
+                "fields": {
+                    "exprs": [["1 + 0.2*y2**2", "0.3*y1"], ["0.25", "1 - y2/4"]],
+                    "vars": ["y1", "y2"],
+                },
+                "xi": [0.1, -0.2],
+                "rungs": 4,
+                "tolerance": 1e-3,
+            },
+        },
+        "ito_report.json",
+        "4c414ad1ff63a94dc5f2b1aae884feeb9a27edc02975d2f15f23784336d9932b",
+    ),
+    "hopf-d2w3": (
+        "hopf-selftest",
+        {"hopf": {"d": 2, "max_weight": 3}},
+        "hopf_selftest.json",
+        "749bf4f17872059f061bc2d35e5f312bb7e48bbf5653e2bcba424b7cd0c29ccc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
+def test_report_bytes_are_frozen(tmp_path, name):
+    """Report digests recorded before the verifier became a term table and
+    the self-test moved next to the algebra (numpy 2.4, sympy 1.14, x86-64).
+
+    The d=2, N=3 identities run all four kinds of term and the pair and
+    triple summation orders; a change of these bytes is a change of output.
+    """
+    command, doc, report, digest = FROZEN_REPORTS[name]
+    cfg = write_config(tmp_path, "c.json", {"name": name, **doc})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    data = (tmp_path / "o" / name / report).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +493,8 @@ def test_load_experiments_validation(tmp_path):
         {"experiments": [{"name": ".hidden"}]},
         {"experiments": [{"name": ""}]},
         {"experiments": [{"nope": 1}]},
+        {"experiments": [{"name": 5}]},
+        {"experiments": 5},
         ["not", "an", "object"],
     ]:
         path = write_config(tmp_path, "bad.json", bad)

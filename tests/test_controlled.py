@@ -15,7 +15,6 @@ from planarough.controlled import (
     compose_FX,
     compose_FY,
     dm_contract_exprs,
-    lift_integral,
 )
 from planarough.forest_core import EMPTY, parse_forest, single
 from planarough.rough_path import DriverSpec, PolySignal, TrigSignal, lift
@@ -322,21 +321,8 @@ def test_splittings_census():
 
 
 # ---------------------------------------------------------------------------
-# lift_integral and persistence
+# Controlled paths and persistence
 # ---------------------------------------------------------------------------
-
-
-def test_lift_integral_coefficient_placement():
-    x = lift(trig_driver())
-    func = SmoothFunctionWithDerivatives.from_expressions(
-        ("x2",), ("x1", "x2")
-    )
-    z = compose_FX(x, func, x.N - 1)
-    nodes = np.zeros((len(x.grid), 1))
-    out = lift_integral(z, x, 1, nodes)
-    assert out.coefficient(single(1)) is z.coeffs[EMPTY]
-    # weight cap: [•2]1 would have weight 2 > order 1, so it is dropped
-    assert set(out.coeffs) == {EMPTY, single(1)}
 
 
 def test_controlled_path_shape_validation():

@@ -5,6 +5,10 @@ left word is either concatenated in front or grafted as a leftmost child
 block at one vertex of the right forest, each assignment counted once.  The
 library's product is the graded transpose of its coproduct table, so an
 exhaustive match here validates both at once.
+
+The axiom checks call the library's defect functions (the ones
+``hopf-selftest`` runs) exhaustively on the d=2 alphabets; a broken
+coproduct must make each of them report a defect.
 """
 
 import itertools
@@ -26,16 +30,20 @@ from planarough.forest_core import (
     single,
     tree,
 )
+from planarough import hopf_mkw
 from planarough.hopf_mkw import (
     FloatAlgebra,
     TruncatedBasis,
     bracket_reduce,
+    character_defect,
+    coassociativity_defect,
     coproduct_mkw,
-    coproduct_series,
     counit,
+    counit_defect,
     is_primitive,
     pairing,
     shuffle,
+    shuffle_morphism_defect,
     shuffle_series,
     star_table,
 )
@@ -166,45 +174,39 @@ def test_pinned_coproducts():
 # ---------------------------------------------------------------------------
 
 
-def _coassoc_defect(f):
-    lhs, rhs = {}, {}
-    for (a, b), c in coproduct_mkw(f).items():
-        for (a1, a2), c2 in coproduct_mkw(a).items():
-            lhs[(a1, a2, b)] = lhs.get((a1, a2, b), 0) + c * c2
-        for (b1, b2), c2 in coproduct_mkw(b).items():
-            rhs[(a, b1, b2)] = rhs.get((a, b1, b2), 0) + c * c2
-    keys = set(lhs) | set(rhs)
-    return {k: lhs.get(k, 0) - rhs.get(k, 0) for k in keys if lhs.get(k, 0) != rhs.get(k, 0)}
-
-
 @pytest.mark.parametrize("letters", [base_alphabet(2), bracket_alphabet(2)])
 def test_coassociativity_exhaustive(letters):
     for f in all_forests(letters, MAX_WEIGHT):
-        assert _coassoc_defect(f) == {}, f.key
+        assert coassociativity_defect(f) == {}, f.key
 
 
 def test_counit_exhaustive():
     for f in all_forests(bracket_alphabet(2), MAX_WEIGHT):
-        terms = coproduct_mkw(f)
-        left = {b: c for (a, b), c in terms.items() if a is EMPTY}
-        right = {a: c for (a, b), c in terms.items() if b is EMPTY}
-        assert left == {f: 1} and right == {f: 1}
+        assert counit_defect(f) == {}, f.key
 
 
 def test_shuffle_morphism_exhaustive():
     forests = [f for f in all_forests(base_alphabet(2), MAX_WEIGHT) if f.weight]
     for f1, f2 in _pairs(forests):
-        left = coproduct_series(shuffle(f1, f2))
-        right = {}
-        for (a1, b1), c1 in coproduct_mkw(f1).items():
-            for (a2, b2), c2 in coproduct_mkw(f2).items():
-                for fa, ca in shuffle(a1, a2).items():
-                    for fb, cb in shuffle(b1, b2).items():
-                        k = (fa, fb)
-                        right[k] = right.get(k, 0) + c1 * c2 * ca * cb
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        assert left == right, (f1.key, f2.key)
+        assert shuffle_morphism_defect(f1, f2) == {}, (f1.key, f2.key)
+
+
+def test_checks_see_a_broken_coproduct(monkeypatch):
+    # drop the term e ⊗ •2•1 from the coproduct of •2•1: each check must notice
+    broken = parse_forest("•2•1")
+    exact = coproduct_mkw
+
+    def coproduct(f):
+        terms = exact(f)
+        if f is broken:
+            terms = {k: c for k, c in terms.items() if k[0] is not EMPTY}
+        return terms
+
+    monkeypatch.setattr(hopf_mkw, "coproduct_mkw", coproduct)
+    assert counit_defect(broken) == {("left", broken): -1}
+    assert coassociativity_defect(parse_forest("•2•1•1"))
+    assert shuffle_morphism_defect(single(2), single(1))
+    assert character_defect({single(1): 1}, single(1), single(1)) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +260,9 @@ def test_exp_star_is_exact_character():
     assert g[single(1)] == 1
     assert g[b_plus(single(1), 1)] == Fraction(1, 2) + Fraction(1, 3)
     assert g[concat(single(1), single(1))] == Fraction(1, 2)
-    for f1 in basis.forests:
-        for f2 in basis.forests:
-            if not f1.weight or not f2.weight or f1.weight + f2.weight > MAX_WEIGHT:
-                continue
-            lhs = sum(c * g.get(f, 0) for f, c in shuffle(f1, f2).items())
-            assert lhs == g.get(f1, 0) * g.get(f2, 0), (f1.key, f2.key)
+    nonempty = [f for f in basis.forests if f.weight]
+    for f1, f2 in _pairs(nonempty):
+        assert character_defect(g, f1, f2) == 0, (f1.key, f2.key)
 
 
 def test_pairing_and_counit():
@@ -313,7 +312,7 @@ EXT2 = all_forests(bracket_alphabet(2), MAX_WEIGHT)
 @given(st.sampled_from(D3))
 @settings(max_examples=60, deadline=None)
 def test_coassociativity_property_d3(f):
-    assert _coassoc_defect(f) == {}
+    assert coassociativity_defect(f) == {}
 
 
 @given(
