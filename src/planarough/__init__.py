@@ -37,6 +37,7 @@ from .controlled import (
     SmoothFunctionWithDerivatives,
     compose_FX,
     compose_FY,
+    driver_path,
 )
 from .calculus import (
     ConvergenceReport,
@@ -77,6 +78,7 @@ __all__ = [
     "SmoothFunctionWithDerivatives",
     "compose_FX",
     "compose_FY",
+    "driver_path",
     "ConvergenceReport",
     "DivergenceError",
     "VectorFieldFamily",

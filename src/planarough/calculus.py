@@ -25,13 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy
 
-from .forest_core import EMPTY, PlanarForest, b_plus, letter_weight, single
-from .controlled import (
-    ControlledPath,
-    SmoothFunctionWithDerivatives,
-    dm_contract_exprs,
-    _as_symbols,
-)
+from .forest_core import EMPTY, PlanarForest, b_plus, forest, letter_weight
+from .controlled import ControlledPath, SmoothFunctionWithDerivatives, _as_symbols
 from .rates import MeshLadder, fit_loglog
 from .rough_path import RoughPath
 
@@ -105,22 +100,11 @@ def f_tau(fields: VectorFieldFamily, f: PlanarForest) -> SmoothFunctionWithDeriv
     if not t.children:
         out = root
     else:
-        child_exprs = [
-            f_tau(fields, _forest_of(child)).exprs for child in t.children
-        ]
-        out = SmoothFunctionWithDerivatives(
-            exprs=dm_contract_exprs(root.exprs, fields.symbols, child_exprs),
-            symbols=fields.symbols,
-            max_order=root.max_order,
+        out = root.contract(
+            *(f_tau(fields, forest((child,))).exprs for child in t.children)
         )
     fields._ftau_cache[f] = out
     return out
-
-
-def _forest_of(t):
-    from .forest_core import forest
-
-    return forest((t,))
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +153,12 @@ def holder_exponent(node_values: np.ndarray, scales_T: float = 1.0) -> float:
 def young_integral(
     integrand_nodes: np.ndarray,
     cell_increments: np.ndarray,
-    check: bool = True,
     T: float = 1.0,
 ) -> np.ndarray:
     """Left-point Young sums per cell: ``g(t_k) · δW_k``.
 
     ``integrand_nodes`` holds the integrand at the mesh nodes (one more entry
-    than ``cell_increments``).  With ``check=True`` the empirical Hölder
+    than ``cell_increments``).  On 16 or more cells the empirical Hölder
     orders of both sequences are estimated from dyadic increments; a summed
     order ≤ 1 triggers a ``UserWarning`` (the product limit is then not
     guaranteed to exist).
@@ -184,7 +167,7 @@ def young_integral(
     dw = np.asarray(cell_increments, dtype=float)
     if len(g) != len(dw) + 1:
         raise ValueError("need one more integrand node than increments")
-    if check and len(dw) >= 16:
+    if len(dw) >= 16:
         a_g = holder_exponent(g, T)
         a_w = holder_exponent(np.concatenate([[0.0], np.cumsum(dw)]), T)
         if a_g + a_w <= 1.0 and not (math.isinf(a_g) or math.isinf(a_w)):
@@ -254,8 +237,7 @@ def solve_rde(
             arr = ftaus[f].value(y)
             if np.any(arr):
                 coeffs[f] = arr
-    return ControlledPath(x=x, order=n_trunc - 1, coeffs=coeffs, n_out=fields.n,
-                          label="rde")
+    return ControlledPath(x=x, order=n_trunc - 1, coeffs=coeffs, n_out=fields.n)
 
 
 # ---------------------------------------------------------------------------

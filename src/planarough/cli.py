@@ -219,6 +219,8 @@ def load_experiments(path: str) -> list:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     if isinstance(doc, dict) and "experiments" in doc:
         exps = _list(doc["experiments"], "experiments")
     elif isinstance(doc, dict):
@@ -281,6 +283,9 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
     probes = _integer(sec.get("probes", 256), "lift probes", 1)
     seed = _integer(sec.get("seed", 0), "lift seed", 0)
     tol = _number(sec.get("tolerance", 1e-10), "lift tolerance")
+    dump = sec.get("dump", False)
+    if not isinstance(dump, bool):
+        raise ConfigError(f"lift dump must be true or false, got {dump!r}")
     x = lift(driver_from(_require(exp, "driver", "experiment")))
     chen = chen_residuals(x, probes, seed)
     char = character_residuals(x, probes, seed)
@@ -298,7 +303,7 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
         "passed": passed,
     }
     write_json(os.path.join(out_dir, "lift_report.json"), report)
-    if sec.get("dump", False):
+    if dump:
         x.dump(out_dir, "lift")
     return {"passed": passed, "report": "lift_report.json"}
 

@@ -9,10 +9,11 @@ transported expansion
 
 has remainders of order ``(N − weight(τ)) · α`` in ``t − s``.  This module
 provides the function objects used everywhere (values plus exact derivative
-tensors from symbolic expressions, each order compiled on its first use),
-the two coefficient constructions (composition with a function of the
-driver and composition with a function of a controlled path), and the
-transport remainder with its empirical rate fit.
+tensors from symbolic expressions, each order compiled on its first use,
+and their symbolic contractions ``D^mF:(v1, …, vm)``), the controlled
+composition ``F(Y)`` of a function with a controlled path, and the transport
+remainder with its empirical rate fit.  ``F(X)`` is the same composition
+along :func:`driver_path`, the driver controlled by its own lift.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import sympy
 
-from .forest_core import EMPTY, PlanarForest, forest, tree
+from .forest_core import EMPTY, MAX_WEIGHT, PlanarForest, forest, single
 from .hopf_mkw import coproduct_mkw
 from .rates import fit_loglog
 from .rough_path import RoughPath
@@ -120,6 +121,18 @@ class SmoothFunctionWithDerivatives:
             max_order=self.max_order,
         )
 
+    def contract(self, *directions) -> "SmoothFunctionWithDerivatives":
+        """``D^mF:(v1, …, vm)`` as a new function, m = len(directions).
+
+        Each direction is a tuple of expressions in this function's symbols;
+        see :func:`dm_contract_exprs`.
+        """
+        return SmoothFunctionWithDerivatives(
+            exprs=dm_contract_exprs(self.exprs, self.symbols, directions),
+            symbols=self.symbols,
+            max_order=self.max_order,
+        )
+
 
 def dm_contract_exprs(exprs, symbols, vectors):
     """Symbolic ``D^m(exprs):(v1, …, vm)`` with expression-valued directions.
@@ -163,7 +176,6 @@ class ControlledPath:
     order: int
     coeffs: dict
     n_out: int
-    label: str = ""
 
     def __post_init__(self):
         nodes = len(self.x.grid)
@@ -244,29 +256,31 @@ class ControlledPath:
 # ---------------------------------------------------------------------------
 
 
+def driver_path(x: RoughPath) -> ControlledPath:
+    """The driver as a path controlled by its own lift.
+
+    Its only coefficients are ``⟨e, X_t⟩ = X_t`` and ``⟨•_i, X_t⟩ = e_i``, so
+    its transport remainders vanish at every order.
+    """
+    d, nodes = x.base_values.shape
+    eye = np.eye(d)
+    coeffs = {EMPTY: x.base_values.T}
+    for i in range(1, d + 1):
+        coeffs[single(i)] = np.tile(eye[i - 1], (nodes, 1))
+    return ControlledPath(x=x, order=MAX_WEIGHT, coeffs=coeffs, n_out=d)
+
+
 def compose_FX(
     x: RoughPath, func: SmoothFunctionWithDerivatives, order: int
 ) -> ControlledPath:
-    """The controlled path of ``F(driver)``: words carry bare partial tensors.
+    """The controlled path of ``F(driver)``: :func:`compose_FY` along
+    :func:`driver_path`.
 
-    Coefficients: the empty forest carries ``F(X_t)``, the word
-    ``•_{a1}…•_{am}`` carries ``∂_{a1}…∂_{am} F (X_t)`` (no symmetry factor),
-    and every forest containing a non-trivial tree carries zero.
+    The empty forest carries ``F(X_t)``, the word ``•_{a1}…•_{am}`` carries
+    ``∂_{a1}…∂_{am} F (X_t)`` (no symmetry factor), and every forest
+    containing a non-trivial tree carries zero.
     """
-    d = x.base_values.shape[0]
-    if func.n_in != d:
-        raise ValueError(f"function takes {func.n_in} inputs, driver has {d}")
-    u = x.base_values.T
-    coeffs = {EMPTY: func.value(u)}
-    letters = list(range(1, d + 1))
-    for m in range(1, order + 1):
-        t = func.tensor(u, m)
-        for flat, multi in enumerate(itertools.product(letters, repeat=m)):
-            word = forest(tuple(tree(a) for a in multi))
-            arr = t[..., flat]
-            if np.any(arr):
-                coeffs[word] = arr
-    return ControlledPath(x=x, order=order, coeffs=coeffs, n_out=func.n_out)
+    return compose_FY(driver_path(x), func, order)
 
 
 def _splittings(trees):

@@ -16,11 +16,16 @@ evaluated on a ladder of dyadic coarsenings of the lift grid:
                           ``Σ_{ijk} ∫ D³F:(f_i,f_j,f_k)(Y) dX̃^{(ijk)}`` and
                           ``Σ_{ijk} ∫ D²F:(f_i, Df_j:f_k)(Y) dc̄X^{(ijk)}``.
 
-Each identity is a table of :class:`Term` rows, one per sum above: a name,
-the integrands per letter, pair or triple, and the integrator (the base lift,
-the bracket extension ``X̂``, or the scalar Young paths ``X̃`` and ``c̄X``).
-:func:`verify_simple` and :func:`verify_general` only build their tables;
-one loop evaluates every term on every rung of the mesh ladder.
+The simple statement is the general one for the constant fields
+``f_i = e_i``, whose solution is the driver itself: ``F(X)`` is ``F(Y)``
+along :func:`~planarough.controlled.driver_path`, ``D^mF:(f_i, …)`` is
+``∂_i…F``, and the mixed compensator term vanishes because ``Df_j = 0``.  So
+one builder, :func:`_table`, makes the :class:`Term` rows of both, one per
+sum above: a name, the integrands per letter, pair or triple, and the
+integrator (the base lift, the bracket extension ``X̂``, or the scalar Young
+paths ``X̃`` and ``c̄X``).  :func:`verify_simple` and :func:`verify_general`
+only build their states and integrands; one loop evaluates every term on
+every rung of the mesh ladder.
 
 Each report records per-term totals on every rung, the identity residual, and
 the empirical convergence order of the residual, with verdicts against a
@@ -29,6 +34,7 @@ tolerance at the finest mesh and an order threshold ``(N+1)·α − 1 − 0.3``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -36,10 +42,10 @@ import numpy as np
 
 from .calculus import VectorFieldFamily, rough_integral, solve_rde, young_integral
 from .controlled import (
+    ControlledPath,
     SmoothFunctionWithDerivatives,
-    compose_FX,
     compose_FY,
-    dm_contract_exprs,
+    driver_path,
 )
 from .forest_core import EMPTY
 from .rates import MeshLadder
@@ -112,8 +118,58 @@ class Term:
         return total
 
 
-def _verify(name, theorem, x, lhs, table, states, rungs, tolerance) -> ItoReport:
-    """Evaluate every term of ``table`` on every rung and judge the identity."""
+def _table(x: RoughPath, z: ControlledPath, integrand, mixed) -> list:
+    """The terms of an identity for states ``z`` controlled by ``x``.
+
+    ``integrand(*letters)`` is the smooth integrand of 1, 2 or 3 letters;
+    the first two orders are composed with ``z`` into controlled integrands.
+    ``mixed(i, j, k)`` is the integrand of the ``c̄X`` term, or None where the
+    identity has none.
+    """
+    letters = range(1, x.base_values.shape[0] + 1)
+    xhat = bracket_extension(x)
+    table = [
+        Term(
+            "rough_first_order",
+            {i: compose_FY(z, integrand(i), x.N - 1) for i in letters},
+            x,
+        ),
+        Term(
+            "bracket_second_order",
+            {
+                ij: compose_FY(z, integrand(*ij), x.N - 2)
+                for ij in itertools.product(letters, repeat=2)
+            },
+            xhat,
+        ),
+    ]
+    if x.N == 3:
+        triples = list(itertools.product(letters, repeat=3))
+        table.append(
+            Term(
+                "tilde_third_order",
+                {ijk: integrand(*ijk) for ijk in triples},
+                {ijk: tilde_path(xhat, *ijk) for ijk in triples},
+            )
+        )
+        if mixed is not None:
+            table.append(
+                Term(
+                    "cbar_mixed_order",
+                    {ijk: mixed(*ijk) for ijk in triples},
+                    {ijk: cbar_path(xhat, *ijk) for ijk in triples},
+                )
+            )
+    return table
+
+
+def _verify(name, theorem, func, z, table, rungs, tolerance) -> ItoReport:
+    """Evaluate every term of ``table`` on every rung and judge the identity
+    ``F(z_T) − F(z_0) = Σ terms``."""
+    x = z.x
+    states = z.coeffs[EMPTY]
+    values = func.value(states)[:, 0]
+    lhs = float(values[-1] - values[0])
     strides, scales = MeshLadder.rungs_of(x, rungs)
     terms = {t.name: [] for t in table}
     for stride in strides:
@@ -130,7 +186,7 @@ def _verify(name, theorem, x, lhs, table, states, rungs, tolerance) -> ItoReport
         theorem=f"{theorem}-n{x.N}",
         N=x.N,
         alpha=x.alpha,
-        lhs=float(lhs),
+        lhs=lhs,
         terms={k: [float(v) for v in vals] for k, vals in terms.items()},
         rhs=[float(v) for v in rhs],
         finest_residual=finest,
@@ -158,39 +214,13 @@ def verify_simple(
 ) -> ItoReport:
     """Check the change-of-variable identity for ``F(driver)``."""
     _scalar(func)
-    letters = range(1, x.base_values.shape[0] + 1)
-    xhat = bracket_extension(x)
-    u = x.base_values.T
-    lhs = float(func.value(u)[-1, 0] - func.value(u)[0, 0])
+    z = driver_path(x)
 
-    table = [
-        Term(
-            "rough_first_order",
-            {i: compose_FX(x, func.partial(i), x.N - 1) for i in letters},
-            x,
-        ),
-        Term(
-            "bracket_second_order",
-            {
-                (i, j): compose_FX(x, func.partial(i).partial(j), x.N - 2)
-                for i, j in itertools.product(letters, repeat=2)
-            },
-            xhat,
-        ),
-    ]
-    if x.N == 3:
-        triples = list(itertools.product(letters, repeat=3))
-        table.append(
-            Term(
-                "tilde_third_order",
-                {
-                    (i, j, k): func.partial(i).partial(j).partial(k)
-                    for i, j, k in triples
-                },
-                {ijk: tilde_path(xhat, *ijk) for ijk in triples},
-            )
-        )
-    return _verify(name, "simple", x, lhs, table, u, rungs, tolerance)
+    def partials(*letters):
+        return functools.reduce(SmoothFunctionWithDerivatives.partial, letters, func)
+
+    table = _table(x, z, partials, mixed=None)
+    return _verify(name, "simple", func, z, table, rungs, tolerance)
 
 
 def verify_general(
@@ -207,55 +237,16 @@ def verify_general(
     _scalar(func)
     if tuple(func.symbols) != tuple(fields.symbols):
         raise ValueError("F and the vector fields must share one symbol tuple")
-    letters = range(1, x.base_values.shape[0] + 1)
-    xhat = bracket_extension(x)
     y = solve_rde(x, fields, xi)
-    yv = y.coeffs[EMPTY]
-    lhs = float(func.value(yv)[-1, 0] - func.value(yv)[0, 0])
-
-    symbols = fields.symbols
 
     def f(i):
         return fields.fields[i - 1].exprs
 
-    def contract(*directions):
-        """``D^m F:(directions)`` as a function object."""
-        return SmoothFunctionWithDerivatives(
-            exprs=dm_contract_exprs(func.exprs, symbols, directions),
-            symbols=symbols,
-            max_order=func.max_order,
-        )
+    def contractions(*letters):
+        return func.contract(*map(f, letters))
 
-    table = [
-        Term(
-            "rough_first_order",
-            {i: compose_FY(y, contract(f(i)), x.N - 1) for i in letters},
-            x,
-        ),
-        Term(
-            "bracket_second_order",
-            {
-                (i, j): compose_FY(y, contract(f(i), f(j)), x.N - 2)
-                for i, j in itertools.product(letters, repeat=2)
-            },
-            xhat,
-        ),
-    ]
-    if x.N == 3:
-        triples = list(itertools.product(letters, repeat=3))
-        table += [
-            Term(
-                "tilde_third_order",
-                {(i, j, k): contract(f(i), f(j), f(k)) for i, j, k in triples},
-                {ijk: tilde_path(xhat, *ijk) for ijk in triples},
-            ),
-            Term(
-                "cbar_mixed_order",
-                {
-                    (i, j, k): contract(f(i), dm_contract_exprs(f(j), symbols, [f(k)]))
-                    for i, j, k in triples
-                },
-                {ijk: cbar_path(xhat, *ijk) for ijk in triples},
-            ),
-        ]
-    return _verify(name, "general", x, lhs, table, yv, rungs, tolerance)
+    def mixed(i, j, k):
+        return func.contract(f(i), fields.fields[j - 1].contract(f(k)).exprs)
+
+    table = _table(x, y, contractions, mixed)
+    return _verify(name, "general", func, y, table, rungs, tolerance)

@@ -582,7 +582,6 @@ class ScalarExtensionPath:
 
     xhat: RoughPath
     series: dict
-    label: str
 
     def __post_init__(self):
         self._vec = self.xhat.algebra.basis.vector(self.series)
@@ -604,12 +603,12 @@ class ScalarExtensionPath:
 
 def tilde_path(xhat: RoughPath, i: int, j: int, k: int) -> ScalarExtensionPath:
     """Third-order scalar extension path for the letter triple ``(i, j, k)``."""
-    return ScalarExtensionPath(xhat, tilde_series(i, j, k), f"tilde({i}{j}{k})")
+    return ScalarExtensionPath(xhat, tilde_series(i, j, k))
 
 
 def cbar_path(xhat: RoughPath, i: int, j: int, k: int) -> ScalarExtensionPath:
     """Mixed-compensator scalar extension path for ``(i, j, k)``."""
-    return ScalarExtensionPath(xhat, cbar_series(i, j, k), f"cbar({i}{j}{k})")
+    return ScalarExtensionPath(xhat, cbar_series(i, j, k))
 
 
 # ---------------------------------------------------------------------------

@@ -198,15 +198,6 @@ def test_young_precondition_quiet_for_smooth_pair():
         young_integral(t, np.diff(t**2))
 
 
-def test_young_check_can_be_disabled():
-    t = np.linspace(0.0, 1.0, 513)
-    g = SpectralSignal(hurst=0.4, modes=256, seed=3).value(t)
-    w = SpectralSignal(hurst=0.45, modes=256, seed=4).value(t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        young_integral(g, np.diff(w), check=False)
-
-
 def test_holder_exponent_linear_path():
     t = np.linspace(0.0, 1.0, 257)
     assert holder_exponent(t) == pytest.approx(1.0, abs=1e-9)
@@ -226,7 +217,6 @@ def test_solve_rde_exponential():
     # first-order coefficient carries f(Y)
     assert np.allclose(y.coeffs[single(1)][:, 0], got, atol=1e-12)
     assert y.order == x.N - 1
-    assert y.label == "rde"
 
 
 def test_solve_rde_rotation():

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -359,6 +361,7 @@ RDE = {
         ("hopf-selftest", ("hopf",), [2]),
         ("ito", ("ito",), [1]),
         ("lift", ("name",), 5),
+        ("lift", ("lift",), {"dump": "no"}),
     ],
 )
 def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
@@ -395,6 +398,13 @@ def test_exit_config_without_config_flag(tmp_path, capsys):
     assert "needs --config" in capsys.readouterr().err
 
 
+def test_exit_config_on_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"name":"x"}')
+    assert main(["ito", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_io_on_missing_config(tmp_path, capsys):
     rc = main(["ito", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == EXIT_IO
@@ -419,36 +429,53 @@ PIN_DRIVER = {
         {"tree": "[•1]2", "signal": {"kind": "poly", "coeffs": [0.0, 0.2]}}
     ],
 }
+PIN_DRIVER_N2 = {**PIN_DRIVER, "N": 2, "alpha": 0.45}
+PIN_F = {"exprs": ["sin(x1)*x2 + x2**3/3"], "vars": ["x1", "x2"]}
+PIN_GENERAL = {
+    "theorem": "general",
+    "F": {"exprs": ["sin(y1) + 0.3*y1*y2"], "vars": ["y1", "y2"]},
+    "fields": {
+        "exprs": [["1 + 0.2*y2**2", "0.3*y1"], ["0.25", "1 - y2/4"]],
+        "vars": ["y1", "y2"],
+    },
+    "xi": [0.1, -0.2],
+    "rungs": 4,
+    "tolerance": 1e-3,
+}
 FROZEN_REPORTS = {
+    "simple-d2n2": (
+        "ito",
+        {
+            "driver": PIN_DRIVER_N2,
+            "ito": {"theorem": "simple", "F": PIN_F, "rungs": 4},
+        },
+        "ito_report.json",
+        "01605bc143f417fdc7004005391823e55975815b3eaae36086c0a0424134d21c",
+    ),
+    "general-d2n2": (
+        "ito",
+        {"driver": PIN_DRIVER_N2, "ito": PIN_GENERAL},
+        "ito_report.json",
+        "b3cb573cad217047b5e87af01ef183f52c5378d49ad43d36f2a9b3e97197d640",
+    ),
+    "integrate-d2n3": (
+        "integrate",
+        {"driver": PIN_DRIVER, "integrate": {"F": PIN_F, "letter": 2, "rungs": 4}},
+        "integrate_report.json",
+        "b5a240e2ac78080ec9e8232ade9d236ab04fecc802abb80924cddcfcc384565f",
+    ),
     "simple-d2n3": (
         "ito",
         {
             "driver": PIN_DRIVER,
-            "ito": {
-                "theorem": "simple",
-                "F": {"exprs": ["sin(x1)*x2 + x2**3/3"], "vars": ["x1", "x2"]},
-                "rungs": 4,
-            },
+            "ito": {"theorem": "simple", "F": PIN_F, "rungs": 4},
         },
         "ito_report.json",
         "7be873ac4f83bfddc74c2b2c4dd808130fa8b5a30d68a56f3b7539dcc8253126",
     ),
     "general-d2n3": (
         "ito",
-        {
-            "driver": PIN_DRIVER,
-            "ito": {
-                "theorem": "general",
-                "F": {"exprs": ["sin(y1) + 0.3*y1*y2"], "vars": ["y1", "y2"]},
-                "fields": {
-                    "exprs": [["1 + 0.2*y2**2", "0.3*y1"], ["0.25", "1 - y2/4"]],
-                    "vars": ["y1", "y2"],
-                },
-                "xi": [0.1, -0.2],
-                "rungs": 4,
-                "tolerance": 1e-3,
-            },
-        },
+        {"driver": PIN_DRIVER, "ito": PIN_GENERAL},
         "ito_report.json",
         "4c414ad1ff63a94dc5f2b1aae884feeb9a27edc02975d2f15f23784336d9932b",
     ),
@@ -464,16 +491,41 @@ FROZEN_REPORTS = {
 @pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
 def test_report_bytes_are_frozen(tmp_path, name):
     """Report digests recorded before the verifier became a term table and
-    the self-test moved next to the algebra (numpy 2.4, sympy 1.14, x86-64).
+    the self-test moved next to the algebra (numpy 2.4, sympy 1.14, x86-64);
+    the N=2 identities and the integral were recorded before ``F(X)`` became
+    ``F(Y)`` along the driver.
 
     The d=2, N=3 identities run all four kinds of term and the pair and
-    triple summation orders; a change of these bytes is a change of output.
+    triple summation orders, and the integral runs ``compose_FX`` up to
+    words of length two; a change of these bytes is a change of output.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
     data = (tmp_path / "o" / name / report).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_benchmark_trace_still_attaches():
+    """Every library name the benchmark's trace mode wraps still exists."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench'); "
+        "from probes import Tracer, instrument; instrument(Tracer())"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

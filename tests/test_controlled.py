@@ -15,8 +15,9 @@ from planarough.controlled import (
     compose_FX,
     compose_FY,
     dm_contract_exprs,
+    driver_path,
 )
-from planarough.forest_core import EMPTY, parse_forest, single
+from planarough.forest_core import EMPTY, forest, parse_forest, single, tree
 from planarough.rough_path import DriverSpec, PolySignal, TrigSignal, lift
 
 
@@ -161,10 +162,8 @@ def test_dm_contract_exprs_matches_numeric():
     symbols = func.symbols
     x1, x2 = symbols
     vecs = [(x2, x1 * x1), (1 + x1, x2)]
-    exprs = dm_contract_exprs(func.exprs, symbols, vecs)
-    contracted = SmoothFunctionWithDerivatives(
-        exprs=exprs, symbols=symbols, max_order=0
-    )
+    contracted = func.contract(*vecs)
+    assert contracted.exprs == dm_contract_exprs(func.exprs, symbols, vecs)
     rng = np.random.default_rng(6)
     u = rng.standard_normal((8, 2))
     v1 = np.stack([u[:, 1], u[:, 0] ** 2], axis=-1)
@@ -247,39 +246,43 @@ def test_remainder_rates_beat_graded_bounds():
 # ---------------------------------------------------------------------------
 
 
-def tautological_path(x):
-    """The driver itself as a controlled path (one-hot first coefficients)."""
-    d = x.base_values.shape[0]
-    nodes = len(x.grid)
-    coeffs = {EMPTY: x.base_values.T.copy()}
-    for i in range(1, d + 1):
-        arr = np.zeros((nodes, d))
-        arr[:, i - 1] = 1.0
-        coeffs[single(i)] = arr
-    return ControlledPath(x=x, order=x.N - 1, coeffs=coeffs, n_out=d)
+def test_driver_path_transports_exactly():
+    x = lift(trig_driver(N=3, cells=64))
+    y = driver_path(x)
+    assert set(y.coeffs) == {EMPTY, single(1), single(2)}
+    assert np.array_equal(y.coeffs[EMPTY], x.base_values.T)
+    for f in y.coeffs:
+        assert np.max(np.abs(y.remainder_blocks(f, 4))) < 1e-13, f.key
 
 
 @pytest.mark.parametrize("N", [2, 3])
-def test_compose_FY_reduces_to_compose_FX(N):
+def test_compose_FX_words_carry_tensor_columns(N):
+    # F(X) is F(Y) along the driver: the word •a1…•am carries column
+    # (a1, …, am) of the m-th derivative tensor, bit for bit
     x = lift(trig_driver(N=N, cells=64))
-    y = tautological_path(x)
     func = SmoothFunctionWithDerivatives.from_expressions(
         ("sin(x1) + x1*x2**2",), ("x1", "x2")
     )
-    za = compose_FY(y, func, N - 1)
-    zb = compose_FX(x, func, N - 1)
-    keys = set(za.coeffs) | set(zb.coeffs)
-    for f in keys:
-        assert np.allclose(
-            za.coefficient(f), zb.coefficient(f), atol=1e-13
-        ), f.key
+    u = x.base_values.T
+    for order in range(N + 1):
+        want = {EMPTY: func.value(u)}
+        for m in range(1, order + 1):
+            t = func.tensor(u, m)
+            for flat, multi in enumerate(itertools.product((1, 2), repeat=m)):
+                if np.any(t[..., flat]):
+                    want[forest(tuple(tree(a) for a in multi))] = t[..., flat]
+        z = compose_FX(x, func, order)
+        assert z.order == order
+        assert set(z.coeffs) == set(want), order
+        for f, arr in want.items():
+            assert np.array_equal(z.coeffs[f], arr), (order, f.key)
 
 
 def test_compose_FY_blocks_use_higher_coefficients():
     # give the word •1•1 a nonzero coefficient: the block splitting
     # (•1•1) contributes DF:(that coefficient) on top of D²F:(•1, •1)
     x = lift(trig_driver(N=3, cells=64))
-    y = tautological_path(x)
+    y = driver_path(x)
     nodes = len(x.grid)
     w = parse_forest("•1•1")
     extra = np.zeros((nodes, 2))
@@ -296,7 +299,7 @@ def test_compose_FY_blocks_use_higher_coefficients():
 
 def test_compose_FY_validation():
     x = lift(trig_driver(cells=64))
-    y = tautological_path(x)
+    y = driver_path(x)
     func = SmoothFunctionWithDerivatives.from_expressions(
         ("x1",), ("x1", "x2")
     )
