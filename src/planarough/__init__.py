@@ -8,7 +8,6 @@ from .forest_core import (
     PlanarTree,
     b_plus,
     concat,
-    enumerate_forests,
     forest,
     parse_forest,
     single,
@@ -55,7 +54,6 @@ __all__ = [
     "PlanarTree",
     "b_plus",
     "concat",
-    "enumerate_forests",
     "forest",
     "parse_forest",
     "single",

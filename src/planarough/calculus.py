@@ -58,14 +58,13 @@ class VectorFieldFamily:
                 raise ValueError("vector fields must map R^n to R^n")
 
     @classmethod
-    def from_expressions(cls, exprs_per_field, variables, max_order: int = 3):
+    def from_expressions(cls, exprs_per_field, variables):
         symbols = _as_symbols(variables)
         local = dict(zip(variables, symbols))
         fields = tuple(
             SmoothFunctionWithDerivatives(
                 exprs=tuple(sympy.sympify(e, locals=local) for e in exprs),
                 symbols=symbols,
-                max_order=max_order,
             )
             for exprs in exprs_per_field
         )
@@ -184,37 +183,26 @@ def young_integral(
 # ---------------------------------------------------------------------------
 
 
-def solve_rde(
-    x: RoughPath,
-    fields: VectorFieldFamily,
-    xi,
-    order: int | None = None,
-) -> ControlledPath:
+def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
     """Step-N tree Euler solution of ``dY = Σ f_i(Y) dX^i`` as a controlled path.
 
     The returned path carries the solution at the empty forest and the
     elementary differentials ``f_τ(Y_t)`` on trees up to weight ``N − 1``
     (multi-tree forests carry zero).
     """
-    n_trunc = x.N if order is None else order
     if fields.d != x.base_values.shape[0]:
         raise ValueError(
             f"{fields.d} fields against a driver with {x.base_values.shape[0]} letters"
         )
     basis = x.algebra.basis
-    trees = [
-        f
-        for f in basis.forests
-        if len(f.trees) == 1 and f.weight <= n_trunc
-    ]
+    trees = [f for f in basis.forests if len(f.trees) == 1]
     ftaus = {f: f_tau(fields, f) for f in trees}
 
     # one compiled step: y + Σ_τ c_τ f_τ(y), with the c_τ as scalar arguments
     weights = _as_symbols([f"c{k}" for k in range(len(trees))])
     step_exprs = list(fields.symbols)
     for w, f in zip(weights, trees):
-        fn = ftaus[f]
-        step_exprs = [e + w * fe for e, fe in zip(step_exprs, fn.exprs)]
+        step_exprs = [e + w * fe for e, fe in zip(step_exprs, ftaus[f].exprs)]
     step = sympy.lambdify(tuple(fields.symbols) + tuple(weights), step_exprs,
                           modules="numpy")
 
@@ -233,11 +221,11 @@ def solve_rde(
 
     coeffs = {EMPTY: y}
     for f in trees:
-        if f.weight <= n_trunc - 1:
+        if f.weight <= x.N - 1:
             arr = ftaus[f].value(y)
             if np.any(arr):
                 coeffs[f] = arr
-    return ControlledPath(x=x, order=n_trunc - 1, coeffs=coeffs, n_out=fields.n)
+    return ControlledPath(x=x, order=x.N - 1, coeffs=coeffs, n_out=fields.n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +266,3 @@ class ConvergenceReport(MeshLadder):
             passed=bool(passed),
             **ladder,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "values": self.values,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            **self.ladder_dict(),
-        }

@@ -101,10 +101,17 @@ def _integer(value, what: str, lo: int, hi: float = math.inf) -> int:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number."""
+    """``value`` as a float if it is a finite JSON number (Python's ``json``
+    also reads ``NaN``, ``Infinity``, ``1e999`` and integers of any size)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number, got {number}")
+    return number
 
 
 def _list(values, what: str, length=None) -> list:
@@ -173,6 +180,8 @@ def driver_from(cfg) -> DriverSpec:
             f = parse_forest(key)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except RecursionError as exc:
+            raise ConfigError("intensity tree is nested too deeply") from exc
         intensities.append((f, signal_from(_require(item, "signal", "intensity"))))
     return DriverSpec(
         d=_integer(_require(cfg, "d", "driver"), "driver d", 1),
@@ -186,14 +195,12 @@ def driver_from(cfg) -> DriverSpec:
     )
 
 
-def func_from(cfg, max_order: int = 3) -> SmoothFunctionWithDerivatives:
+def func_from(cfg) -> SmoothFunctionWithDerivatives:
     _object(cfg, "function section")
     exprs = _require(cfg, "exprs", "function")
     variables = _require(cfg, "vars", "function")
     try:
-        func = SmoothFunctionWithDerivatives.from_expressions(
-            exprs, variables, max_order=max_order
-        )
+        func = SmoothFunctionWithDerivatives.from_expressions(exprs, variables)
     except (ValueError, TypeError, SyntaxError) as exc:
         raise ConfigError(f"bad function expressions: {exc}") from exc
     _check_exprs(func.exprs, func.symbols, "function")
@@ -219,8 +226,12 @@ def load_experiments(path: str) -> list:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is nested too deeply") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise ConfigError(f"config holds an unreadable number: {exc}") from exc
     if isinstance(doc, dict) and "experiments" in doc:
         exps = _list(doc["experiments"], "experiments")
     elif isinstance(doc, dict):
@@ -304,7 +315,7 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
     }
     write_json(os.path.join(out_dir, "lift_report.json"), report)
     if dump:
-        x.dump(out_dir, "lift")
+        x.dump(out_dir)
     return {"passed": passed, "report": "lift_report.json"}
 
 
@@ -443,7 +454,7 @@ def _cmd_dump(exp: dict, out_dir: str) -> dict:
         out = "star.csv"
     elif what == "lift":
         x = lift(driver_from(_require(exp, "driver", "experiment")))
-        x.dump(out_dir, "lift")
+        x.dump(out_dir)
         out = "lift.csv"
     else:
         raise ConfigError(f"unknown dump target {what!r}")

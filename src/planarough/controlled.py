@@ -54,19 +54,18 @@ class SmoothFunctionWithDerivatives:
 
     exprs: tuple
     symbols: tuple
-    max_order: int = 3
     _tensors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.exprs = tuple(sympy.sympify(e) for e in self.exprs)
 
     @classmethod
-    def from_expressions(cls, exprs, variables, max_order: int = 3):
+    def from_expressions(cls, exprs, variables):
         """Build from expression strings and variable names."""
         symbols = _as_symbols(variables)
         local = dict(zip(variables, symbols))
         parsed = tuple(sympy.sympify(e, locals=local) for e in exprs)
-        return cls(exprs=parsed, symbols=symbols, max_order=max_order)
+        return cls(exprs=parsed, symbols=symbols)
 
     @property
     def n_in(self) -> int:
@@ -98,8 +97,8 @@ class SmoothFunctionWithDerivatives:
 
     def tensor(self, u, m: int) -> np.ndarray:
         """m-th derivative tensor, shape ``(..., n_out, n_in**m)`` (flat)."""
-        if m > self.max_order:
-            raise ValueError(f"derivative order {m} exceeds max_order={self.max_order}")
+        if m > MAX_WEIGHT:
+            raise ValueError(f"derivative order {m} exceeds {MAX_WEIGHT}")
         flat = self._eval_flat(m, u)
         return flat.reshape(flat.shape[:-1] + (self.n_out, self.n_in**m))
 
@@ -118,7 +117,6 @@ class SmoothFunctionWithDerivatives:
         return SmoothFunctionWithDerivatives(
             exprs=tuple(e.diff(s) for e in self.exprs),
             symbols=self.symbols,
-            max_order=self.max_order,
         )
 
     def contract(self, *directions) -> "SmoothFunctionWithDerivatives":
@@ -130,7 +128,6 @@ class SmoothFunctionWithDerivatives:
         return SmoothFunctionWithDerivatives(
             exprs=dm_contract_exprs(self.exprs, self.symbols, directions),
             symbols=self.symbols,
-            max_order=self.max_order,
         )
 
 
@@ -205,15 +202,6 @@ class ControlledPath:
                     rows.append((sigma, p, c))
         return rows
 
-    def remainder(self, f: PlanarForest, a: int, b: int) -> np.ndarray:
-        """Transport remainder ``R^f`` over one node interval ``(a, b)``."""
-        g = self.x.eval_nodes(a, b)
-        idx = self.x.algebra.basis.index
-        acc = self.coefficient(f)[b].astype(float).copy()
-        for sigma, p, c in self._transport_table(f):
-            acc -= c * self.coeffs[sigma][a] * g[idx[p]]
-        return acc
-
     def remainder_blocks(self, f: PlanarForest, stride: int) -> np.ndarray:
         """Remainders over all aligned stride-blocks, shape ``(m, n_out)``."""
         chars = self.x.stride_chars(stride)
@@ -224,31 +212,13 @@ class ControlledPath:
             acc -= c * self.coeffs[sigma][starts] * chars[:, idx[p], None]
         return acc
 
-    def remainder_rate(self, f: PlanarForest, min_level: int = 0, max_level=None):
-        """Empirical order of ``max |R^f|`` across dyadic block sizes."""
-        top = (
-            len(self.x.levels) - 1 if max_level is None else max_level
-        )
+    def remainder_rate(self, f: PlanarForest):
+        """Empirical order of ``max |R^f|`` across all dyadic block sizes."""
         scales, maxima = [], []
-        for l in range(min_level, top + 1):
+        for l in range(len(self.x.levels)):
             scales.append(self.x.T * (1 << l) / self.x.cells)
             maxima.append(float(np.max(np.abs(self.remainder_blocks(f, 1 << l)))))
         return fit_loglog(scales, maxima)
-
-    def dump(self, path: str):
-        """Write coefficient paths as CSV ``(t, forest, component, value)``."""
-        grid = self.x.grid
-        keys = sorted(self.coeffs, key=lambda f: (f.weight, f.key))
-        with open(path, "w") as fh:
-            fh.write("t,forest,component,value\n")
-            for f in keys:
-                arr = self.coeffs[f]
-                for k in range(arr.shape[0]):
-                    for c in range(self.n_out):
-                        fh.write(
-                            f"{float(grid[k])!r},{f.key},{c},{float(arr[k, c])!r}\n"
-                        )
-        return path
 
 
 # ---------------------------------------------------------------------------

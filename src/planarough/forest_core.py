@@ -224,16 +224,6 @@ def bracket_alphabet(d: int):
     return base + tuple((i, j) for i in base for j in base)
 
 
-def enumerate_forests(d: int, max_degree: int):
-    """All base-alphabet forests with at most ``max_degree`` vertices.
-
-    Over the base alphabet weight equals vertex count, so the census at each
-    degree ``k`` has size ``C_k · d**k`` with ``C_k`` the Catalan numbers
-    (1, 1, 2, 5, …).
-    """
-    return all_forests(base_alphabet(d), max_degree)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------

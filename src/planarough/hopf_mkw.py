@@ -76,16 +76,6 @@ def shuffle(f1: PlanarForest, f2: PlanarForest) -> dict:
     return {forest(word): m for word, m in _shuffles((f1.trees, f2.trees)).items()}
 
 
-def shuffle_series(a: dict, b: dict) -> dict:
-    """Bilinear extension of :func:`shuffle` to series."""
-    out: dict = {}
-    for f1, c1 in a.items():
-        for f2, c2 in b.items():
-            for g, m in shuffle(f1, f2).items():
-                out[g] = out.get(g, 0) + c1 * c2 * m
-    return {g: c for g, c in out.items() if c != 0}
-
-
 # ---------------------------------------------------------------------------
 # Coproduct
 # ---------------------------------------------------------------------------
@@ -253,9 +243,6 @@ class TruncatedBasis:
         for f, c in a.items():
             v[self.index[f]] = float(c)
         return v
-
-    def series(self, v) -> dict:
-        return {f: v[i] for i, f in enumerate(self.forests) if v[i] != 0}
 
     def star(self, a: dict, b: dict) -> dict:
         """Grafting (planar Grossman–Larson) product of dual series, exact.

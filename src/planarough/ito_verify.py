@@ -58,7 +58,7 @@ class ItoReport(MeshLadder):
 
     name: str
     theorem: str
-    N: int
+    truncation: int
     alpha: float
     lhs: float
     terms: dict
@@ -69,24 +69,6 @@ class ItoReport(MeshLadder):
     passed_residual: bool
     passed_order: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "theorem": self.theorem,
-            "truncation": self.N,
-            "alpha": self.alpha,
-            "lhs": self.lhs,
-            "terms": self.terms,
-            "rhs": self.rhs,
-            "finest_residual": self.finest_residual,
-            "tolerance": self.tolerance,
-            "order_threshold": self.order_threshold,
-            "passed_residual": self.passed_residual,
-            "passed_order": self.passed_order,
-            "passed": self.passed,
-            **self.ladder_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -184,7 +166,7 @@ def _verify(name, theorem, func, z, table, rungs, tolerance) -> ItoReport:
     return ItoReport(
         name=name,
         theorem=f"{theorem}-n{x.N}",
-        N=x.N,
+        truncation=x.N,
         alpha=x.alpha,
         lhs=lhs,
         terms={k: [float(v) for v in vals] for k, vals in terms.items()},

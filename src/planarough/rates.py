@@ -8,13 +8,14 @@ measurable", which passes any threshold.
 
 :class:`MeshLadder` holds the one mesh-ladder policy of the reports: which
 strides a refinement study uses, their mesh sizes, the residual fit along
-them, and how a ``+inf`` slope is serialised.
+them, and the one report serialiser, :meth:`MeshLadder.to_dict`, which
+writes every field of a report and a ``+inf`` slope as ``None`` plus a flag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,8 +51,8 @@ class MeshLadder:
 
     The ladder runs coarsest first, so the finest rung (stride 1) is last;
     a rung of stride ``s`` cells has mesh size ``scales = T·s/cells``.
-    Reports built on a ladder inherit its fields and serialise them with
-    :meth:`ladder_dict`.
+    Reports built on a ladder add their own fields and serialise them all
+    with :meth:`to_dict`.
     """
 
     strides: list
@@ -84,12 +85,9 @@ class MeshLadder:
             "slope": fit_loglog(scales, residuals),
         }
 
-    def ladder_dict(self) -> dict:
-        """JSON fields; a ``+inf`` slope is written as ``None`` plus a flag."""
-        return {
-            "strides": self.strides,
-            "scales": self.scales,
-            "residuals": self.residuals,
-            "slope": None if math.isinf(self.slope) else self.slope,
-            "slope_is_converged_sentinel": math.isinf(self.slope),
-        }
+    def to_dict(self) -> dict:
+        """Every field as JSON; a ``+inf`` slope is ``None`` plus a flag."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["slope"] = None if math.isinf(self.slope) else self.slope
+        out["slope_is_converged_sentinel"] = math.isinf(self.slope)
+        return out

@@ -33,7 +33,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -381,19 +380,6 @@ class RoughPath:
             pos += 1 << l
         return g
 
-    def node_of(self, t: float) -> int:
-        k = round(t / self.T * self.cells)
-        if not math.isclose(self.grid[k], t, rel_tol=0.0, abs_tol=1e-12 * self.T):
-            raise ValueError(f"time {t} is not a grid node")
-        return int(k)
-
-    def eval(self, s: float, t: float) -> np.ndarray:
-        """Character of ``[s, t]`` for grid-node times."""
-        return self.eval_nodes(self.node_of(s), self.node_of(t))
-
-    def component(self, s: float, t: float, f: PlanarForest) -> float:
-        return float(self.eval(s, t)[self.algebra.basis.index[f]])
-
     # -- diagnostics ------------------------------------------------------
 
     def chen_defect(self, a: int, u: int, b: int) -> float:
@@ -425,11 +411,12 @@ class RoughPath:
 
     # -- persistence ------------------------------------------------------
 
-    def dump(self, out_dir: str, name: str = "lift"):
-        """Write per-cell components as CSV plus a JSON metadata sidecar."""
+    def dump(self, out_dir: str):
+        """Write per-cell components to ``lift.csv`` plus a JSON metadata
+        sidecar ``lift.meta.json``."""
         os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, f"{name}.csv")
-        meta_path = os.path.join(out_dir, f"{name}.meta.json")
+        csv_path = os.path.join(out_dir, "lift.csv")
+        meta_path = os.path.join(out_dir, "lift.meta.json")
         forests = self.algebra.basis.forests
         with open(csv_path, "w") as fh:
             fh.write("t_left,t_right,forest,value\n")
@@ -455,8 +442,9 @@ class RoughPath:
         return csv_path, meta_path
 
     @classmethod
-    def load(cls, out_dir: str, name: str = "lift") -> "RoughPath":
-        with open(os.path.join(out_dir, f"{name}.meta.json")) as fh:
+    def load(cls, out_dir: str) -> "RoughPath":
+        """Read back the lift that :meth:`dump` wrote to ``out_dir``."""
+        with open(os.path.join(out_dir, "lift.meta.json")) as fh:
             meta = json.load(fh)
         letters = []
         for text in meta["letters"]:
@@ -469,7 +457,7 @@ class RoughPath:
         chars = np.zeros((cells, algebra.dim))
         chars[:, 0] = 1.0
         grid = np.array(meta["grid"])
-        with open(os.path.join(out_dir, f"{name}.csv")) as fh:
+        with open(os.path.join(out_dir, "lift.csv")) as fh:
             header = fh.readline()
             if header.strip() != "t_left,t_right,forest,value":
                 raise ValueError("unrecognized lift CSV header")
@@ -592,10 +580,6 @@ class ScalarExtensionPath:
     def cell_increments(self, stride: int = 1) -> np.ndarray:
         """Direct increments of all aligned stride-blocks of the grid."""
         return self.xhat.stride_chars(stride) @ self._vec
-
-    def node_values(self) -> np.ndarray:
-        """Cumulative values on the finest grid, starting from zero."""
-        return np.concatenate([[0.0], np.cumsum(self.cell_increments(1))])
 
     def additivity_defect(self, a: int, u: int, b: int) -> float:
         return self.increment(a, b) - self.increment(a, u) - self.increment(u, b)

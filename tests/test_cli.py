@@ -319,6 +319,11 @@ RDE = {
     "xi": [1.0],
     "oracle": {"exprs": ["exp(t)"], "vars": ["t"]},
 }
+DEEP_TREE = "[" * 3000 + "•1" + "]1" * 3000
+
+
+class Raw(str):
+    """A bad value written into the config as raw JSON text, such as ``1e999``."""
 
 
 @pytest.mark.parametrize(
@@ -362,6 +367,21 @@ RDE = {
         ("ito", ("ito",), [1]),
         ("lift", ("name",), 5),
         ("lift", ("lift",), {"dump": "no"}),
+        # numbers Python's json reads but no setting can use
+        pytest.param("ito", ("driver", "T"), Raw("Infinity"), id="ito-T-Infinity"),
+        pytest.param("ito", ("ito", "tolerance"), Raw("NaN"), id="ito-tolerance-NaN"),
+        pytest.param(
+            "ito", ("ito", "tolerance"), Raw("1e999"), id="ito-tolerance-1e999"
+        ),
+        pytest.param(
+            "ito", ("driver", "T"), Raw("1" + "0" * 400), id="ito-T-401-digits"
+        ),
+        pytest.param(
+            "lift",
+            ("driver", "intensities", 0, "tree"),
+            DEEP_TREE,
+            id="lift-tree-nested-3000-deep",
+        ),
     ],
 )
 def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
@@ -372,8 +392,27 @@ def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
-    cfg = write_config(tmp_path, "c.json", exp)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    text = json.dumps(exp)
+    if isinstance(value, Raw):
+        text = text.replace(json.dumps(value), value)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text, encoding="utf-8")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[" * 100_000, id="nested-100000-deep"),
+        pytest.param('{"name": ' + "1" * 5000 + "}", id="integer-of-5000-digits"),
+    ],
+)
+def test_exit_config_on_unreadable_config_text(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ito", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
 
@@ -567,3 +606,26 @@ def test_bundled_configs_parse(tmp_path):
     for fn in names:
         exps = load_experiments(os.path.join(root, fn))
         assert exps, fn
+
+
+# ---------------------------------------------------------------------------
+# Scripts
+# ---------------------------------------------------------------------------
+
+
+def test_remainder_rates_script_prints_one_row_per_coefficient():
+    # on its default config (simple-n2-analytic, N = 2) F(X) has the
+    # controlled coefficients e and •1
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, os.path.join("scripts", "remainder_rates.py")],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        encoding="utf-8",
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert [row.split()[0] for row in rows] == ["e", "•1"]

@@ -13,7 +13,6 @@ from planarough.forest_core import (
     base_alphabet,
     bracket_alphabet,
     concat,
-    enumerate_forests,
     forest,
     parse_forest,
     single,
@@ -68,10 +67,6 @@ def test_enumeration_sorted_and_unique():
     assert forests[0] is EMPTY
     weights = [f.weight for f in forests]
     assert weights == sorted(weights)
-
-
-def test_enumerate_forests_matches_all_forests_on_base():
-    assert list(enumerate_forests(2, 3)) == list(all_forests(base_alphabet(2), 3))
 
 
 # ---------------------------------------------------------------------------

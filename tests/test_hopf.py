@@ -44,7 +44,6 @@ from planarough.hopf_mkw import (
     pairing,
     shuffle,
     shuffle_morphism_defect,
-    shuffle_series,
     star_table,
 )
 from planarough.rough_path import bracket_series, cbar_series, tilde_series
@@ -284,8 +283,8 @@ def test_float_algebra_matches_exact_star():
     rng = np.random.default_rng(7)
     for _ in range(20):
         va, vb = rng.standard_normal((2, basis.dim))
-        a = basis.series(va)
-        b = basis.series(vb)
+        a = dict(zip(basis.forests, va))
+        b = dict(zip(basis.forests, vb))
         want = basis.vector(basis.star(a, b))
         got = alg.star(va, vb)
         assert np.allclose(got, want, atol=1e-12)
@@ -340,12 +339,3 @@ def test_shuffle_degree_grading(f1, f2):
     for f, c in shuffle(f1, f2).items():
         assert f.weight == f1.weight + f2.weight
         assert c > 0
-
-
-def test_shuffle_series_bilinear():
-    a = {single(1): 2}
-    b = {single(2): 3, EMPTY: 1}
-    got = shuffle_series(a, b)
-    assert got[concat(single(1), single(2))] == 6
-    assert got[concat(single(2), single(1))] == 6
-    assert got[single(1)] == 2
