@@ -297,7 +297,10 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
     dump = sec.get("dump", False)
     if not isinstance(dump, bool):
         raise ConfigError(f"lift dump must be true or false, got {dump!r}")
-    x = lift(driver_from(_require(exp, "driver", "experiment")))
+    driver = driver_from(_require(exp, "driver", "experiment"))
+    if driver.cells < 2:
+        raise ConfigError("lift probes need at least 2 cells (3 grid nodes)")
+    x = lift(driver)
     chen = chen_residuals(x, probes, seed)
     char = character_residuals(x, probes, seed)
     passed = bool(chen.max() < tol and char.max() < tol)

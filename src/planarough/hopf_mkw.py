@@ -313,6 +313,7 @@ class FloatAlgebra:
             ri = np.array([r[1] for r in rows], dtype=np.intp)
             co = np.array([r[2] for r in rows], dtype=np.float64)
             self._groups.append((li, ri, co))
+        self._restricted = {}  # frozenset of columns -> _support_groups
 
     def unit(self, shape=()) -> np.ndarray:
         g = np.zeros(tuple(shape) + (self.dim,))
@@ -327,10 +328,34 @@ class FloatAlgebra:
             out[..., k] = (A[..., li] * B[..., ri]) @ co
         return out
 
-    def commutator(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        out = self.star(A, B)
-        out -= self.star(B, A)  # in place: one batch-sized temporary fewer
+    def commutator(self, A: np.ndarray, B: np.ndarray, support) -> np.ndarray:
+        """``A ★ B − B ★ A`` for equal-shape batches that vanish off ``support``.
+
+        Only structure constants whose left and right indices both lie in
+        ``support`` can meet two nonzero factors, so only those run; each
+        output subtracts the same two partial dots ``star`` would form.
+        """
+        out = np.zeros(A.shape)
+        for k, li, ri, co in self._support_groups(support):
+            out[..., k] = (A[..., li] * B[..., ri]) @ co
+            out[..., k] -= (B[..., li] * A[..., ri]) @ co
         return out
+
+    def _support_groups(self, support) -> list:
+        """``(k, li, ri, co)`` of the structure constants inside ``support``,
+        built once per column set."""
+        key = frozenset(support)
+        groups = self._restricted.get(key)
+        if groups is None:
+            inside = np.zeros(self.dim, dtype=bool)
+            inside[list(key)] = True
+            groups = []
+            for k, (li, ri, co) in enumerate(self._groups):
+                keep = inside[li] & inside[ri]
+                if keep.any():
+                    groups.append((k, li[keep], ri[keep], co[keep]))
+            self._restricted[key] = groups
+        return groups
 
     def exp(self, O: np.ndarray) -> np.ndarray:
         """★-exponential of batched infinitesimal vectors (index 0 must be 0)."""

@@ -382,6 +382,8 @@ class Raw(str):
             DEEP_TREE,
             id="lift-tree-nested-3000-deep",
         ),
+        # a valid 1-cell driver has 2 grid nodes; a Chen probe needs 3
+        pytest.param("lift", ("driver", "cells"), 1, id="lift-one-cell"),
     ],
 )
 def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
@@ -481,6 +483,32 @@ PIN_GENERAL = {
     "rungs": 4,
     "tolerance": 1e-3,
 }
+# the signals of perfbench's lift-d3n3 workload (seed 0) on a small grid
+PIN_LIFT_DRIVER = {
+    "d": 3,
+    "N": 3,
+    "alpha": 0.3,
+    "cells": 64,
+    "substeps": 4,
+    "base": [
+        {
+            "kind": "spectral",
+            "hurst": 0.84,
+            "modes": 64,
+            "seed": 61660,
+            "amplitude": 0.295,
+        },
+        {"kind": "trig", "terms": [[0.581, 3.0, 2.995], [0.249, 7.0, 2.284]]},
+        {"kind": "poly", "coeffs": [0.0, 0.57, -0.434]},
+    ],
+    "intensities": [
+        {"tree": "[•1]2", "signal": {"kind": "poly", "coeffs": [0.0, 0.167, 0.106]}},
+        {
+            "tree": "[•3•2]1",
+            "signal": {"kind": "trig", "terms": [[0.124, 4.0, 2.671]]},
+        },
+    ],
+}
 FROZEN_REPORTS = {
     "simple-d2n2": (
         "ito",
@@ -524,6 +552,12 @@ FROZEN_REPORTS = {
         "hopf_selftest.json",
         "749bf4f17872059f061bc2d35e5f312bb7e48bbf5653e2bcba424b7cd0c29ccc",
     ),
+    "lift-d3n3": (
+        "lift",
+        {"driver": PIN_LIFT_DRIVER, "lift": {"probes": 32}},
+        "lift_report.json",
+        "54984cc1a864df94e6458bb3b147901f84e990868f67e45e50f6d4f675d64cf3",
+    ),
 }
 
 
@@ -537,6 +571,8 @@ def test_report_bytes_are_frozen(tmp_path, name):
     The d=2, N=3 identities run all four kinds of term and the pair and
     triple summation orders, and the integral runs ``compose_FX`` up to
     words of length two; a change of these bytes is a change of output.
+    The lift was recorded before its probes were batched: its Chen and
+    character maxima sum in another order since, yet read the same bytes.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})
@@ -613,13 +649,11 @@ def test_bundled_configs_parse(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_remainder_rates_script_prints_one_row_per_coefficient():
-    # on its default config (simple-n2-analytic, N = 2) F(X) has the
-    # controlled coefficients e and •1
+def run_remainder_rates(*args):
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8")
     proc = subprocess.run(
-        [sys.executable, os.path.join("scripts", "remainder_rates.py")],
+        [sys.executable, os.path.join("scripts", "remainder_rates.py"), *args],
         cwd=root,
         env=env,
         capture_output=True,
@@ -627,5 +661,22 @@ def test_remainder_rates_script_prints_one_row_per_coefficient():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:]
+    return proc.stdout
+
+
+def test_remainder_rates_script_prints_one_row_per_coefficient(tmp_path):
+    # on its default config (simple-n2-analytic, N = 2) F(X) has the
+    # controlled coefficients e and •1
+    rows = run_remainder_rates().splitlines()[2:]
     assert [row.split()[0] for row in rows] == ["e", "•1"]
+
+    # a suite config: one table per experiment with an ``ito.F``, in order
+    small = analytic_ito_experiment("small")
+    lifted = {"name": "lift-only", "driver": small["driver"], "lift": {}}
+    pinned = {"name": "pinned", "driver": PIN_DRIVER, "ito": PIN_GENERAL}
+    doc = {"experiments": [small, lifted, pinned]}
+    tables = run_remainder_rates(write_config(tmp_path, "c.json", doc)).split("\n\n")
+    assert [t.split()[1] for t in tables] == ["small", "pinned"]
+    keys = [[row.split()[0] for row in t.strip().splitlines()[2:]] for t in tables]
+    assert keys[0] == ["e", "•1"]
+    assert keys[1][:3] == ["e", "•1", "•2"] and len(keys[1]) > 3

@@ -290,6 +290,33 @@ def test_float_algebra_matches_exact_star():
         assert np.allclose(got, want, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "letters, support_keys",
+    [
+        # the columns a d = 3 lift samples: letters and two intensities
+        (base_alphabet(3), ["•1", "•2", "•3", "[•1]2", "[•3•2]1"]),
+        # the columns a d = 2 extension samples: letters, brackets, intensity
+        (
+            bracket_alphabet(2),
+            ["•1", "•2", "[•1]2", "•(11)", "•(12)", "•(21)", "•(22)"],
+        ),
+    ],
+)
+def test_restricted_commutator_matches_full(letters, support_keys):
+    import numpy as np
+
+    alg = FloatAlgebra(TruncatedBasis(letters, MAX_WEIGHT))
+    support = [alg.basis.index[parse_forest(k)] for k in support_keys]
+    rng = np.random.default_rng(2)
+    a = np.zeros((64, alg.dim))
+    b = np.zeros_like(a)
+    a[:, support] = rng.standard_normal((64, len(support)))
+    b[:, support] = rng.standard_normal((64, len(support)))
+    full = alg.star(a, b) - alg.star(b, a)
+    assert np.count_nonzero(full) > 0
+    assert np.array_equal(alg.commutator(a, b, support), full)
+
+
 def test_star_table_transposes_coproduct_table():
     basis = TruncatedBasis(bracket_alphabet(1), MAX_WEIGHT)
     rows = {(l, r, res) for l, r, res, _c in star_table(basis)}

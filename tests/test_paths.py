@@ -21,6 +21,7 @@ from planarough.forest_core import (
     parse_forest,
     single,
 )
+from planarough.hopf_mkw import shuffle
 from planarough.rough_path import (
     ConfigError,
     DriverSpec,
@@ -194,6 +195,81 @@ def test_eval_nodes_matches_sequential_composition():
     for k in range(3, 11):
         g = x.algebra.star(g, x.levels[0][k])
     assert np.max(np.abs(g - x.eval_nodes(3, 11))) < 1e-13
+
+
+def d3_driver(cells=64, substeps=2):
+    """d = 3, N = 3 (dim 157), with a weight-2 and a weight-3 intensity."""
+    return DriverSpec(
+        d=3,
+        base=(
+            SpectralSignal(hurst=0.8, modes=32, seed=5, amplitude=0.3),
+            TrigSignal(((0.6, 3.0, 2.9), (0.25, 7.0, 2.3))),
+            PolySignal((0.0, 0.57, -0.43)),
+        ),
+        intensities=(
+            (parse_forest("[•1]2"), PolySignal((0.0, 0.17, 0.11))),
+            (parse_forest("[•3•2]1"), TrigSignal(((0.12, 4.0, 2.7),))),
+        ),
+        cells=cells,
+        substeps=substeps,
+        N=3,
+        alpha=0.3,
+    )
+
+
+def test_eval_many_matches_eval_nodes():
+    # batched rows go through a matrix-vector product, a single row through a
+    # dot product: the two may round differently, by far less than 1e-15
+    x = lift(d3_driver())
+    rng = np.random.default_rng(3)
+    a, b = np.sort(rng.integers(0, x.cells + 1, size=(2, 40)), axis=0)
+    a = np.concatenate([a, [0, 17, x.cells]])
+    b = np.concatenate([b, [x.cells, 17, x.cells]])
+    g = x.eval_many(a, b)
+    assert g.shape == (len(a), x.algebra.dim)
+    for row, lo, hi in zip(g, a, b):
+        assert np.max(np.abs(row - x.eval_nodes(int(lo), int(hi)))) <= 1e-15
+        seq = x.algebra.unit()
+        for k in range(lo, hi):
+            seq = x.algebra.star(seq, x.levels[0][k])
+        assert np.max(np.abs(row - seq)) < 1e-13
+    assert np.array_equal(g[-2], x.algebra.unit())  # a == b is exactly the unit
+    assert x.eval_many([], []).shape == (0, x.algebra.dim)
+    with pytest.raises(ValueError):
+        x.eval_many([3], [2])
+
+
+def test_probes_match_per_probe_reference():
+    # the per-probe loops the batched probes replace: the same draws, one
+    # interval and one row ★ at a time
+    x = lift(d3_driver())
+    n, seed = 40, 11
+    rng = np.random.default_rng(seed)
+    chen = np.empty(n)
+    for p in range(n):
+        a, u, b = map(int, np.sort(rng.choice(x.cells + 1, size=3, replace=False)))
+        left = x.algebra.star(x.eval_nodes(a, u), x.eval_nodes(u, b))
+        chen[p] = np.max(np.abs(left - x.eval_nodes(a, b)))
+    assert np.max(np.abs(chen - chen_residuals(x, n, seed))) <= 1e-15
+
+    basis = x.algebra.basis
+    nonempty = [f for f in basis.forests if f.weight >= 1]
+    pairs = [
+        (f1, f2)
+        for f1 in nonempty
+        for f2 in nonempty
+        if f1.weight + f2.weight <= basis.max_weight
+    ]
+    rng = np.random.default_rng(seed)
+    char = np.empty(n)
+    for p in range(n):
+        a, b = map(int, np.sort(rng.choice(x.cells + 1, size=2, replace=False)))
+        f1, f2 = pairs[rng.integers(len(pairs))]
+        g = x.eval_nodes(a, b)
+        lhs = sum(m * g[basis.index[w]] for w, m in shuffle(f1, f2).items())
+        char[p] = abs(lhs - g[basis.index[f1]] * g[basis.index[f2]])
+    assert np.max(np.abs(char - character_residuals(x, n, seed))) <= 1e-15
+    assert chen.max() < 1e-10 and char.max() < 1e-10
 
 
 def test_chen_and_character_residuals_small():
