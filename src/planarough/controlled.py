@@ -104,7 +104,12 @@ class SmoothFunctionWithDerivatives:
 
     def dm(self, u, directions) -> np.ndarray:
         """Directional derivative ``D^m F(u):(v1, …, vm)``, m = len(directions)."""
-        t = self.tensor(u, len(directions))
+        return self.contract_tensor(self.tensor(u, len(directions)), directions)
+
+    def contract_tensor(self, t, directions) -> np.ndarray:
+        """``D^m F(u):(v1, …, vm)`` from the flat tensor ``t`` that
+        :meth:`tensor` returned at ``u``, so one evaluation serves many
+        direction tuples."""
         for v in reversed(directions):
             v = np.asarray(v, dtype=float)
             t = t.reshape(t.shape[:-1] + (-1, self.n_in))
@@ -274,7 +279,9 @@ def compose_FY(
 
     The coefficient at a forest τ sums, over every way of splitting τ's tree
     word into consecutive nonempty blocks ``τ1 … τm``, the directional
-    derivative ``D^m F(Y):(⟨τ1, Y⟩, …, ⟨τm, Y⟩)``.
+    derivative ``D^m F(Y):(⟨τ1, Y⟩, …, ⟨τm, Y⟩)``.  Each order's tensor
+    ``D^m F(Y)`` is evaluated once, on first use, and contracted for every
+    splitting.
     """
     if func.n_in != y.n_out:
         raise ValueError(f"function takes {func.n_in} inputs, path has {y.n_out}")
@@ -282,6 +289,7 @@ def compose_FY(
         raise ValueError(f"cannot compose to order {order} over order {y.order}")
     u = y.coeffs[EMPTY]
     coeffs = {EMPTY: func.value(u)}
+    tensors = {}
     basis = y.x.algebra.basis
     for f in basis.forests:
         if not 1 <= f.weight <= order:
@@ -295,7 +303,9 @@ def compose_FY(
                     break
                 vs.append(arr)
             else:
-                term = func.dm(u, vs)
+                if len(vs) not in tensors:
+                    tensors[len(vs)] = func.tensor(u, len(vs))
+                term = func.contract_tensor(tensors[len(vs)], vs)
                 acc = term if acc is None else acc + term
         if acc is not None and np.any(acc):
             coeffs[f] = acc

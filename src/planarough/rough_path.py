@@ -24,7 +24,10 @@ Both paths share one Magnus pipeline.  The lift samples each distinct signal
 once (values on the substep nodes, rates on the two Gauss arrays) and keeps
 those samples and the substep bracket increments on the :class:`RoughPath`;
 the extension reuses them instead of sampling the driver or rebuilding the
-base substep characters again.
+base substep characters again.  Both build the substep characters one block
+of whole cells at a time and keep only the block's cell characters, so the
+``(substeps, dim)`` temporaries of the Magnus step are block-sized, not
+path-sized.
 """
 
 from __future__ import annotations
@@ -293,13 +296,13 @@ def _sample_substeps(driver: DriverSpec):
 
 
 def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
-    """Substep characters ``exp(Ω)``, shape ``(substeps in all, dim)``.
+    """Substep characters ``exp(Ω)``, shape ``(len(h), dim)``.
 
     Ω is the exact increment plus the two-point Gauss commutator correction
     ``h²·√3/12·[a₁, a₂]``; the rates ``a₁, a₂`` live on the sampled columns
     only, so the commutator runs the structure constants inside them.  Each
     temporary is dropped once used, so at most four arrays of Ω's shape are
-    alive at a time.
+    alive at a time; :func:`_cell_blocks` calls this one block at a time.
     """
     index = algebra.basis.index
     support = [index[f] for f, *_ in columns]
@@ -317,6 +320,35 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
     omega += correction
     del correction
     return algebra.exp(omega)
+
+
+# Substep rows per Magnus block.  On perfbench's lift-d3n3 (dim 157, two
+# lifts of 16,384 substeps; 2 cores, one BLAS thread, median of 6 CLI runs)
+# blocks of 1024 / 2048 / 4096 rows took 0.95 / 0.90 / 0.96 s against 1.24 s
+# for one full-width block.  A block holds a power-of-two number of cells,
+# at least two: a power-of-two row count keeps OpenBLAS's gemv tail handling,
+# and two cells keep star_reduce's last rounds, where they were in one
+# stacked call, so the characters stay bit for bit those of a full-width
+# block.
+_BLOCK_ROWS = 2048
+
+
+def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, columns):
+    """Yield ``(substep characters, cell characters)`` block by block.
+
+    Each block is the same power-of-two number of whole cells; its substep
+    characters come from :func:`_substep_chars` on the block's slice of the
+    samples, and its cell characters are their ★-products per cell.
+    """
+    cells = min(driver.cells, max(2, _BLOCK_ROWS // driver.substeps))
+    rows = cells * driver.substeps
+    for start in range(0, len(h), rows):
+        block = slice(start, start + rows)
+        sampled = [(f, *(a[block] for a in arrays)) for f, *arrays in columns]
+        sub_chars = _substep_chars(algebra, h[block], sampled)
+        yield sub_chars, algebra.star_reduce(
+            sub_chars.reshape(cells, driver.substeps, algebra.dim)
+        )
 
 
 def _pyramid(algebra: FloatAlgebra, cell_chars: np.ndarray):
@@ -483,14 +515,11 @@ class RoughPath:
         )
 
 
-def _path(driver, algebra, sub_chars, base_values, samples) -> RoughPath:
-    cell_chars = algebra.star_reduce(
-        sub_chars.reshape(driver.cells, driver.substeps, algebra.dim)
-    )
+def _path(driver, algebra, cell_chars, base_values, samples) -> RoughPath:
     return RoughPath(
         algebra=algebra,
         grid=driver.grid,
-        levels=_pyramid(algebra, cell_chars),
+        levels=_pyramid(algebra, np.concatenate(cell_chars)),
         base_values=base_values,
         alpha=driver.alpha,
         driver=driver,
@@ -502,17 +531,19 @@ def lift(driver: DriverSpec) -> RoughPath:
     """Lift a driver to a branched rough path over its base alphabet."""
     algebra = get_algebra(base_alphabet(driver.d), driver.N)
     samples, base_values = _sample_substeps(driver)
-    sub_chars = _substep_chars(algebra, samples.h, samples.columns)
     idx = algebra.basis.index
-    for i in range(1, driver.d + 1):
-        for j in range(1, driver.d + 1):
-            delta = (
-                sub_chars[:, idx[concat(single(j), single(i))]]
-                - sub_chars[:, idx[b_plus(single(j), i)]]
-            )
-            rate = delta / samples.h
-            samples.brackets.append((single((i, j)), delta, rate, rate))
-    return _path(driver, algebra, sub_chars, base_values, samples)
+    pairs = [(i, j) for i in range(1, driver.d + 1) for j in range(1, driver.d + 1)]
+    cols = [
+        (idx[concat(single(j), single(i))], idx[b_plus(single(j), i)]) for i, j in pairs
+    ]
+    deltas, cell_chars = [], []
+    for sub_chars, block in _cell_blocks(driver, algebra, samples.h, samples.columns):
+        deltas.append([sub_chars[:, word] - sub_chars[:, tree] for word, tree in cols])
+        cell_chars.append(block)
+    for (i, j), delta in zip(pairs, map(np.concatenate, zip(*deltas))):
+        rate = delta / samples.h
+        samples.brackets.append((single((i, j)), delta, rate, rate))
+    return _path(driver, algebra, cell_chars, base_values, samples)
 
 
 def bracket_extension(x: RoughPath) -> RoughPath:
@@ -529,8 +560,8 @@ def bracket_extension(x: RoughPath) -> RoughPath:
         raise ValueError("bracket_extension needs a lift that kept its driver")
     ext_alg = get_algebra(bracket_alphabet(driver.d), driver.N)
     columns = samples.columns + samples.brackets
-    sub_chars = _substep_chars(ext_alg, samples.h, columns)
-    return _path(driver, ext_alg, sub_chars, x.base_values, samples)
+    cell_chars = [c for _sub, c in _cell_blocks(driver, ext_alg, samples.h, columns)]
+    return _path(driver, ext_alg, cell_chars, x.base_values, samples)
 
 
 # ---------------------------------------------------------------------------

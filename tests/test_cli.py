@@ -558,6 +558,31 @@ FROZEN_REPORTS = {
         "lift_report.json",
         "54984cc1a864df94e6458bb3b147901f84e990868f67e45e50f6d4f675d64cf3",
     ),
+    # grids whose Magnus substeps span several blocks of cells
+    "lift-d3n3-blocks": (
+        "lift",
+        {
+            "driver": {**PIN_LIFT_DRIVER, "cells": 512, "substeps": 16},
+            "lift": {"probes": 32},
+        },
+        "lift_report.json",
+        "af479e37f63a5afb5279679b55926f593b791aa9bd8ccc1d86083bfec0fb0106",
+    ),
+    "general-d2n3-blocks": (
+        "ito",
+        {"driver": {**PIN_DRIVER, "cells": 1024, "substeps": 4}, "ito": PIN_GENERAL},
+        "ito_report.json",
+        "48227a7520a14cbbcf26e99048f17afc4bdf1ff1898b7f1b0c4f6a2f265c692e",
+    ),
+    "lift-d2n3-wide": (
+        "lift",
+        {
+            "driver": {**PIN_DRIVER, "cells": 4, "substeps": 4096},
+            "lift": {"probes": 32, "dump": True},
+        },
+        "lift.csv",
+        "7545f877e0603667a81cd8feea2cae7e079d6a9fcf21791c10cdbc98b820575c",
+    ),
 }
 
 
@@ -573,6 +598,12 @@ def test_report_bytes_are_frozen(tmp_path, name):
     words of length two; a change of these bytes is a change of output.
     The lift was recorded before its probes were batched: its Chen and
     character maxima sum in another order since, yet read the same bytes.
+    The ``-blocks`` and ``-wide`` grids were recorded while the lift still
+    built every Magnus substep in one array: the lift now builds them a
+    block of cells at a time, and these grids cross block boundaries
+    (four blocks, two blocks with the extension and every kind of term, and
+    two-cell blocks of 4096 substeps; its cell characters are hashed,
+    because one-cell blocks moved their last digits but not its report).
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})

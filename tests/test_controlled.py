@@ -274,6 +274,25 @@ def test_compose_FX_words_carry_tensor_columns(N):
             assert np.array_equal(z.coeffs[f], arr), (order, f.key)
 
 
+def test_compose_FX_evaluates_each_tensor_order_once(monkeypatch):
+    # evaluating D^mF afresh for every word and splitting cost, at d = 2 and
+    # order 3, 2 / 4 / 8 tensor calls of orders 1 / 2 / 3
+    x = lift(trig_driver(N=3, cells=64))
+    func = SmoothFunctionWithDerivatives.from_expressions(
+        ("sin(x1) + x1*x2**2",), ("x1", "x2")
+    )
+    calls = []
+    tensor = SmoothFunctionWithDerivatives.tensor
+
+    def counted(self, u, m):
+        calls.append(m)
+        return tensor(self, u, m)
+
+    monkeypatch.setattr(SmoothFunctionWithDerivatives, "tensor", counted)
+    compose_FX(x, func, 3)
+    assert sorted(calls) == [1, 2, 3]
+
+
 def test_compose_FY_blocks_use_higher_coefficients():
     # give the word •1•1 a nonzero coefficient: the block splitting
     # (•1•1) contributes DF:(that coefficient) on top of D²F:(•1, •1)

@@ -7,6 +7,7 @@ internals beyond the forest constructors — and its exact rational values at
 or the lift is caught.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from planarough.forest_core import (
     EMPTY,
     all_forests,
     base_alphabet,
+    bracket_alphabet,
     forest,
     parse_forest,
     single,
@@ -29,11 +31,13 @@ from planarough.rough_path import (
     RoughPath,
     SpectralSignal,
     TrigSignal,
+    _substep_chars,
     alpha_window,
     bracket_extension,
     cbar_path,
     character_residuals,
     chen_residuals,
+    get_algebra,
     lift,
     tilde_path,
 )
@@ -464,6 +468,82 @@ def test_spectral_samples_do_not_depend_on_the_array(modes, T, cells, substeps):
         v[1:] - v[:-1], sig.value(nodes[1:]) - sig.value(nodes[:-1])
     )
     assert np.array_equal(v[::substeps], sig.value(np.linspace(0.0, T, cells + 1)))
+
+
+def _one_shot_levels(driver, algebra, h, columns):
+    """Substep and pyramid characters with every substep built at once."""
+    sub_chars = _substep_chars(algebra, h, columns)
+    levels = [
+        algebra.star_reduce(
+            sub_chars.reshape(driver.cells, driver.substeps, algebra.dim)
+        )
+    ]
+    while levels[-1].shape[0] > 1:
+        prev = levels[-1]
+        levels.append(algebra.star(prev[0::2], prev[1::2]))
+    return sub_chars, levels
+
+
+@pytest.mark.parametrize("cells, substeps", [(512, 16), (4, 4096), (2, 2)])
+def test_blocked_lift_matches_one_shot(cells, substeps):
+    # the lift builds its substeps a block of cells at a time: 512 x 16 is
+    # four blocks, 4 x 4096 two blocks of two cells, 2 x 2 less than one
+    driver = DriverSpec(
+        d=2,
+        base=(
+            SpectralSignal(hurst=0.8, modes=32, seed=5, amplitude=0.3),
+            TrigSignal(((0.6, 3.0, 2.9), (0.25, 7.0, 2.3))),
+        ),
+        intensities=(
+            (parse_forest("[•1]2"), PolySignal((0.0, 0.17, 0.11))),
+            (parse_forest("[•2•1]1"), TrigSignal(((0.12, 4.0, 2.7),))),
+        ),
+        cells=cells,
+        substeps=substeps,
+        N=3,
+        alpha=0.30,
+    )
+    x = lift(driver)
+    h, columns = x.samples.h, x.samples.columns
+    sub_chars, levels = _one_shot_levels(driver, x.algebra, h, columns)
+    idx = x.algebra.basis.index
+    brackets = []
+    for i in (1, 2):
+        for j in (1, 2):
+            delta = (
+                sub_chars[:, idx[parse_forest(f"•{j}•{i}")]]
+                - sub_chars[:, idx[parse_forest(f"[•{j}]{i}")]]
+            )
+            brackets.append((single((i, j)), delta, delta / h, delta / h))
+    assert len(x.levels) == len(levels)
+    for got, want in zip(x.levels, levels):
+        assert np.array_equal(got, want)
+    assert len(x.samples.brackets) == len(brackets)
+    for got, want in zip(x.samples.brackets, brackets):
+        assert got[0] is want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+    ext_alg = get_algebra(bracket_alphabet(2), 3)
+    _sub, ext_levels = _one_shot_levels(driver, ext_alg, h, columns + brackets)
+    xhat = bracket_extension(x)
+    assert len(xhat.levels) == len(ext_levels)
+    for got, want in zip(xhat.levels, ext_levels):
+        assert np.array_equal(got, want)
+
+
+def test_lift_peak_memory_is_block_sized():
+    # a full-width lift of 512 x 16 substeps peaked at 41.4 MiB, building
+    # every (substeps, dim) array at once
+    driver = d3_driver(cells=512, substeps=16)
+    lift(d3_driver(cells=2, substeps=2))  # warm the algebra tables
+    tracemalloc.start()
+    try:
+        lift(driver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full_width = 512 * 16 * 157 * np.dtype(float).itemsize
+    assert peak < 2 * full_width, peak / 2**20
 
 
 def test_bracket_extension_needs_the_lift_driver(tmp_path):
