@@ -28,7 +28,7 @@ import sympy
 from .forest_core import EMPTY, PlanarForest, b_plus, forest, letter_weight
 from .controlled import ControlledPath, SmoothFunctionWithDerivatives, _as_symbols
 from .rates import MeshLadder, fit_loglog
-from .rough_path import RoughPath
+from .rough_path import ConfigError, RoughPath
 
 
 class DivergenceError(RuntimeError):
@@ -59,16 +59,14 @@ class VectorFieldFamily:
 
     @classmethod
     def from_expressions(cls, exprs_per_field, variables):
-        symbols = _as_symbols(variables)
-        local = dict(zip(variables, symbols))
-        fields = tuple(
-            SmoothFunctionWithDerivatives(
-                exprs=tuple(sympy.sympify(e, locals=local) for e in exprs),
-                symbols=symbols,
+        """One field per expression list, each through
+        :meth:`SmoothFunctionWithDerivatives.from_expressions`."""
+        return cls(
+            fields=tuple(
+                SmoothFunctionWithDerivatives.from_expressions(exprs, variables)
+                for exprs in exprs_per_field
             )
-            for exprs in exprs_per_field
         )
-        return cls(fields=fields)
 
     @property
     def d(self) -> int:
@@ -188,12 +186,16 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
 
     The returned path carries the solution at the empty forest and the
     elementary differentials ``f_τ(Y_t)`` on trees up to weight ``N − 1``
-    (multi-tree forests carry zero).
+    (multi-tree forests carry zero).  Raises :class:`ConfigError` unless
+    there is one field per driver letter and one entry of ``xi`` per state.
     """
     if fields.d != x.base_values.shape[0]:
-        raise ValueError(
+        raise ConfigError(
             f"{fields.d} fields against a driver with {x.base_values.shape[0]} letters"
         )
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (fields.n,):
+        raise ConfigError(f"xi has {xi.size} entries for {fields.n} states")
     basis = x.algebra.basis
     trees = [f for f in basis.forests if len(f.trees) == 1]
     ftaus = {f: f_tau(fields, f) for f in trees}
@@ -210,7 +212,7 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
     cols = [x.algebra.basis.index[f] for f in trees]
     nodes = len(x.grid)
     y = np.empty((nodes, fields.n))
-    y[0] = np.asarray(xi, dtype=float)
+    y[0] = xi
     for k in range(x.cells):
         args = list(y[k]) + [cells[k, c] for c in cols]
         y[k + 1] = step(*args)

@@ -22,7 +22,10 @@ The config file holds one experiment object or ``{"experiments": [...]}``;
 each experiment needs a ``name`` and the section for the chosen command.
 Outputs land in ``<out>/<name>/`` and are byte-deterministic: reports are
 JSON with sorted keys, two-space indent, and a trailing newline; no
-timestamps or machine identifiers are written.
+timestamps or machine identifiers are written.  This module checks JSON
+types and ranges and passes on only the keys a config sets; the library
+call each value goes to holds its default and checks the rules it relies
+on, raising :class:`~planarough.rough_path.ConfigError`.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 a solution
 diverged, 3 an I/O failure, 64 a malformed config, 70 an internal error (an
@@ -42,7 +45,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from sympy.core.function import AppliedUndef
 
 from .calculus import (
     ConvergenceReport,
@@ -134,17 +136,13 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _check_exprs(exprs, symbols, where: str) -> None:
-    """Reject free symbols outside ``vars`` and calls of undefined functions."""
-    for e in exprs:
-        unknown = e.free_symbols - set(symbols)
-        if unknown:
-            names = ", ".join(sorted(map(str, unknown)))
-            raise ConfigError(f"{where} uses symbols not in vars: {names}")
-        undefined = e.atoms(AppliedUndef)
-        if undefined:
-            names = ", ".join(sorted(map(str, undefined)))
-            raise ConfigError(f"{where} calls undefined functions: {names}")
+def _given(sec: dict, where: str, **checks) -> dict:
+    """The keys of ``sec`` that ``checks`` names and the config sets, each
+    read by its check; the library call they go to defaults the others."""
+    return {k: check(sec[k], f"{where} {k}") for k, check in checks.items() if k in sec}
+
+
+_positive = functools.partial(_integer, lo=1)
 
 
 def signal_from(cfg) -> object:
@@ -187,37 +185,30 @@ def driver_from(cfg) -> DriverSpec:
         d=_integer(_require(cfg, "d", "driver"), "driver d", 1),
         base=tuple(signal_from(s) for s in base),
         intensities=tuple(intensities),
-        T=_number(cfg.get("T", 1.0), "driver T"),
-        cells=_integer(cfg.get("cells", 1024), "driver cells", 1),
-        substeps=_integer(cfg.get("substeps", 64), "driver substeps", 1),
-        N=_integer(cfg.get("N", 2), "driver N", 1),
-        alpha=_number(cfg.get("alpha", 0.45), "driver alpha"),
+        **_given(cfg, "driver", T=_number, alpha=_number),
+        **_given(cfg, "driver", cells=_positive, substeps=_positive, N=_positive),
     )
 
 
-def func_from(cfg) -> SmoothFunctionWithDerivatives:
-    _object(cfg, "function section")
-    exprs = _require(cfg, "exprs", "function")
-    variables = _require(cfg, "vars", "function")
+def _expressions(build, cfg, what: str):
+    """``build(exprs, vars)`` from a function or fields section; every
+    error of sympify or of ``build``'s checks becomes a config error."""
+    _object(cfg, f"{what} section")
+    exprs = _require(cfg, "exprs", what)
+    variables = _require(cfg, "vars", what)
     try:
-        func = SmoothFunctionWithDerivatives.from_expressions(exprs, variables)
+        return build(exprs, variables)
     except (ValueError, TypeError, SyntaxError) as exc:
-        raise ConfigError(f"bad function expressions: {exc}") from exc
-    _check_exprs(func.exprs, func.symbols, "function")
-    return func
+        raise ConfigError(f"bad expressions in {what}: {exc}") from exc
+
+
+def func_from(cfg) -> SmoothFunctionWithDerivatives:
+    build = SmoothFunctionWithDerivatives.from_expressions
+    return _expressions(build, cfg, "function")
 
 
 def fields_from(cfg) -> VectorFieldFamily:
-    _object(cfg, "fields section")
-    exprs = _require(cfg, "exprs", "fields")
-    variables = _require(cfg, "vars", "fields")
-    try:
-        fields = VectorFieldFamily.from_expressions(exprs, variables)
-    except (ValueError, TypeError, SyntaxError) as exc:
-        raise ConfigError(f"bad field expressions: {exc}") from exc
-    for f in fields.fields:
-        _check_exprs(f.exprs, f.symbols, "fields")
-    return fields
+    return _expressions(VectorFieldFamily.from_expressions, cfg, "fields")
 
 
 def load_experiments(path: str) -> list:
@@ -280,10 +271,12 @@ def write_csv(path: str, header: str, rows) -> None:
 def _cmd_hopf_selftest(exp: dict, out_dir: str) -> dict:
     sec = _object(exp.get("hopf", {}), "hopf section")
     report = run_selftest(
-        d=_integer(sec.get("d", 2), "hopf d", 1, 4),
-        max_weight=_integer(
-            sec.get("max_weight", 3), "hopf max_weight", 2, MAX_WEIGHT
-        ),
+        **_given(
+            sec,
+            "hopf",
+            d=functools.partial(_integer, lo=1, hi=4),
+            max_weight=functools.partial(_integer, lo=2, hi=MAX_WEIGHT),
+        )
     )
     write_json(os.path.join(out_dir, "hopf_selftest.json"), report)
     return {"passed": report["passed"], "report": "hopf_selftest.json"}
@@ -326,12 +319,9 @@ def _cmd_integrate(exp: dict, out_dir: str) -> dict:
     x = lift(driver_from(_require(exp, "driver", "experiment")))
     sec = _object(_require(exp, "integrate", "experiment"), "integrate section")
     func = func_from(_require(sec, "F", "integrate"))
-    d = x.base_values.shape[0]
     if func.n_out != 1:
         raise ConfigError("integrate needs a scalar F")
-    if func.n_in != d:
-        raise ConfigError(f"F takes {func.n_in} variables, driver has {d}")
-    letter = _integer(sec.get("letter", 1), "integrate letter", 1, d)
+    letter = _integer(sec.get("letter", 1), "integrate letter", 1, len(x.base_values))
     rungs = _integer(sec.get("rungs", 6), "integrate rungs", 1)
     tolerance = _number(sec.get("tolerance", 1e-6), "integrate tolerance")
     threshold = _number(sec.get("threshold", 0.0), "integrate threshold")
@@ -358,10 +348,7 @@ def _cmd_rde(exp: dict, out_dir: str) -> dict:
     x = lift(driver_from(_require(exp, "driver", "experiment")))
     sec = _object(_require(exp, "rde", "experiment"), "rde section")
     fields = fields_from(_require(sec, "fields", "rde"))
-    xi = _numbers(_require(sec, "xi", "rde"), "rde xi")
-    if len(xi) != fields.n:
-        raise ConfigError(f"initial state has {len(xi)} entries for {fields.n} fields")
-    y = solve_rde(x, fields, xi)
+    y = solve_rde(x, fields, _numbers(_require(sec, "xi", "rde"), "rde xi"))
     yv = y.coeffs[EMPTY]
     header = "t," + ",".join(f"y{k + 1}" for k in range(fields.n))
     rows = (
@@ -395,27 +382,13 @@ def _cmd_ito(exp: dict, out_dir: str) -> dict:
     sec = _object(_require(exp, "ito", "experiment"), "ito section")
     theorem = sec.get("theorem", "simple")
     func = func_from(_require(sec, "F", "ito"))
-    if func.n_out != 1:
-        raise ConfigError("the observable F must be scalar-valued")
-    rungs = _integer(sec.get("rungs", 6), "ito rungs", 1)
-    tol = _number(sec.get("tolerance", 1e-5), "ito tolerance")
-    d = x.base_values.shape[0]
+    given = _given(sec, "ito", rungs=_positive, tolerance=_number)
     if theorem == "simple":
-        if func.n_in != d:
-            raise ConfigError(f"F takes {func.n_in} variables, driver has {d}")
-        rep = verify_simple(x, func, name=exp["name"], rungs=rungs, tolerance=tol)
+        rep = verify_simple(x, func, name=exp["name"], **given)
     elif theorem == "general":
         fields = fields_from(_require(sec, "fields", "ito"))
         xi = _numbers(_require(sec, "xi", "ito"), "ito xi")
-        if fields.d != d:
-            raise ConfigError(f"{fields.d} fields for a driver with {d} letters")
-        if len(xi) != fields.n:
-            raise ConfigError(f"xi has {len(xi)} entries for {fields.n} states")
-        if tuple(map(str, func.symbols)) != tuple(map(str, fields.symbols)):
-            raise ConfigError("F and fields must use the same variables")
-        rep = verify_general(
-            x, fields, func, xi, name=exp["name"], rungs=rungs, tolerance=tol
-        )
+        rep = verify_general(x, fields, func, xi, name=exp["name"], **given)
     else:
         raise ConfigError(f"unknown theorem {theorem!r}")
     write_json(os.path.join(out_dir, "ito_report.json"), rep.to_dict())

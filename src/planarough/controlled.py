@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
+from sympy.core.function import AppliedUndef
 
 from .forest_core import EMPTY, MAX_WEIGHT, PlanarForest, forest, single
 from .hopf_mkw import coproduct_mkw
 from .rates import fit_loglog
-from .rough_path import RoughPath
+from .rough_path import ConfigError, RoughPath
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +62,24 @@ class SmoothFunctionWithDerivatives:
 
     @classmethod
     def from_expressions(cls, exprs, variables):
-        """Build from expression strings and variable names."""
+        """Build from expression strings and distinct variable names.
+
+        Raises :class:`ConfigError` for a repeated name, a free symbol
+        outside ``variables`` or a call of an undefined function, so every
+        order compiles.
+        """
+        if len(set(variables)) != len(variables):
+            raise ConfigError(f"vars repeat a name: {list(variables)}")
         symbols = _as_symbols(variables)
         local = dict(zip(variables, symbols))
         parsed = tuple(sympy.sympify(e, locals=local) for e in exprs)
+        for e in parsed:
+            stray = (e.free_symbols - set(symbols)) | e.atoms(AppliedUndef)
+            if stray:
+                names = ", ".join(sorted(map(str, stray)))
+                raise ConfigError(
+                    f"expressions may use only vars and known functions, not {names}"
+                )
         return cls(exprs=parsed, symbols=symbols)
 
     @property
@@ -284,7 +299,7 @@ def compose_FY(
     splitting.
     """
     if func.n_in != y.n_out:
-        raise ValueError(f"function takes {func.n_in} inputs, path has {y.n_out}")
+        raise ConfigError(f"F takes {func.n_in} variables, the path has {y.n_out}")
     if order > y.order:
         raise ValueError(f"cannot compose to order {order} over order {y.order}")
     u = y.coeffs[EMPTY]

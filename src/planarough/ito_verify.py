@@ -49,7 +49,13 @@ from .controlled import (
 )
 from .forest_core import EMPTY
 from .rates import MeshLadder
-from .rough_path import RoughPath, bracket_extension, cbar_path, tilde_path
+from .rough_path import (
+    ConfigError,
+    RoughPath,
+    bracket_extension,
+    cbar_path,
+    tilde_path,
+)
 
 
 @dataclass
@@ -109,21 +115,14 @@ def _table(x: RoughPath, z: ControlledPath, integrand, mixed) -> list:
     identity has none.
     """
     letters = range(1, x.base_values.shape[0] + 1)
+    pairs = list(itertools.product(letters, repeat=2))
+    # composed first: an F of the wrong arity fails before X̂ is built
+    first = {i: compose_FY(z, integrand(i), x.N - 1) for i in letters}
+    second = {ij: compose_FY(z, integrand(*ij), x.N - 2) for ij in pairs}
     xhat = bracket_extension(x)
     table = [
-        Term(
-            "rough_first_order",
-            {i: compose_FY(z, integrand(i), x.N - 1) for i in letters},
-            x,
-        ),
-        Term(
-            "bracket_second_order",
-            {
-                ij: compose_FY(z, integrand(*ij), x.N - 2)
-                for ij in itertools.product(letters, repeat=2)
-            },
-            xhat,
-        ),
+        Term("rough_first_order", first, x),
+        Term("bracket_second_order", second, xhat),
     ]
     if x.N == 3:
         triples = list(itertools.product(letters, repeat=3))
@@ -183,7 +182,7 @@ def _verify(name, theorem, func, z, table, rungs, tolerance) -> ItoReport:
 
 def _scalar(func: SmoothFunctionWithDerivatives):
     if func.n_out != 1:
-        raise ValueError("the observable F must be scalar-valued")
+        raise ConfigError("the observable F must be scalar-valued")
     return func
 
 
@@ -218,7 +217,7 @@ def verify_general(
     of ``dY = Σ f_i(Y) dX^i``."""
     _scalar(func)
     if tuple(func.symbols) != tuple(fields.symbols):
-        raise ValueError("F and the vector fields must share one symbol tuple")
+        raise ConfigError("F and the fields must use the same variables")
     y = solve_rde(x, fields, xi)
 
     def f(i):

@@ -129,6 +129,8 @@ class SpectralSignal:
     _freq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.period > 0:
+            raise ConfigError(f"spectral period must be positive, got {self.period}")
         rng = np.random.default_rng(self.seed)
         m = np.arange(1, self.modes + 1, dtype=float)
         decay = self.amplitude * m ** (-(self.hurst + 0.5))
@@ -176,7 +178,7 @@ class DriverSpec:
         base: one scalar signal per base letter, index ``i`` driving ``•_{i+1}``.
         intensities: pairs ``(tree_forest, signal)`` prescribing rates of
             non-geometric tree components; each forest must be a single tree
-            with 2..N vertices decorated by base letters.
+            with 2..N vertices decorated by base letters, given once.
         T: time horizon; the grid is uniform on ``[0, T]``.
         cells: number of grid cells (power of two).
         substeps: Magnus steps per cell (power of two).
@@ -212,7 +214,10 @@ class DriverSpec:
             raise ConfigError(f"substeps must be a power of two, got {self.substeps}")
         if not self.T > 0:
             raise ConfigError(f"horizon T must be positive, got {self.T}")
-        for f, _sig in self.intensities:
+        trees = [f for f, _sig in self.intensities]
+        for k, f in enumerate(trees):
+            if f in trees[:k]:
+                raise ConfigError(f"intensity tree {f.key} is given twice")
             if len(f.trees) != 1:
                 raise ConfigError(f"intensity key {f.key} is not a single tree")
             if not 2 <= f.degree <= self.N:
@@ -333,12 +338,17 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
 _BLOCK_ROWS = 2048
 
 
-def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, columns):
-    """Yield ``(substep characters, cell characters)`` block by block.
+def _cell_blocks(
+    driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, columns, pairs
+):
+    """Yield ``(substep column differences, cell characters)`` block by block.
 
     Each block is the same power-of-two number of whole cells; its substep
     characters come from :func:`_substep_chars` on the block's slice of the
-    samples, and its cell characters are their ★-products per cell.
+    samples, its cell characters are their ★-products per cell, and its
+    differences are ``chars[:, a] − chars[:, b]`` for each ``(a, b)`` in
+    ``pairs``.  The substep characters never leave this generator and are
+    dropped before the next block is built.
     """
     cells = min(driver.cells, max(2, _BLOCK_ROWS // driver.substeps))
     rows = cells * driver.substeps
@@ -346,9 +356,12 @@ def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, colum
         block = slice(start, start + rows)
         sampled = [(f, *(a[block] for a in arrays)) for f, *arrays in columns]
         sub_chars = _substep_chars(algebra, h[block], sampled)
-        yield sub_chars, algebra.star_reduce(
+        deltas = [sub_chars[:, a] - sub_chars[:, b] for a, b in pairs]
+        cell_chars = algebra.star_reduce(
             sub_chars.reshape(cells, driver.substeps, algebra.dim)
         )
+        del sub_chars
+        yield deltas, cell_chars
 
 
 def _pyramid(algebra: FloatAlgebra, cell_chars: np.ndarray):
@@ -487,13 +500,8 @@ class RoughPath:
         """Read back the lift that :meth:`dump` wrote to ``out_dir``."""
         with open(os.path.join(out_dir, "lift.meta.json")) as fh:
             meta = json.load(fh)
-        letters = []
-        for text in meta["letters"]:
-            if text.startswith("("):
-                letters.append((int(text[1]), int(text[2])))
-            else:
-                letters.append(int(text))
-        algebra = get_algebra(tuple(letters), meta["max_weight"])
+        letters = tuple(parse_forest(f"•{t}").trees[0].letter for t in meta["letters"])
+        algebra = get_algebra(letters, meta["max_weight"])
         cells = meta["cells"]
         chars = np.zeros((cells, algebra.dim))
         chars[:, 0] = 1.0
@@ -536,10 +544,8 @@ def lift(driver: DriverSpec) -> RoughPath:
     cols = [
         (idx[concat(single(j), single(i))], idx[b_plus(single(j), i)]) for i, j in pairs
     ]
-    deltas, cell_chars = [], []
-    for sub_chars, block in _cell_blocks(driver, algebra, samples.h, samples.columns):
-        deltas.append([sub_chars[:, word] - sub_chars[:, tree] for word, tree in cols])
-        cell_chars.append(block)
+    blocks = _cell_blocks(driver, algebra, samples.h, samples.columns, cols)
+    deltas, cell_chars = zip(*blocks)
     for (i, j), delta in zip(pairs, map(np.concatenate, zip(*deltas))):
         rate = delta / samples.h
         samples.brackets.append((single((i, j)), delta, rate, rate))
@@ -560,7 +566,7 @@ def bracket_extension(x: RoughPath) -> RoughPath:
         raise ValueError("bracket_extension needs a lift that kept its driver")
     ext_alg = get_algebra(bracket_alphabet(driver.d), driver.N)
     columns = samples.columns + samples.brackets
-    cell_chars = [c for _sub, c in _cell_blocks(driver, ext_alg, samples.h, columns)]
+    cell_chars = [c for _, c in _cell_blocks(driver, ext_alg, samples.h, columns, [])]
     return _path(driver, ext_alg, cell_chars, x.base_values, samples)
 
 

@@ -384,6 +384,61 @@ class Raw(str):
         ),
         # a valid 1-cell driver has 2 grid nodes; a Chen probe needs 3
         pytest.param("lift", ("driver", "cells"), 1, id="lift-one-cell"),
+        # rules checked by the library call that relies on them
+        pytest.param(
+            "lift",
+            ("driver", "intensities"),
+            [
+                {"tree": "[•1]1", "signal": {"kind": "poly", "coeffs": [0, rate]}}
+                for rate in (0.3, 0.5)
+            ],
+            id="lift-intensity-tree-twice",
+        ),
+        pytest.param(
+            "lift",
+            ("driver", "base", 0),
+            {"kind": "spectral", "hurst": 0.7, "modes": 8, "period": 0},
+            id="lift-spectral-period-0",
+        ),
+        pytest.param(
+            "rde",
+            ("rde",),
+            {**RDE, "fields": {"exprs": [["x1"], ["x1"]], "vars": ["x1"]}},
+            id="rde-two-fields-for-d1",
+        ),
+        pytest.param(
+            "rde",
+            ("rde",),
+            {
+                **RDE,
+                "fields": {"exprs": [["x1", "x1"]], "vars": ["x1", "x1"]},
+                "xi": [1.0, 1.0],
+            },
+            id="rde-repeated-vars",
+        ),
+        pytest.param("rde", ("rde",), {**RDE, "xi": [1.0, 2.0]}, id="rde-xi-length"),
+        pytest.param(
+            "integrate",
+            ("integrate",),
+            {"F": {"exprs": ["x1*x2"], "vars": ["x1", "x2"]}},
+            id="integrate-F-arity",
+        ),
+        pytest.param(
+            "ito",
+            ("ito", "F"),
+            {"exprs": ["x1*x2"], "vars": ["x1", "x2"]},
+            id="ito-simple-F-arity",
+        ),
+        pytest.param("ito", ("ito", "F", "exprs"), ["x1", "x1**2"], id="ito-vector-F"),
+        pytest.param(
+            "ito", ("ito",), {**GENERAL, "xi": [1.0, 2.0]}, id="ito-general-xi-length"
+        ),
+        pytest.param(
+            "ito",
+            ("ito",),
+            {**GENERAL, "fields": {"exprs": [["y1"]], "vars": ["y1"]}},
+            id="ito-general-F-and-fields-vars",
+        ),
     ],
 )
 def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):

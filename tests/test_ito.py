@@ -15,11 +15,12 @@ import json
 import numpy as np
 import pytest
 
+from planarough import ito_verify
 from planarough.calculus import VectorFieldFamily
 from planarough.controlled import SmoothFunctionWithDerivatives
 from planarough.forest_core import parse_forest
 from planarough.ito_verify import verify_general, verify_simple
-from planarough.rough_path import DriverSpec, PolySignal, TrigSignal, lift
+from planarough.rough_path import ConfigError, DriverSpec, PolySignal, TrigSignal, lift
 
 
 def sfunc(expr, variables=("x1",)):
@@ -261,15 +262,29 @@ def test_observable_must_be_scalar():
     func = SmoothFunctionWithDerivatives.from_expressions(
         ("x1", "x1**2"), ("x1",)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         verify_simple(analytic_x(cells=64), func)
 
 
 def test_general_requires_shared_symbols():
     x = analytic_x(cells=64)
     fields = VectorFieldFamily.from_expressions([("y1",)], ("y1",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         verify_general(x, fields, sfunc("z1**2", ("z1",)), [1.0])
+
+
+def test_wrong_arity_fails_before_the_extension(monkeypatch):
+    built = []
+    extend = ito_verify.bracket_extension
+    monkeypatch.setattr(
+        ito_verify, "bracket_extension", lambda x: built.append(x) or extend(x)
+    )
+    x = analytic_x(cells=64)
+    with pytest.raises(ConfigError, match="F takes 2 variables"):
+        verify_simple(x, sfunc("x1*x2", ("x1", "x2")))
+    assert built == []
+    verify_simple(x, sfunc("x1**2"), rungs=2)  # the counter counts
+    assert built == [x]
 
 
 def test_report_dict_shape():

@@ -533,7 +533,8 @@ def test_blocked_lift_matches_one_shot(cells, substeps):
 
 def test_lift_peak_memory_is_block_sized():
     # a full-width lift of 512 x 16 substeps peaked at 41.4 MiB, building
-    # every (substeps, dim) array at once
+    # every (substeps, dim) array at once; blocks peaked at 14.5 MiB while
+    # the previous block's substep characters stayed alive, 12.0 MiB since
     driver = d3_driver(cells=512, substeps=16)
     lift(d3_driver(cells=2, substeps=2))  # warm the algebra tables
     tracemalloc.start()
@@ -543,7 +544,7 @@ def test_lift_peak_memory_is_block_sized():
     finally:
         tracemalloc.stop()
     full_width = 512 * 16 * 157 * np.dtype(float).itemsize
-    assert peak < 2 * full_width, peak / 2**20
+    assert peak < 1.35 * full_width, peak / 2**20
 
 
 def test_bracket_extension_needs_the_lift_driver(tmp_path):
@@ -559,15 +560,18 @@ def test_bracket_extension_needs_the_lift_driver(tmp_path):
 
 def test_dump_load_round_trip(tmp_path):
     x = lift(trig_driver(cells=32, intensity=True))
-    x.dump(str(tmp_path))
-    y = RoughPath.load(str(tmp_path))
-    assert np.array_equal(x.grid, y.grid)
-    assert np.array_equal(x.base_values, y.base_values)
-    assert len(x.levels) == len(y.levels)
-    for a, b in zip(x.levels, y.levels):
-        assert np.array_equal(a, b)
-    assert x.alpha == y.alpha
-    assert y.algebra.basis.forests == x.algebra.basis.forests
+    # the extension's metadata holds bracket letters such as (12)
+    for path, sub in ((x, "base"), (bracket_extension(x), "bracket")):
+        path.dump(str(tmp_path / sub))
+        y = RoughPath.load(str(tmp_path / sub))
+        assert np.array_equal(path.grid, y.grid)
+        assert np.array_equal(path.base_values, y.base_values)
+        assert len(path.levels) == len(y.levels)
+        for a, b in zip(path.levels, y.levels):
+            assert np.array_equal(a, b)
+        assert path.alpha == y.alpha
+        assert y.algebra.basis.letters == path.algebra.basis.letters
+        assert y.algebra.basis.forests == path.algebra.basis.forests
 
 
 def test_spectral_signal_deterministic():
@@ -642,3 +646,14 @@ def test_driver_validation():
             base=base,
             intensities=((parse_forest("[•2]1"), PolySignal((0.0, 1.0))),),
         )
+    with pytest.raises(ConfigError, match="given twice"):  # one rate per tree
+        DriverSpec(
+            d=1,
+            base=base,
+            intensities=(
+                (parse_forest("[•1]1"), PolySignal((0.0, 0.3))),
+                (parse_forest("[•1]1"), PolySignal((0.0, 0.5))),
+            ),
+        )
+    with pytest.raises(ConfigError, match="period"):
+        SpectralSignal(hurst=0.7, modes=8, seed=0, period=0.0)
