@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -590,14 +591,41 @@ def tilde_series(i: int, j: int, k: int) -> dict:
 
 
 def cbar_series(i: int, j: int, k: int) -> dict:
-    """Mixed second-order compensator element for ``(i, j, k)``."""
-    return {
-        concat(single(i), b_plus(single(k), j)): 1,
-        concat(b_plus(single(k), j), single(i)): 1,
-        b_plus(b_plus(single(k), j), i): -1,
-        b_plus(single(k), (i, j)): -1,
-        b_plus(single(k), (j, i)): -1,
-    }
+    """Mixed second-order compensator element for ``(i, j, k)``:
+
+        •i [•k]j + [•k]j •i − [[•k]j]i − [•k•i]j − [•i•k]j
+                 − [•k](ij) − [•k](ji) .
+
+    It integrates ``D²F:(f_i, Df_j:f_k)`` in the general ``N = 3`` identity.
+    The two trees ``[•k•i]j`` and ``[•i•k]j`` are derived here; the source
+    abstract does not state the series.  The rough first-order sum pairs the
+    coefficient of ``DF:f_j(Y)`` at the word ``•k•i``, which is
+    ``D²(DF:f_j):(f_k, f_i)``, with ``⟨X, [•k•i]j⟩``.  Of its four parts,
+    ``D³F:(f_j, f_k, f_i)`` cancels against the tilde term and
+    ``DF:D²f_j:(f_k, f_i)`` matches ``F(Y)``'s increment through
+    ``f_{[•k•i]j}``.  The leftovers ``D²F:(f_i, Df_j:f_k)`` and
+    ``D²F:(f_k, Df_j:f_i)`` are this integrand at ``(i, j, k)`` and
+    ``(k, j, i)``, and nothing else pairs them with ``[•k•i]j``; so each
+    series carries ``−[•k•i]j`` and ``−[•i•k]j``.  Coinciding forests add
+    up (``i = k`` or ``i = j``), and the whole series is primitive modulo
+    the bracket relation, so ``c̄X`` is additive, as a Young integrator must
+    be.
+    """
+    series = Counter()
+    for f in (
+        concat(single(i), b_plus(single(k), j)),
+        concat(b_plus(single(k), j), single(i)),
+    ):
+        series[f] += 1
+    for f in (
+        b_plus(b_plus(single(k), j), i),
+        b_plus(concat(single(k), single(i)), j),
+        b_plus(concat(single(i), single(k)), j),
+        b_plus(single(k), (i, j)),
+        b_plus(single(k), (j, i)),
+    ):
+        series[f] -= 1
+    return dict(series)
 
 
 @dataclass(eq=False)

@@ -1,9 +1,11 @@
 """Acceptance gate: ten criteria, one test (and one pass/fail line) each.
 
-Criterion 9 checks plain additivity only for the primitive extensions
-(bracket and tilde).  The mixed compensator is not primitive, so its defect
-(1/4 at the midpoint on the unit-slope driver) is checked against Chen's
-relation: it must equal the reduced-coproduct cross term.
+Criterion 9 checks plain additivity for all three scalar extensions
+(bracket, tilde and the mixed compensator, whose series is primitive), and
+Chen's relation for the mixed compensator.  The pre-fix mixed series, which
+lacked two trees, is its negative control: not primitive, with a defect of
+1/4 at the midpoint on the unit-slope driver that the reduced-coproduct
+cross term accounts for.
 """
 
 import json
@@ -12,7 +14,12 @@ import os
 import numpy as np
 import pytest
 
-from test_paths import CANONICAL_AT_ONE, canonical_driver, trig_driver
+from test_paths import (
+    CANONICAL_AT_ONE,
+    canonical_driver,
+    pre_fix_cbar_series,
+    trig_driver,
+)
 
 from planarough.calculus import VectorFieldFamily, solve_rde
 from planarough.cli import main as cli_main
@@ -28,6 +35,7 @@ from planarough.ito_verify import verify_simple
 from planarough.rough_path import (
     DriverSpec,
     PolySignal,
+    ScalarExtensionPath,
     TrigSignal,
     bracket_extension,
     bracket_series,
@@ -220,15 +228,18 @@ def test_criterion_08_rde_oracle_and_truncation_gap():
 
 
 def test_criterion_09_extension_additivity_and_restriction():
-    """Extension additivity ≤ 1e-10 (Chen-corrected for cbar); restriction ≤ 1e-12.
+    """Extension additivity ≤ 1e-10 (and Chen's relation for cbar);
+    restriction ≤ 1e-12.
 
-    The bracket and third-order (tilde) extensions are primitive, so their
-    increments are plainly additive.  The mixed compensator (cbar) is not
-    primitive, so its additivity defect is checked against Chen's relation:
-    it must equal the reduced coproduct paired with the two sub-interval
-    characters.  The extended lift must restrict bitwise to the base lift.
+    The bracket, third-order (tilde) and mixed (cbar) compensators are
+    primitive, so their increments are plainly additive on every driver
+    here.  The mixed compensator's additivity defect is also checked against
+    Chen's relation: it must equal the reduced coproduct paired with the two
+    sub-interval characters, which is zero for the corrected series and
+    1/4 at the midpoint for the pre-fix series, the negative control.  The
+    extended lift must restrict bitwise to the base lift.
     """
-    # geometric unit-slope driver exhibits the obstruction in closed form
+    # geometric unit-slope driver exhibits the pre-fix defect in closed form
     xg = bracket_extension(
         lift(
             DriverSpec(
@@ -286,44 +297,53 @@ def test_criterion_09_extension_additivity_and_restriction():
         a, u, b = sorted(int(v) for v in rng.integers(0, xh3.cells + 1, 3))
         assert abs(tilde.additivity_defect(a, u, b)) <= 1e-10
 
-    # mixed-compensator Chen relation (≤ 1e-10): cbar is not primitive, so its
-    # additivity defect over (a, u, b) is the reduced coproduct paired with
-    # the characters of [t_a, t_u] (left slot) and [t_u, t_b] (right slot)
-    def chen_corrected_defect(xh, ijk, a, u, b):
+    # mixed compensator (≤ 1e-10): its series is primitive, so its increments
+    # are plainly additive, and Chen's relation holds with a zero cross term.
+    # Chen's relation pairs the reduced coproduct of a series with the
+    # characters of [t_a, t_u] (left slot) and [t_u, t_b] (right slot)
+    def chen_corrected_defect(xh, series, a, u, b):
         idx = xh.algebra.basis.index
         left, right = xh.eval_nodes(a, u), xh.eval_nodes(u, b)
         cross = sum(
             float(c) * left[idx[l]] * right[idx[r]]
-            for (l, r), c in reduced_coproduct(cbar_series(*ijk)).items()
+            for (l, r), c in reduced_coproduct(series).items()
         )
-        return cbar_path(xh, *ijk).additivity_defect(a, u, b) - cross
+        path = ScalarExtensionPath(xh, series)
+        return path.additivity_defect(a, u, b) - cross
 
-    # the raw defect is not small, so the correction is not vacuous: on the
-    # unit-slope geometric driver the increment over [s,t] is (t-s)³/3 and
-    # the midpoint split of [0,1] leaves exactly 1/3 - 2/24 = 1/4
+    # negative control: the pre-fix series is not primitive; on the
+    # unit-slope geometric driver its increment over [s,t] is (t-s)³/3 and
+    # the midpoint split of [0,1] leaves exactly 1/3 - 2/24 = 1/4, which
+    # the Chen cross term accounts for
     mid = xg.cells // 2
-    raw = cbar_path(xg, 1, 1, 1).additivity_defect(0, mid, xg.cells)
-    assert raw == pytest.approx(0.25, abs=1e-12), raw
-    defect = abs(chen_corrected_defect(xg, (1, 1, 1), 0, mid, xg.cells))
-    assert defect <= 1e-10, (
-        f"mixed-compensator Chen-corrected defect is {defect:.6g} against a raw "
-        f"defect of {raw:.6g}, gate is 1e-10: the bracket and tilde extensions "
-        "are primitive and must be plainly additive, but the mixed compensator "
-        "is not (test_hopf.py::test_mixed_compensator_not_primitive), so its "
-        "defect must equal the reduced-coproduct cross term; see README 'Tests'"
-    )
-    for _ in range(100):
-        a, u, b = sorted(int(v) for v in rng.integers(0, xh3.cells + 1, 3))
-        defect = abs(chen_corrected_defect(xh3, (1, 1, 1), a, u, b))
-        assert defect <= 1e-10, (a, u, b, defect)
+    pre_fix = pre_fix_cbar_series(1, 1, 1)
+    pre_fix_raw = ScalarExtensionPath(xg, pre_fix).additivity_defect(0, mid, xg.cells)
+    assert pre_fix_raw == pytest.approx(0.25, abs=1e-12), pre_fix_raw
+    assert abs(chen_corrected_defect(xg, pre_fix, 0, mid, xg.cells)) <= 1e-10
+
     # at d=1 both slot orders of the cross term agree; mixed letters tell
     # the left (first sub-interval) slot from the right one
     xt = bracket_extension(lift(trig_driver(N=3, cells=64, substeps=4, intensity=True)))
-    for ijk in [(1, 2, 1), (2, 1, 2), (2, 2, 1)]:
-        for _ in range(10):
-            a, u, b = sorted(int(v) for v in rng.integers(0, xt.cells + 1, 3))
-            defect = abs(chen_corrected_defect(xt, ijk, a, u, b))
-            assert defect <= 1e-10, (ijk, a, u, b, defect)
+    for xh, ijks, n in (
+        (xg, [(1, 1, 1)], 10),
+        (xh3, [(1, 1, 1)], 100),
+        (xt, [(1, 2, 1), (2, 1, 2), (2, 2, 1)], 10),
+    ):
+        splits = [(0, xh.cells // 2, xh.cells)] + [
+            tuple(sorted(int(v) for v in rng.integers(0, xh.cells + 1, 3)))
+            for _ in range(n)
+        ]
+        for ijk in ijks:
+            for a, u, b in splits:
+                plain = abs(cbar_path(xh, *ijk).additivity_defect(a, u, b))
+                assert plain <= 1e-10, (
+                    f"mixed-compensator additivity defect is {plain:.6g} at "
+                    f"{ijk} over {(a, u, b)}, gate is 1e-10: the series is "
+                    "primitive (test_hopf.py::test_mixed_compensator_primitive); "
+                    "see README 'Tests'"
+                )
+                defect = abs(chen_corrected_defect(xh, cbar_series(*ijk), a, u, b))
+                assert defect <= 1e-10, (ijk, a, u, b, defect)
 
 
 def test_criterion_10_cli_determinism(tmp_path):

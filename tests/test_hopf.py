@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_paths import pre_fix_cbar_series
+
 from planarough.forest_core import (
     EMPTY,
     all_forests,
@@ -225,12 +227,16 @@ def test_third_order_compensator_primitive():
         assert is_primitive(tilde_series(*ijk)), ijk
 
 
-def test_mixed_compensator_not_primitive():
-    # this series has a nonzero reduced coproduct, so its path increments are
-    # not additive: acceptance criterion 09 checks their defect against the
-    # reduced-coproduct cross term of Chen's relation instead
+def test_mixed_compensator_primitive():
+    # with [•k•i]j and [•i•k]j the series is primitive, so its path
+    # increments are additive; coinciding forests add up; the pre-fix series
+    # is the negative control
+    for ijk in itertools.product((1, 2, 3), repeat=3):
+        assert is_primitive(cbar_series(*ijk)), ijk
+    assert cbar_series(1, 1, 2)[b_plus(single(2), (1, 1))] == -2
+    assert cbar_series(1, 2, 1)[b_plus(concat(single(1), single(1)), 2)] == -2
     for ijk in [(1, 1, 1), (1, 2, 1), (2, 1, 2)]:
-        assert not is_primitive(cbar_series(*ijk)), ijk
+        assert not is_primitive(pre_fix_cbar_series(*ijk)), ijk
 
 
 def test_bare_word_not_primitive():

@@ -253,6 +253,63 @@ def test_general_n3_nonlinear_converges():
     assert rep.passed
 
 
+def tree3_report(*intensities):
+    """The general identity at d=2, N=3 on 128 cells, driven by the pinned
+    trig + poly base of ``test_cli`` with the given ``(tree, slope)``
+    intensities ``slope·t``, for ``F = sin(y1) + 0.3·y1·y2`` and non-linear
+    fields."""
+    x = lift(
+        DriverSpec(
+            d=2,
+            base=(
+                TrigSignal(((0.6, 2.0, 0.3), (0.2, 5.0, 1.1))),
+                PolySignal((0.0, 0.7, -0.3)),
+            ),
+            intensities=tuple(
+                (parse_forest(key), PolySignal((0.0, slope)))
+                for key, slope in intensities
+            ),
+            cells=128,
+            substeps=2,
+            N=3,
+            alpha=0.30,
+        )
+    )
+    fields = VectorFieldFamily.from_expressions(
+        [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
+    )
+    func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
+    return verify_general(x, fields, func, [0.1, -0.2], rungs=4, tolerance=1e-3)
+
+
+def test_general_n3_weight3_intensity_converges():
+    # a weight-3 intensity pairs with the c̄X trees [•k•i]j: without them the
+    # residual sat flat at 2.0e-2 on every rung; with them it falls on each
+    rep = tree3_report(("[•2•1]1", 0.5))
+    res = rep.residuals
+    assert all(b < a for a, b in zip(res, res[1:])), res
+    assert res[-1] < 5e-5
+    assert rep.passed
+
+
+def test_flat_geometry_is_planar_invariant():
+    # on R^n with the flat connection f_[τ1…τm]i = D^m f_i:(f_τ1, …) is
+    # symmetric in the branches, so the identity sees X only through its
+    # symmetrised image: moving the intensity from [•2•1]1 to [•1•2]1, or
+    # splitting it, changes no number beyond roundoff
+    reports = [
+        tree3_report(("[•2•1]1", 0.5)),
+        tree3_report(("[•1•2]1", 0.5)),
+        tree3_report(("[•2•1]1", 0.25), ("[•1•2]1", 0.25)),
+    ]
+    first = reports[0]
+    for rep in reports[1:]:
+        assert rep.lhs == pytest.approx(first.lhs, abs=1e-12)
+        for name, totals in first.terms.items():
+            assert np.allclose(rep.terms[name], totals, rtol=0, atol=1e-12), name
+        assert np.allclose(rep.residuals, first.residuals, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Interface contracts
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ internals beyond the forest constructors — and its exact rational values at
 or the lift is caught.
 """
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ import sympy as sp
 from planarough.forest_core import (
     EMPTY,
     all_forests,
+    b_plus,
     base_alphabet,
     bracket_alphabet,
+    concat,
     forest,
     parse_forest,
     single,
@@ -29,6 +32,7 @@ from planarough.rough_path import (
     DriverSpec,
     PolySignal,
     RoughPath,
+    ScalarExtensionPath,
     SpectralSignal,
     TrigSignal,
     _substep_chars,
@@ -380,29 +384,51 @@ def test_third_order_compensator_vanishes_for_canonical_driver():
     assert abs(p.increment(0, xhat.cells)) < 1e-13
 
 
+def pre_fix_cbar_series(i, j, k):
+    """The mixed compensator series before ``[•k•i]j`` and ``[•i•k]j`` were
+    derived, with its dict literal that merges ``[•k](ij)`` and ``[•k](ji)``
+    when i = j: the negative control of the tests that find the corrected
+    series additive.  It is not primitive."""
+    return {
+        concat(single(i), b_plus(single(k), j)): 1,
+        concat(b_plus(single(k), j), single(i)): 1,
+        b_plus(b_plus(single(k), j), i): -1,
+        b_plus(single(k), (i, j)): -1,
+        b_plus(single(k), (j, i)): -1,
+    }
+
+
 def test_mixed_compensator_known_defect():
-    # geometric X = t: increment over [s,t] is (t-s)³/3, so splitting
-    # [0,1] at the midpoint leaves 1/3 - 2·(1/24) = 1/4 — the numeric twin
-    # of the non-primitivity witnessed in test_hopf
+    # geometric X = t: the pre-fix series has increment (t-s)³/3 over [s,t],
+    # so splitting [0,1] at the midpoint leaves 1/3 - 2·(1/24) = 1/4; the
+    # corrected series vanishes on a geometric driver and splits without
+    # defect
     xhat = bracket_extension(lift(analytic_driver(N=3, lam=0.0)))
-    p = cbar_path(xhat, 1, 1, 1)
-    assert p.increment(0, xhat.cells) == pytest.approx(1.0 / 3.0, abs=1e-12)
     half = xhat.cells // 2
-    assert p.additivity_defect(0, half, xhat.cells) == pytest.approx(
+    old = ScalarExtensionPath(xhat, pre_fix_cbar_series(1, 1, 1))
+    assert old.increment(0, xhat.cells) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert old.additivity_defect(0, half, xhat.cells) == pytest.approx(
         0.25, abs=1e-12
     )
+    p = cbar_path(xhat, 1, 1, 1)
+    assert abs(p.increment(0, xhat.cells)) <= 1e-12
+    assert abs(p.additivity_defect(0, half, xhat.cells)) <= 1e-12
 
 
 def test_scalar_extension_path_consistency():
-    xhat = bracket_extension(lift(trig_driver(N=3, cells=64, intensity=True)))
-    p = cbar_path(xhat, 2, 1, 1)
+    # the mixed path reads the weight-3 intensity, the tilde path the others
+    spec = trig_driver(N=3, cells=64, intensity=True)
+    weight3 = (parse_forest("[•1•2]1"), PolySignal((0.0, 0.2, 0.1)))
+    spec = dataclasses.replace(spec, intensities=spec.intensities + (weight3,))
+    xhat = bracket_extension(lift(spec))
     # block sums reproduce the whole increment only for additive series:
-    # the tilde path is additive, the mixed path visibly is not
-    t = tilde_path(xhat, 1, 2, 1)
-    assert t.cell_increments(4).sum() == pytest.approx(
-        t.increment(0, xhat.cells), abs=1e-14
-    )
-    gap = abs(p.cell_increments(4).sum() - p.increment(0, xhat.cells))
+    # the tilde and the mixed path are, the pre-fix mixed series visibly not
+    for p in (tilde_path(xhat, 1, 2, 1), cbar_path(xhat, 2, 1, 1)):
+        whole = p.increment(0, xhat.cells)
+        assert abs(whole) > 1e-3  # non-degenerate specimen
+        assert p.cell_increments(4).sum() == pytest.approx(whole, abs=1e-14)
+    old = ScalarExtensionPath(xhat, pre_fix_cbar_series(2, 1, 1))
+    gap = abs(old.cell_increments(4).sum() - old.increment(0, xhat.cells))
     assert gap > 1e-3
 
 
