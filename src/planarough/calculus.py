@@ -13,20 +13,21 @@ Differential equations driven by a lift are solved by the step-``N`` scheme
     Y_{k+1} = Y_k + Σ_{trees τ, weight ≤ N}  f_τ(Y_k) · ⟨X_{cell k}, τ⟩ ,
 
 with the elementary differentials ``f_{•_i} = f_i`` and
-``f_{[τ1…τm]_i} = D^m f_i : (f_{τ1}, …, f_{τm})``.
+``f_{[τ1…τm]_i} = D^m f_i : (f_{τ1}, …, f_{τm})``, numeric contractions
+(:func:`elementary_differentials`) of the fields' tensors, which compile
+once per derivative order.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
-from .forest_core import EMPTY, PlanarForest, b_plus, forest, letter_weight
-from .controlled import ControlledPath, SmoothFunctionWithDerivatives, _as_symbols
+from .forest_core import EMPTY, b_plus, concat, letter_weight, single
+from .controlled import ControlledPath, SmoothFunctionWithDerivatives
 from .rates import MeshLadder, fit_loglog
 from .rough_path import ConfigError, RoughPath
 
@@ -42,66 +43,74 @@ class DivergenceError(RuntimeError):
 
 @dataclass(eq=False)
 class VectorFieldFamily:
-    """Driving vector fields ``f_1, …, f_d`` on R^n, with shared symbols."""
+    """Driving vector fields ``f_1, …, f_d`` on R^n as one ``stacked``
+    function of ``d·n`` outputs: each order compiles once for all fields."""
 
-    fields: tuple
-    _ftau_cache: dict = field(init=False, repr=False, default_factory=dict)
+    stacked: SmoothFunctionWithDerivatives
+    d: int
 
     def __post_init__(self):
-        if not self.fields:
-            raise ValueError("need at least one vector field")
-        symbols = self.fields[0].symbols
-        for f in self.fields:
-            if f.symbols != symbols:
-                raise ValueError("vector fields must share one symbol tuple")
-            if f.n_in != f.n_out:
-                raise ValueError("vector fields must map R^n to R^n")
+        if self.d < 1 or self.stacked.n_out != self.d * self.n:
+            raise ValueError("need one or more vector fields mapping R^n to R^n")
 
     @classmethod
     def from_expressions(cls, exprs_per_field, variables):
-        """One field per expression list, each through
+        """One field per expression list, all through one
         :meth:`SmoothFunctionWithDerivatives.from_expressions`."""
-        return cls(
-            fields=tuple(
-                SmoothFunctionWithDerivatives.from_expressions(exprs, variables)
-                for exprs in exprs_per_field
-            )
-        )
-
-    @property
-    def d(self) -> int:
-        return len(self.fields)
+        if any(len(exprs) != len(variables) for exprs in exprs_per_field):
+            raise ValueError("vector fields must map R^n to R^n")
+        flat = [e for exprs in exprs_per_field for e in exprs]
+        build = SmoothFunctionWithDerivatives.from_expressions
+        return cls(stacked=build(flat, variables), d=len(exprs_per_field))
 
     @property
     def n(self) -> int:
-        return self.fields[0].n_in
+        return self.stacked.n_in
 
-    @property
-    def symbols(self):
-        return self.fields[0].symbols
+    def tensors(self, u, order: int) -> list:
+        """``D^m f_i(u)`` for m = 0..order, axes ``(..., i, a, b1, …, bm)``."""
+        u = np.asarray(u, dtype=float)
+        lead = u.shape[:-1] + (self.d,)
+        return [
+            self.stacked.tensor(u, m).reshape(lead + (self.n,) * (m + 1))
+            for m in range(order + 1)
+        ]
 
 
-def f_tau(fields: VectorFieldFamily, f: PlanarForest) -> SmoothFunctionWithDerivatives:
-    """Elementary differential of a single tree as a function object."""
-    if len(f.trees) != 1:
-        raise ValueError(f"elementary differentials live on trees, got {f.key}")
-    cached = fields._ftau_cache.get(f)
-    if cached is not None:
-        return cached
-    t = f.trees[0]
-    if not isinstance(t.letter, int):
-        raise ValueError(f"tree {f.key} uses a bracket letter")
-    if not 1 <= t.letter <= fields.d:
-        raise ValueError(f"tree {f.key} uses letters beyond d={fields.d}")
-    root = fields.fields[t.letter - 1]
-    if not t.children:
-        out = root
-    else:
-        out = root.contract(
-            *(f_tau(fields, forest((child,))).exprs for child in t.children)
-        )
-    fields._ftau_cache[f] = out
-    return out
+def elementary_differentials(trees, d: int):
+    """The numeric map from the fields' tensors to ``f_τ`` for ``trees``.
+
+    It takes :meth:`VectorFieldFamily.tensors` up to the heaviest tree's
+    weight minus one, at any leading axes, and stacks the ``f_τ`` on axis −2
+    in the order of ``trees``: one contraction per shape, then one gather.
+    ``ValueError`` for a forest that is no tree of weight ≤ 3 over ``1..d``.
+    """
+    # the rows of the shapes •i, [•j]i, [[•k]j]i, [•k•j]i, row-major in letters
+    r = range(1, d + 1)
+    rows = [single(i) for i in r]
+    rows += [b_plus(single(j), i) for i in r for j in r]
+    rows += [b_plus(b_plus(single(k), j), i) for i in r for j in r for k in r]
+    rows += [b_plus(concat(single(k), single(j)), i) for i in r for k in r for j in r]
+    rows = {f: row for row, f in enumerate(rows)}
+    for f in trees:
+        if f not in rows:
+            raise ValueError(f"{f.key} is no tree of weight ≤ 3 over letters 1..{d}")
+    slots = np.array([rows[f] for f in trees], dtype=np.intp)
+
+    def f_taus(ft):
+        f = ft[0]
+        lead = f.shape[:-2] + (-1, f.shape[-1])
+        shapes = [f]
+        if len(ft) > 1:
+            f_ji = np.einsum("...iab,...jb->...ija", ft[1], f)  # [•j]i
+            shapes.append(f_ji.reshape(lead))
+        if len(ft) > 2:
+            f_kji = np.einsum("...iab,...jkb->...ijka", ft[1], f_ji)  # [[•k]j]i
+            f_k_ji = np.einsum("...iabc,...kb,...jc->...ikja", ft[2], f, f)  # [•k•j]i
+            shapes += [f_kji.reshape(lead), f_k_ji.reshape(lead)]
+        return np.concatenate(shapes, axis=-2).take(slots, axis=-2)
+
+    return f_taus
 
 
 # ---------------------------------------------------------------------------
@@ -198,35 +207,23 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
         raise ConfigError(f"xi has {xi.size} entries for {fields.n} states")
     basis = x.algebra.basis
     trees = [f for f in basis.forests if len(f.trees) == 1]
-    ftaus = {f: f_tau(fields, f) for f in trees}
-
-    # one compiled step: y + Σ_τ c_τ f_τ(y), with the c_τ as scalar arguments
-    weights = _as_symbols([f"c{k}" for k in range(len(trees))])
-    step_exprs = list(fields.symbols)
-    for w, f in zip(weights, trees):
-        step_exprs = [e + w * fe for e, fe in zip(step_exprs, ftaus[f].exprs)]
-    step = sympy.lambdify(tuple(fields.symbols) + tuple(weights), step_exprs,
-                          modules="numpy")
-
-    cells = x.levels[0]
-    cols = [x.algebra.basis.index[f] for f in trees]
-    nodes = len(x.grid)
-    y = np.empty((nodes, fields.n))
+    f_taus = elementary_differentials(trees, fields.d)
+    cells = x.levels[0][:, [basis.index[f] for f in trees]]
+    y = np.empty((len(x.grid), fields.n))
     y[0] = xi
     for k in range(x.cells):
-        args = list(y[k]) + [cells[k, c] for c in cols]
-        y[k + 1] = step(*args)
-        if not np.all(np.isfinite(y[k + 1])) or np.max(np.abs(y[k + 1])) > 1e6:
+        y[k + 1] = y[k] + cells[k] @ f_taus(fields.tensors(y[k], x.N - 1))
+        # NaN fails the comparison too, so it diverges like inf
+        if not all(abs(v) <= 1e6 for v in y[k + 1].tolist()):
             raise DivergenceError(
                 f"solution left the trust region at t={x.grid[k + 1]:.6g}"
             )
 
     coeffs = {EMPTY: y}
-    for f in trees:
-        if f.weight <= x.N - 1:
-            arr = ftaus[f].value(y)
-            if np.any(arr):
-                coeffs[f] = arr
+    values = f_taus(fields.tensors(y, x.N - 1))
+    for f, arr in zip(trees, np.moveaxis(values, -2, 0)):
+        if f.weight <= x.N - 1 and np.any(arr):
+            coeffs[f] = arr
     return ControlledPath(x=x, order=x.N - 1, coeffs=coeffs, n_out=fields.n)
 
 

@@ -316,18 +316,19 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
 
 
 def _cmd_integrate(exp: dict, out_dir: str) -> dict:
-    x = lift(driver_from(_require(exp, "driver", "experiment")))
     sec = _object(_require(exp, "integrate", "experiment"), "integrate section")
     func = func_from(_require(sec, "F", "integrate"))
     if func.n_out != 1:
         raise ConfigError("integrate needs a scalar F")
-    letter = _integer(sec.get("letter", 1), "integrate letter", 1, len(x.base_values))
     rungs = _integer(sec.get("rungs", 6), "integrate rungs", 1)
     tolerance = _number(sec.get("tolerance", 1e-6), "integrate tolerance")
     threshold = _number(sec.get("threshold", 0.0), "integrate threshold")
     reference = None
     if "reference" in sec:
         reference = _number(sec["reference"], "integrate reference")
+    driver = driver_from(_require(exp, "driver", "experiment"))
+    letter = _integer(sec.get("letter", 1), "integrate letter", 1, driver.d)
+    x = lift(driver)
     z = compose_FX(x, func, x.N - 1)
     strides, scales = MeshLadder.rungs_of(x, rungs)
     values = [float(rough_integral(z, x, letter, s).sum()) for s in strides]
@@ -345,10 +346,17 @@ def _cmd_integrate(exp: dict, out_dir: str) -> dict:
 
 
 def _cmd_rde(exp: dict, out_dir: str) -> dict:
-    x = lift(driver_from(_require(exp, "driver", "experiment")))
     sec = _object(_require(exp, "rde", "experiment"), "rde section")
     fields = fields_from(_require(sec, "fields", "rde"))
-    y = solve_rde(x, fields, _numbers(_require(sec, "xi", "rde"), "rde xi"))
+    xi = _numbers(_require(sec, "xi", "rde"), "rde xi")
+    oracle = None
+    if "oracle" in sec:
+        oracle = func_from(sec["oracle"])
+        if oracle.n_in != 1 or oracle.n_out != fields.n:
+            raise ConfigError("oracle must map one time variable to the state space")
+        tol = _number(sec.get("tolerance", 1e-4), "rde tolerance")
+    x = lift(driver_from(_require(exp, "driver", "experiment")))
+    y = solve_rde(x, fields, xi)
     yv = y.coeffs[EMPTY]
     header = "t," + ",".join(f"y{k + 1}" for k in range(fields.n))
     rows = (
@@ -363,13 +371,9 @@ def _cmd_rde(exp: dict, out_dir: str) -> dict:
         "final_state": [float(v) for v in yv[-1]],
     }
     passed = True
-    if "oracle" in sec:
-        oracle = func_from(sec["oracle"])
-        if oracle.n_in != 1 or oracle.n_out != fields.n:
-            raise ConfigError("oracle must map one time variable to the state space")
+    if oracle is not None:
         ref = oracle.value(x.grid[:, None])
         err = float(np.abs(yv - ref).max())
-        tol = _number(sec.get("tolerance", 1e-4), "rde tolerance")
         passed = err <= tol
         report.update({"oracle_error_max": err, "tolerance": tol})
     report["passed"] = passed
@@ -378,19 +382,20 @@ def _cmd_rde(exp: dict, out_dir: str) -> dict:
 
 
 def _cmd_ito(exp: dict, out_dir: str) -> dict:
-    x = lift(driver_from(_require(exp, "driver", "experiment")))
     sec = _object(_require(exp, "ito", "experiment"), "ito section")
     theorem = sec.get("theorem", "simple")
+    if theorem not in ("simple", "general"):
+        raise ConfigError(f"unknown theorem {theorem!r}")
     func = func_from(_require(sec, "F", "ito"))
     given = _given(sec, "ito", rungs=_positive, tolerance=_number)
-    if theorem == "simple":
-        rep = verify_simple(x, func, name=exp["name"], **given)
-    elif theorem == "general":
+    if theorem == "general":
         fields = fields_from(_require(sec, "fields", "ito"))
         xi = _numbers(_require(sec, "xi", "ito"), "ito xi")
-        rep = verify_general(x, fields, func, xi, name=exp["name"], **given)
+    x = lift(driver_from(_require(exp, "driver", "experiment")))
+    if theorem == "simple":
+        rep = verify_simple(x, func, name=exp["name"], **given)
     else:
-        raise ConfigError(f"unknown theorem {theorem!r}")
+        rep = verify_general(x, fields, func, xi, name=exp["name"], **given)
     write_json(os.path.join(out_dir, "ito_report.json"), rep.to_dict())
     return {"passed": rep.passed, "report": "ito_report.json"}
 

@@ -9,16 +9,16 @@ transported expansion
 
 has remainders of order ``(N − weight(τ)) · α`` in ``t − s``.  This module
 provides the function objects used everywhere (values plus exact derivative
-tensors from symbolic expressions, each order compiled on its first use,
-and their symbolic contractions ``D^mF:(v1, …, vm)``), the controlled
-composition ``F(Y)`` of a function with a controlled path, and the transport
+tensors of a user expression, each order differentiated and compiled once,
+on its first use; sympy does nothing else), the one numeric contraction
+``D^mF:(v1, …, vm)``, the controlled composition ``F(Y)`` of derivative
+tensors at a controlled path's states (its *jets*), and the transport
 remainder with its empirical rate fit.  ``F(X)`` is the same composition
 along :func:`driver_path`, the driver controlled by its own lift.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +34,6 @@ from .rough_path import ConfigError, RoughPath
 # ---------------------------------------------------------------------------
 # Function objects
 # ---------------------------------------------------------------------------
-
-
-def _as_symbols(names):
-    return tuple(sympy.Symbol(n, real=True) for n in names)
 
 
 @dataclass(eq=False)
@@ -70,7 +66,7 @@ class SmoothFunctionWithDerivatives:
         """
         if len(set(variables)) != len(variables):
             raise ConfigError(f"vars repeat a name: {list(variables)}")
-        symbols = _as_symbols(variables)
+        symbols = tuple(sympy.Symbol(n, real=True) for n in variables)
         local = dict(zip(variables, symbols))
         parsed = tuple(sympy.sympify(e, locals=local) for e in exprs)
         for e in parsed:
@@ -98,13 +94,13 @@ class SmoothFunctionWithDerivatives:
                 comps = [c.diff(s) for c in comps for s in self.symbols]
             self._tensors[m] = sympy.lambdify(self.symbols, comps, modules="numpy")
         u = np.asarray(u, dtype=float)
-        cols = [u[..., k] for k in range(self.n_in)]
-        shape = u.shape[:-1]
-        comps = self._tensors[m](*cols)
-        out = np.empty((len(comps),) + shape)
+        if u.ndim == 1:  # one RDE step: no per-component copies
+            return np.array(self._tensors[m](*u), dtype=float)
+        comps = self._tensors[m](*(u[..., k] for k in range(self.n_in)))
+        out = np.empty(u.shape[:-1] + (len(comps),))
         for i, c in enumerate(comps):
-            out[i] = np.broadcast_to(np.asarray(c, dtype=float), shape)
-        return np.moveaxis(out, 0, -1)
+            out[..., i] = c
+        return out
 
     def value(self, u) -> np.ndarray:
         """Map values, shape ``(..., n_out)``."""
@@ -119,61 +115,27 @@ class SmoothFunctionWithDerivatives:
 
     def dm(self, u, directions) -> np.ndarray:
         """Directional derivative ``D^m F(u):(v1, …, vm)``, m = len(directions)."""
-        return self.contract_tensor(self.tensor(u, len(directions)), directions)
-
-    def contract_tensor(self, t, directions) -> np.ndarray:
-        """``D^m F(u):(v1, …, vm)`` from the flat tensor ``t`` that
-        :meth:`tensor` returned at ``u``, so one evaluation serves many
-        direction tuples."""
-        for v in reversed(directions):
-            v = np.asarray(v, dtype=float)
-            t = t.reshape(t.shape[:-1] + (-1, self.n_in))
-            t = (t * v[..., None, None, :]).sum(axis=-1)
-        return t[..., 0]
-
-    def partial(self, index: int) -> "SmoothFunctionWithDerivatives":
-        """The partial derivative ``∂_index`` (1-based) as a new function."""
-        s = self.symbols[index - 1]
-        return SmoothFunctionWithDerivatives(
-            exprs=tuple(e.diff(s) for e in self.exprs),
-            symbols=self.symbols,
-        )
-
-    def contract(self, *directions) -> "SmoothFunctionWithDerivatives":
-        """``D^mF:(v1, …, vm)`` as a new function, m = len(directions).
-
-        Each direction is a tuple of expressions in this function's symbols;
-        see :func:`dm_contract_exprs`.
-        """
-        return SmoothFunctionWithDerivatives(
-            exprs=dm_contract_exprs(self.exprs, self.symbols, directions),
-            symbols=self.symbols,
-        )
+        return contract_tensor(self.tensor(u, len(directions)), directions)
 
 
-def dm_contract_exprs(exprs, symbols, vectors):
-    """Symbolic ``D^m(exprs):(v1, …, vm)`` with expression-valued directions.
+def contract_tensor(t, directions) -> np.ndarray:
+    """``D^m F(u):(v1, …, vm)`` from the flat tensor ``t`` that
+    :meth:`SmoothFunctionWithDerivatives.tensor` returned at ``u``, so one
+    evaluation serves many direction tuples; broadcasts over leading axes."""
+    for v in reversed(directions):
+        v = np.asarray(v)
+        t = t.reshape(t.shape[:-1] + (-1, v.shape[-1]))
+        t = (t * v[..., None, None, :]).sum(axis=-1)
+    return t[..., 0]
 
-    ``vectors`` is a list of m tuples of expressions (one component per
-    symbol).  The directions are treated as fixed tensors at the evaluation
-    point — they are *not* differentiated.
-    """
-    m = len(vectors)
-    out = []
-    for e in exprs:
-        acc = sympy.Integer(0)
-        for multi in itertools.product(range(len(symbols)), repeat=m):
-            de = e
-            for a in multi:
-                de = de.diff(symbols[a])
-            if de == 0:
-                continue
-            term = de
-            for k, a in enumerate(multi):
-                term = term * vectors[k][a]
-            acc = acc + term
-        out.append(sympy.expand(acc))
-    return tuple(out)
+
+def jets(func: SmoothFunctionWithDerivatives, y, order: int) -> list:
+    """The flat tensors ``D^m func`` (m = 0..order) at ``y``'s states;
+    :class:`ConfigError` unless ``func`` takes those states."""
+    if func.n_in != y.n_out:
+        raise ConfigError(f"F takes {func.n_in} variables, the path has {y.n_out}")
+    u = y.coeffs[EMPTY]
+    return [func.tensor(u, m) for m in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,31 +167,21 @@ class ControlledPath:
             if f.weight > self.order:
                 raise ValueError(f"coefficient {f.key} exceeds order {self.order}")
 
-    def coefficient(self, f: PlanarForest) -> np.ndarray:
-        arr = self.coeffs.get(f)
-        if arr is None:
-            return np.zeros((len(self.x.grid), self.n_out))
-        return arr
-
     # -- transport and remainders ------------------------------------------
 
-    def _transport_table(self, f: PlanarForest):
-        """Rows ``(σ, P, coeff)`` with (P, f) a coproduct term of σ."""
-        rows = []
-        for sigma in self.coeffs:
-            for (p, r), c in coproduct_mkw(sigma).items():
-                if r is f:
-                    rows.append((sigma, p, c))
-        return rows
-
     def remainder_blocks(self, f: PlanarForest, stride: int) -> np.ndarray:
-        """Remainders over all aligned stride-blocks, shape ``(m, n_out)``."""
+        """Remainders over all aligned stride-blocks, shape ``(m, n_out)``:
+        the coefficient at ``f`` minus its transport over the coproduct terms
+        ``(P, f)`` of every coefficient's forest σ."""
         chars = self.x.stride_chars(stride)
         idx = self.x.algebra.basis.index
         starts = np.arange(0, self.x.cells, stride)
-        acc = self.coefficient(f)[starts + stride].astype(float).copy()
-        for sigma, p, c in self._transport_table(f):
-            acc -= c * self.coeffs[sigma][starts] * chars[:, idx[p], None]
+        zero = np.zeros((len(self.x.grid), self.n_out))
+        acc = self.coeffs.get(f, zero)[starts + stride]
+        for sigma, arr in self.coeffs.items():
+            for (p, r), c in coproduct_mkw(sigma).items():
+                if r is f:
+                    acc -= c * arr[starts] * chars[:, idx[p], None]
         return acc
 
     def remainder_rate(self, f: PlanarForest):
@@ -270,7 +222,8 @@ def compose_FX(
     ``∂_{a1}…∂_{am} F (X_t)`` (no symmetry factor), and every forest
     containing a non-trivial tree carries zero.
     """
-    return compose_FY(driver_path(x), func, order)
+    y = driver_path(x)
+    return compose_FY(y, jets(func, y, order), order)
 
 
 def _splittings(trees):
@@ -287,24 +240,18 @@ def _splittings(trees):
         yield blocks
 
 
-def compose_FY(
-    y: ControlledPath, func: SmoothFunctionWithDerivatives, order: int
-) -> ControlledPath:
+def compose_FY(y: ControlledPath, jets: list, order: int) -> ControlledPath:
     """The controlled path of ``F(Y)`` for ``Y`` itself controlled.
 
-    The coefficient at a forest τ sums, over every way of splitting τ's tree
-    word into consecutive nonempty blocks ``τ1 … τm``, the directional
-    derivative ``D^m F(Y):(⟨τ1, Y⟩, …, ⟨τm, Y⟩)``.  Each order's tensor
-    ``D^m F(Y)`` is evaluated once, on first use, and contracted for every
-    splitting.
+    ``jets[m]`` is ``D^m F`` at ``y``'s states, flat with shape
+    ``(nodes, n_out, n**m)``, for m up to ``order`` (see :func:`jets`).  The
+    coefficient at a forest τ sums, over every way of splitting τ's tree
+    word into consecutive nonempty blocks ``τ1 … τm``, the contraction
+    ``D^m F(Y):(⟨τ1, Y⟩, …, ⟨τm, Y⟩)``.
     """
-    if func.n_in != y.n_out:
-        raise ConfigError(f"F takes {func.n_in} variables, the path has {y.n_out}")
-    if order > y.order:
-        raise ValueError(f"cannot compose to order {order} over order {y.order}")
-    u = y.coeffs[EMPTY]
-    coeffs = {EMPTY: func.value(u)}
-    tensors = {}
+    if order > min(y.order, len(jets) - 1):
+        raise ValueError(f"no order-{order} composition at {y.order}, {len(jets)} jets")
+    coeffs = {EMPTY: contract_tensor(jets[0], ())}
     basis = y.x.algebra.basis
     for f in basis.forests:
         if not 1 <= f.weight <= order:
@@ -318,10 +265,8 @@ def compose_FY(
                     break
                 vs.append(arr)
             else:
-                if len(vs) not in tensors:
-                    tensors[len(vs)] = func.tensor(u, len(vs))
-                term = func.contract_tensor(tensors[len(vs)], vs)
+                term = contract_tensor(jets[len(vs)], vs)
                 acc = term if acc is None else acc + term
         if acc is not None and np.any(acc):
             coeffs[f] = acc
-    return ControlledPath(x=y.x, order=order, coeffs=coeffs, n_out=func.n_out)
+    return ControlledPath(x=y.x, order=order, coeffs=coeffs, n_out=jets[0].shape[-2])

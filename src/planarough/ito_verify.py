@@ -16,15 +16,17 @@ evaluated on a ladder of dyadic coarsenings of the lift grid:
                           ``Σ_{ijk} ∫ D³F:(f_i,f_j,f_k)(Y) dX̃^{(ijk)}`` and
                           ``Σ_{ijk} ∫ D²F:(f_i, Df_j:f_k)(Y) dc̄X^{(ijk)}``.
 
-The simple statement is the general one for the constant fields
-``f_i = e_i``, whose solution is the driver itself: ``F(X)`` is ``F(Y)``
-along :func:`~planarough.controlled.driver_path`, ``D^mF:(f_i, …)`` is
-``∂_i…F``, and the mixed compensator term vanishes because ``Df_j = 0``.  So
-one builder, :func:`_table`, makes the :class:`Term` rows of both, one per
-sum above: a name, the integrands per letter, pair or triple, and the
-integrator (the base lift, the bracket extension ``X̂``, or the scalar Young
-paths ``X̃`` and ``c̄X``).  :func:`verify_simple` and :func:`verify_general`
-only build their states and integrands; one loop evaluates every term on
+Every integrand and its derivatives up to order ``N − 1`` (its *jets*) are
+numeric contractions of ``F``'s tensors (orders ``0..N``) and the fields'
+(orders ``0..N−1``) by the product rule, for example
+``D(DF:f_i):v = D²F:(f_i, v) + DF:(Df_i:v)``.  The simple statement is the
+general one for ``f_i = e_i``, whose solution is the driver itself: ``F(X)``
+is ``F(Y)`` along :func:`~planarough.controlled.driver_path`, the jets are
+slices of ``F``'s tensors, and the mixed compensator term vanishes because
+``Df_j = 0``.  So one builder, :func:`_table`, makes the :class:`Term` rows
+of both, one per sum above: a name, the integrands per letter, pair or
+triple, and the integrator (the base lift, the bracket extension ``X̂``, or
+the scalar Young paths ``X̃`` and ``c̄X``); one loop evaluates every term on
 every rung of the mesh ladder.
 
 Each report records per-term totals on every rung, the identity residual, and
@@ -34,7 +36,6 @@ tolerance at the finest mesh and an order threshold ``(N+1)·α − 1 − 0.3``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ from .controlled import (
     SmoothFunctionWithDerivatives,
     compose_FY,
     driver_path,
+    jets,
 )
 from .forest_core import EMPTY
 from .rates import MeshLadder
@@ -83,41 +85,45 @@ class Term:
 
     A :class:`RoughPath` integrator takes controlled integrands and the
     compensated rough sum against its letter ``l``.  A dict of scalar
-    extension paths takes smooth integrands, evaluated at the mesh states,
-    and the left-point Young sum against ``integrator[l]``.
+    extension paths takes integrands sampled at the grid nodes and the
+    left-point Young sum against ``integrator[l]``.
     """
 
     name: str
     integrands: dict
     integrator: object
 
-    def total(self, stride: int, states: np.ndarray, T: float) -> float:
+    def total(self, stride: int, T: float) -> float:
         """The sum over the ``stride``-cell mesh."""
         if isinstance(self.integrator, RoughPath):
             return sum(
                 float(rough_integral(z, self.integrator, l, stride).sum())
                 for l, z in self.integrands.items()
             )
-        mesh = states[::stride]
         total = 0.0
         for l, g in self.integrands.items():
             increments = self.integrator[l].cell_increments(stride)
-            total += float(young_integral(g.value(mesh)[:, 0], increments, T=T).sum())
+            total += float(young_integral(g[::stride], increments, T=T).sum())
         return total
 
 
-def _table(x: RoughPath, z: ControlledPath, integrand, mixed) -> list:
+def _table(x: RoughPath, z: ControlledPath, jets_of: dict, mixed) -> list:
     """The terms of an identity for states ``z`` controlled by ``x``.
 
-    ``integrand(*letters)`` is the smooth integrand of 1, 2 or 3 letters;
-    the first two orders are composed with ``z`` into controlled integrands.
-    ``mixed(i, j, k)`` is the integrand of the ``c̄X`` term, or None where the
-    identity has none.
+    ``jets_of[k]`` lists the integrands of k letters and their derivatives:
+    entry m has axes ``(node, l1…lk, b1…bm)``, for m up to ``N − k``.  The
+    integrands of one and two letters are composed with ``z`` into
+    controlled integrands.  ``mixed`` is the ``c̄X`` integrand with axes
+    ``(node, i, j, k)``, or None where the identity has none.
     """
     letters = range(1, x.base_values.shape[0] + 1)
-    pairs = list(itertools.product(letters, repeat=2))
-    # composed first: an F of the wrong arity fails before X̂ is built
+
+    def integrand(*ls):
+        at = (slice(None),) + tuple(l - 1 for l in ls)
+        return [t[at].reshape(len(t), 1, -1) for t in jets_of[len(ls)]]
+
     first = {i: compose_FY(z, integrand(i), x.N - 1) for i in letters}
+    pairs = itertools.product(letters, repeat=2)
     second = {ij: compose_FY(z, integrand(*ij), x.N - 2) for ij in pairs}
     xhat = bracket_extension(x)
     table = [
@@ -129,7 +135,7 @@ def _table(x: RoughPath, z: ControlledPath, integrand, mixed) -> list:
         table.append(
             Term(
                 "tilde_third_order",
-                {ijk: integrand(*ijk) for ijk in triples},
+                {ijk: integrand(*ijk)[0][:, 0, 0] for ijk in triples},
                 {ijk: tilde_path(xhat, *ijk) for ijk in triples},
             )
         )
@@ -137,25 +143,22 @@ def _table(x: RoughPath, z: ControlledPath, integrand, mixed) -> list:
             table.append(
                 Term(
                     "cbar_mixed_order",
-                    {ijk: mixed(*ijk) for ijk in triples},
+                    {(i, j, k): mixed[:, i - 1, j - 1, k - 1] for i, j, k in triples},
                     {ijk: cbar_path(xhat, *ijk) for ijk in triples},
                 )
             )
     return table
 
 
-def _verify(name, theorem, func, z, table, rungs, tolerance) -> ItoReport:
+def _verify(name, theorem, values, x, table, rungs, tolerance) -> ItoReport:
     """Evaluate every term of ``table`` on every rung and judge the identity
-    ``F(z_T) − F(z_0) = Σ terms``."""
-    x = z.x
-    states = z.coeffs[EMPTY]
-    values = func.value(states)[:, 0]
+    ``F(z_T) − F(z_0) = Σ terms`` for ``F``'s ``values`` at the nodes."""
     lhs = float(values[-1] - values[0])
     strides, scales = MeshLadder.rungs_of(x, rungs)
     terms = {t.name: [] for t in table}
     for stride in strides:
         for t in table:
-            terms[t.name].append(t.total(stride, states, x.T))
+            terms[t.name].append(t.total(stride, x.T))
     rhs = [sum(terms[k][r] for k in terms) for r in range(len(strides))]
     ladder = MeshLadder.fit(strides, scales, rhs, lhs)
     threshold = (x.N + 1) * x.alpha - 1.0 - 0.3
@@ -180,10 +183,48 @@ def _verify(name, theorem, func, z, table, rungs, tolerance) -> ItoReport:
     )
 
 
-def _scalar(func: SmoothFunctionWithDerivatives):
+def _scalar(func: SmoothFunctionWithDerivatives) -> None:
     if func.n_out != 1:
         raise ConfigError("the observable F must be scalar-valued")
-    return func
+
+
+def _scalar_jets(func: SmoothFunctionWithDerivatives, z: ControlledPath) -> list:
+    """``D^mF`` at ``z``'s states for m = 0..N, axes ``(node, a1…am)``."""
+    return [
+        t.reshape((len(t),) + (z.n_out,) * m)
+        for m, t in enumerate(jets(func, z, z.x.N))
+    ]
+
+
+def _general_jets(DF: list, ft: list):
+    """``(jets_of, mixed)`` for :func:`_table` by the product rule, from
+    ``D^mF`` and the fields' ``D^m f`` at the states, for example
+    ``D²(DF:f_i):(v, w) = D³F:(f_i, v, w) + D²F:(Df_i:v, w)
+    + D²F:(Df_i:w, v) + DF:(D²f_i:(v, w))``."""
+    e = np.einsum
+    f, Df = ft[0], ft[1]
+    first = [
+        e("...a,...ia->...i", DF[1], f),
+        e("...ab,...ia->...ib", DF[2], f) + e("...a,...iab->...ib", DF[1], Df),
+    ]
+    second = [e("...ab,...ia,...jb->...ij", DF[2], f, f)]
+    if len(DF) < 4:
+        return {1: first, 2: second}, None
+    D3F, D2f = DF[3], ft[2]
+    first.append(
+        e("...abc,...ia->...ibc", D3F, f)
+        + e("...ac,...iab->...ibc", DF[2], Df)
+        + e("...ab,...iac->...ibc", DF[2], Df)
+        + e("...a,...iabc->...ibc", DF[1], D2f)
+    )
+    second.append(
+        e("...abc,...ia,...jb->...ijc", D3F, f, f)
+        + e("...ab,...iac,...jb->...ijc", DF[2], Df, f)
+        + e("...ab,...ia,...jbc->...ijc", DF[2], f, Df)
+    )
+    third = [e("...abc,...ia,...jb,...kc->...ijk", D3F, f, f, f)]
+    mixed = e("...ab,...ia,...jbc,...kc->...ijk", DF[2], f, Df, f)
+    return {1: first, 2: second, 3: third}, mixed
 
 
 def verify_simple(
@@ -196,12 +237,11 @@ def verify_simple(
     """Check the change-of-variable identity for ``F(driver)``."""
     _scalar(func)
     z = driver_path(x)
-
-    def partials(*letters):
-        return functools.reduce(SmoothFunctionWithDerivatives.partial, letters, func)
-
-    table = _table(x, z, partials, mixed=None)
-    return _verify(name, "simple", func, z, table, rungs, tolerance)
+    DF = _scalar_jets(func, z)
+    # f_i = e_i: the integrand of letters l1…lk is F's tensor at (l1…lk, …)
+    jets_of = {k: DF[k:] for k in range(1, x.N + 1)}
+    table = _table(x, z, jets_of, mixed=None)
+    return _verify(name, "simple", DF[0], x, table, rungs, tolerance)
 
 
 def verify_general(
@@ -216,18 +256,10 @@ def verify_general(
     """Check the change-of-variable identity for ``F(Y)`` along the solution
     of ``dY = Σ f_i(Y) dX^i``."""
     _scalar(func)
-    if tuple(func.symbols) != tuple(fields.symbols):
+    if tuple(func.symbols) != tuple(fields.stacked.symbols):
         raise ConfigError("F and the fields must use the same variables")
     y = solve_rde(x, fields, xi)
-
-    def f(i):
-        return fields.fields[i - 1].exprs
-
-    def contractions(*letters):
-        return func.contract(*map(f, letters))
-
-    def mixed(i, j, k):
-        return func.contract(f(i), fields.fields[j - 1].contract(f(k)).exprs)
-
-    table = _table(x, y, contractions, mixed)
-    return _verify(name, "general", func, y, table, rungs, tolerance)
+    DF = _scalar_jets(func, y)
+    jets_of, mixed = _general_jets(DF, fields.tensors(y.coeffs[EMPTY], x.N - 1))
+    table = _table(x, y, jets_of, mixed)
+    return _verify(name, "general", DF[0], x, table, rungs, tolerance)

@@ -591,40 +591,30 @@ def tilde_series(i: int, j: int, k: int) -> dict:
 
 
 def cbar_series(i: int, j: int, k: int) -> dict:
-    """Mixed second-order compensator element for ``(i, j, k)``:
+    """Mixed second-order compensator element for ``(i, j, k)``, the Young
+    integrator of ``D²F:(f_i, Df_j:f_k)`` in the general ``N = 3`` identity:
 
-        •i [•k]j + [•k]j •i − [[•k]j]i − [•k•i]j − [•i•k]j
-                 − [•k](ij) − [•k](ji) .
+        •i [•k]j + [•k]j •i − [[•k]j]i − [•k•i]j − [•i•k]j − [•k](ij) − [•k](ji)
 
-    It integrates ``D²F:(f_i, Df_j:f_k)`` in the general ``N = 3`` identity.
-    The two trees ``[•k•i]j`` and ``[•i•k]j`` are derived here; the source
-    abstract does not state the series.  The rough first-order sum pairs the
-    coefficient of ``DF:f_j(Y)`` at the word ``•k•i``, which is
-    ``D²(DF:f_j):(f_k, f_i)``, with ``⟨X, [•k•i]j⟩``.  Of its four parts,
-    ``D³F:(f_j, f_k, f_i)`` cancels against the tilde term and
-    ``DF:D²f_j:(f_k, f_i)`` matches ``F(Y)``'s increment through
-    ``f_{[•k•i]j}``.  The leftovers ``D²F:(f_i, Df_j:f_k)`` and
-    ``D²F:(f_k, Df_j:f_i)`` are this integrand at ``(i, j, k)`` and
-    ``(k, j, i)``, and nothing else pairs them with ``[•k•i]j``; so each
-    series carries ``−[•k•i]j`` and ``−[•i•k]j``.  Coinciding forests add
-    up (``i = k`` or ``i = j``), and the whole series is primitive modulo
-    the bracket relation, so ``c̄X`` is additive, as a Young integrator must
-    be.
+    The trees ``[•k•i]j`` and ``[•i•k]j`` are derived here (the source
+    abstract does not state the series).  The rough first-order sum pairs
+    ``D²(DF:f_j):(f_k, f_i)``, the coefficient of ``DF:f_j(Y)`` at the word
+    ``•k•i``, with ``⟨X, [•k•i]j⟩``.  Its ``D³F`` part cancels against the
+    tilde term and its ``DF:D²f_j:(f_k, f_i)`` part matches ``F(Y)``'s
+    increment through ``f_{[•k•i]j}``; the leftovers ``D²F:(f_i, Df_j:f_k)``
+    and ``D²F:(f_k, Df_j:f_i)`` are this integrand at ``(i, j, k)`` and
+    ``(k, j, i)``.  Coinciding forests add up; the series is primitive
+    modulo the bracket relation, so ``c̄X`` is additive.
     """
-    series = Counter()
-    for f in (
-        concat(single(i), b_plus(single(k), j)),
-        concat(b_plus(single(k), j), single(i)),
-    ):
-        series[f] += 1
-    for f in (
-        b_plus(b_plus(single(k), j), i),
+    kj = b_plus(single(k), j)
+    series = Counter((concat(single(i), kj), concat(kj, single(i))))
+    series.subtract((
+        b_plus(kj, i),
         b_plus(concat(single(k), single(i)), j),
         b_plus(concat(single(i), single(k)), j),
         b_plus(single(k), (i, j)),
         b_plus(single(k), (j, i)),
-    ):
-        series[f] -= 1
+    ))
     return dict(series)
 
 

@@ -1,5 +1,6 @@
 """Elementary differentials, integrals, and the tree-Euler solver."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -10,14 +11,20 @@ from planarough.calculus import (
     ConvergenceReport,
     DivergenceError,
     VectorFieldFamily,
-    f_tau,
+    elementary_differentials,
     holder_exponent,
     rough_integral,
     solve_rde,
     young_integral,
 )
 from planarough.controlled import SmoothFunctionWithDerivatives, compose_FX
-from planarough.forest_core import EMPTY, parse_forest, single
+from planarough.forest_core import (
+    EMPTY,
+    all_forests,
+    base_alphabet,
+    parse_forest,
+    single,
+)
 from planarough.rough_path import (
     DriverSpec,
     PolySignal,
@@ -53,57 +60,104 @@ def canonical_x(N=2, cells=1024, substeps=1, lam=0.0):
 # ---------------------------------------------------------------------------
 
 
+def f_taus_at(fields, keys, u):
+    """``f_τ(u)`` for the trees ``keys``, shape ``(..., len(keys), n)``."""
+    trees = [parse_forest(k) for k in keys]
+    order = max(f.weight for f in trees) - 1
+    return elementary_differentials(trees, fields.d)(fields.tensors(u, order))
+
+
 def test_f_tau_scalar_hand_values():
     fields = scalar_fields("y1**2")
-    y = fields.symbols[0]
+    y = np.linspace(-1.5, 2.0, 8)
     cases = {
         "•1": y**2,
         "[•1]1": 2 * y**3,  # Df:(f)
         "[•1•1]1": 2 * y**4,  # D²f:(f,f)
         "[[•1]1]1": 4 * y**4,  # Df:(Df:(f))
     }
-    for key, want in cases.items():
-        got = f_tau(fields, parse_forest(key)).exprs[0]
-        assert sympy.expand(got - want) == 0, key
+    got = f_taus_at(fields, list(cases), y[:, None])
+    for col, (key, want) in enumerate(cases.items()):
+        assert np.allclose(got[:, col, 0], want, rtol=1e-14, atol=0), key
 
 
 def test_f_tau_planar_order_matters():
-    # [•1•2]1 contracts D²f1:(f1, f2); with f1 = (y2, 0), f2 = (0, y1) the
+    # [•1]2 contracts Df2:(f1); with f1 = (y2, 0), f2 = (0, y1) the
     # first-order trees already distinguish the two grafting orders
     fields = VectorFieldFamily.from_expressions(
         [("y2", "0"), ("0", "y1")], ("y1", "y2")
     )
-    y1, y2 = fields.symbols
-    got12 = f_tau(fields, parse_forest("[•1]2")).exprs
-    got21 = f_tau(fields, parse_forest("[•2]1")).exprs
-    assert got12 == (sympy.Integer(0), y2)
-    assert got21 == (y1, sympy.Integer(0))
-    # quadratic second derivative vanishes for linear fields
-    assert f_tau(fields, parse_forest("[•1•2]1")).exprs == (
-        sympy.Integer(0),
-        sympy.Integer(0),
-    )
+    u = np.random.default_rng(8).standard_normal((6, 2))
+    got = f_taus_at(fields, ["[•1]2", "[•2]1", "[•1•2]1"], u)
+    zero = np.zeros(len(u))
+    assert np.array_equal(got[:, 0], np.stack([zero, u[:, 1]], axis=-1))
+    assert np.array_equal(got[:, 1], np.stack([u[:, 0], zero], axis=-1))
+    # the second derivative vanishes for linear fields
+    assert np.array_equal(got[:, 2], np.zeros((len(u), 2)))
 
 
 def test_f_tau_validation():
-    fields = scalar_fields()
-    with pytest.raises(ValueError):
-        f_tau(fields, parse_forest("•1•1"))
-    with pytest.raises(ValueError):
-        f_tau(fields, parse_forest("•(11)"))
-    with pytest.raises(ValueError):
-        f_tau(fields, parse_forest("•2"))
+    for key, d in (("•1•1", 1), ("•(11)", 1), ("•2", 1), ("[[[•1]1]1]1", 1)):
+        with pytest.raises(ValueError):
+            elementary_differentials([parse_forest(key)], d)
+
+
+def reference_f_tau(exprs, symbols, t):
+    """``f_τ`` as sympy expressions by the defining recursion
+    ``f_[τ1…τm]i = Σ ∂_{a1…am} f_i · f_τ1[a1] ⋯ f_τm[am]``."""
+    root = [sympy.sympify(e) for e in exprs[t.letter - 1]]
+    kids = [reference_f_tau(exprs, symbols, c) for c in t.children]
+    out = []
+    for e in root:
+        acc = sympy.Integer(0)
+        for multi in itertools.product(range(len(symbols)), repeat=len(kids)):
+            term = e.diff(*(symbols[a] for a in multi)) if multi else e
+            for kid, a in zip(kids, multi):
+                term = term * kid[a]
+            acc += term
+        out.append(acc)
+    return out
+
+
+def test_elementary_differentials_match_sympy_reference():
+    # every tree of weight ≤ 3 at d = 2, against the symbolic recursion
+    exprs = [
+        ("1 + 0.2*y2**2 + sin(y1)*y2", "0.3*y1*y2"),
+        ("cos(y2) - y1**3/4", "1 - y2/4 + y1**2"),
+    ]
+    fields = VectorFieldFamily.from_expressions(exprs, ("y1", "y2"))
+    symbols = fields.stacked.symbols
+    local = dict(zip(("y1", "y2"), symbols))
+    exprs = [[sympy.sympify(e, locals=local) for e in f] for f in exprs]
+    trees = [f for f in all_forests(base_alphabet(2), 3) if len(f.trees) == 1]
+    assert len(trees) == 2 + 4 + 8 + 8
+    u = np.random.default_rng(9).uniform(-1.5, 1.5, (7, 2))
+    got = elementary_differentials(trees, 2)(fields.tensors(u, 2))
+    for col, f in enumerate(trees):
+        ref = reference_f_tau(exprs, symbols, f.trees[0])
+        want = np.stack(
+            [
+                np.broadcast_to(sympy.lambdify(symbols, e)(u[:, 0], u[:, 1]), len(u))
+                for e in ref
+            ],
+            axis=-1,
+        )
+        scale = np.abs(want).max()
+        assert np.allclose(got[:, col], want, rtol=1e-12, atol=1e-12 * scale), f.key
 
 
 def test_vector_field_family_validation():
     with pytest.raises(ValueError):
-        VectorFieldFamily(fields=())
+        VectorFieldFamily.from_expressions([], ("y1",))
     with pytest.raises(ValueError):
         VectorFieldFamily.from_expressions([("y1", "y2")], ("y1",))
-    a = SmoothFunctionWithDerivatives.from_expressions(("y1",), ("y1",))
-    b = SmoothFunctionWithDerivatives.from_expressions(("z1",), ("z1",))
+    # the stacked outputs match in number, not per field
     with pytest.raises(ValueError):
-        VectorFieldFamily(fields=(a, b))
+        VectorFieldFamily.from_expressions([("y1", "y2", "y1"), ("y2",)], ("y1", "y2"))
+    a = SmoothFunctionWithDerivatives.from_expressions(("y1", "y1**2"), ("y1",))
+    with pytest.raises(ValueError):
+        VectorFieldFamily(stacked=a, d=3)
+    assert VectorFieldFamily(stacked=a, d=2).n == 1
 
 
 # ---------------------------------------------------------------------------

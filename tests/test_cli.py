@@ -307,6 +307,36 @@ def test_exit_config_on_bad_table_size(tmp_path, capsys, command, doc):
     assert "config error" in capsys.readouterr().err
 
 
+def test_rde_bad_oracle_fails_before_solving(tmp_path, capsys):
+    exp = {
+        **analytic_ito_experiment("rde"),
+        "rde": {
+            "fields": {"exprs": [["y1"]], "vars": ["y1"]},
+            "xi": [1.0],
+            "oracle": {"exprs": ["exp(t)", "t"], "vars": ["t"]},
+        },
+    }
+    cfg = write_config(tmp_path, "c.json", exp)
+    assert main(["rde", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "oracle" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "rde" / "solution.csv").exists()
+
+
+def test_unknown_theorem_fails_before_the_lift(tmp_path, monkeypatch):
+    lifts = []
+    real = cli.lift
+    monkeypatch.setattr(cli, "lift", lambda d: lifts.append(d) or real(d))
+    exp = analytic_ito_experiment()
+    exp["ito"]["theorem"] = "special"
+    cfg = write_config(tmp_path, "c.json", exp)
+    assert main(["ito", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert lifts == []
+    exp["ito"]["theorem"] = "simple"  # the counter counts
+    cfg = write_config(tmp_path, "c.json", exp)
+    assert main(["ito", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(lifts) == 1
+
+
 GENERAL = {
     "theorem": "general",
     "F": {"exprs": ["x1**2"], "vars": ["x1"]},
@@ -578,7 +608,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": PIN_DRIVER_N2, "ito": PIN_GENERAL},
         "ito_report.json",
-        "b3cb573cad217047b5e87af01ef183f52c5378d49ad43d36f2a9b3e97197d640",
+        "7df1b385c4cb41c2f530c6a3a5a134649d0b075e22632dfc784de529a149061c",
     ),
     "integrate-d2n3": (
         "integrate",
@@ -599,7 +629,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": PIN_DRIVER, "ito": PIN_GENERAL},
         "ito_report.json",
-        "7d630c58aa2254b365f21512af0c0d7b7d779f156490a17541042b93f6a106e9",
+        "e809f0bd4913cb6ab9a644ab89af583a40016ea9eed990fb8a12e288432e987d",
     ),
     "hopf-d2w3": (
         "hopf-selftest",
@@ -627,7 +657,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": {**PIN_DRIVER, "cells": 1024, "substeps": 4}, "ito": PIN_GENERAL},
         "ito_report.json",
-        "ee11961782044530c8b0e3141b6e19406aecb2a7b7735be7ceb14b95a3ba3257",
+        "687b23715c06d98b8b2e1fb8cb111f0f067e2aef324b3f5e705118a26050813e",
     ),
     "lift-d2n3-wide": (
         "lift",
@@ -661,7 +691,11 @@ def test_report_bytes_are_frozen(tmp_path, name):
     because one-cell blocks moved their last digits but not its report).
     The general N=3 digests were re-recorded when the mixed compensator
     series gained its trees ``[•k•i]j`` and ``[•i•k]j``: the finest residual
-    of ``general-d2n3`` fell from 2.3e-5 to 4.7e-8.
+    of ``general-d2n3`` fell from 2.3e-5 to 4.7e-8.  All three general
+    digests were re-recorded again when the integrands and ``f_τ`` became
+    numeric contractions of the compiled tensors: they sum in another order
+    and move by at most 5.6e-17 in any term, residual or ``lhs`` (slopes by
+    at most 2.1e-9).
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})

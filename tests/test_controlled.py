@@ -14,8 +14,8 @@ from planarough.controlled import (
     _splittings,
     compose_FX,
     compose_FY,
-    dm_contract_exprs,
     driver_path,
+    jets,
 )
 from planarough.forest_core import EMPTY, forest, parse_forest, single, tree
 from planarough.rough_path import DriverSpec, PolySignal, TrigSignal, lift
@@ -88,15 +88,6 @@ def test_dm_is_symmetric_in_directions():
     assert np.allclose(func.dm(u, (v, w)), func.dm(u, (w, v)), atol=1e-12)
 
 
-def test_partial_matches_tensor_column():
-    func = example_func()
-    rng = np.random.default_rng(4)
-    u = rng.standard_normal((7, 2))
-    t1 = func.tensor(u, 1)
-    for i in (1, 2):
-        assert np.allclose(func.partial(i).value(u), t1[..., i - 1], atol=1e-12)
-
-
 def test_tensor_order_cap():
     func = example_func()
     with pytest.raises(ValueError):
@@ -121,9 +112,7 @@ def test_each_order_compiles_once_on_first_use(monkeypatch):
     func.value(u)
     assert len(calls) == 1
     func.tensor(u, 2)
-    func.tensor(u, 2)
-    assert len(calls) == 2
-    func.partial(1).partial(2)
+    func.tensor(u[0], 2)
     assert len(calls) == 2
 
 
@@ -157,28 +146,17 @@ def test_dm_linear_in_each_direction(a):
     assert np.allclose(lhs, rhs, atol=1e-10 * (1 + abs(a)))
 
 
-def test_dm_contract_exprs_matches_numeric():
-    func = example_func()
-    symbols = func.symbols
-    x1, x2 = symbols
-    vecs = [(x2, x1 * x1), (1 + x1, x2)]
-    contracted = func.contract(*vecs)
-    assert contracted.exprs == dm_contract_exprs(func.exprs, symbols, vecs)
-    rng = np.random.default_rng(6)
-    u = rng.standard_normal((8, 2))
-    v1 = np.stack([u[:, 1], u[:, 0] ** 2], axis=-1)
-    v2 = np.stack([1 + u[:, 0], u[:, 1]], axis=-1)
-    assert np.allclose(contracted.value(u), func.dm(u, (v1, v2)), atol=1e-10)
-
-
-def test_dm_contract_exprs_does_not_differentiate_directions():
-    # with g = (x**2)' : (v) and v = x**3: result must be 2x·x³, not the
-    # chain-rule value that differentiating v would produce
-    import sympy
-
-    x = sympy.Symbol("x", real=True)
-    (expr,) = dm_contract_exprs((x**2,), (x,), [(x**3,)])
-    assert sympy.expand(expr - 2 * x**4) == 0
+def test_one_point_matches_many_points():
+    # a single point evaluates on Python floats; the values agree
+    func = SmoothFunctionWithDerivatives.from_expressions(
+        ("sin(x1*x2)", "x1**3 - x2", "0.25"), ("x1", "x2")
+    )
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((5, 2))
+    for m in range(4):
+        many = func.tensor(u, m)
+        for p in range(len(u)):
+            assert np.allclose(func.tensor(u[p], m), many[p], rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +254,8 @@ def test_compose_FX_words_carry_tensor_columns(N):
 
 def test_compose_FX_evaluates_each_tensor_order_once(monkeypatch):
     # evaluating D^mF afresh for every word and splitting cost, at d = 2 and
-    # order 3, 2 / 4 / 8 tensor calls of orders 1 / 2 / 3
+    # order 3, 2 / 4 / 8 tensor calls of orders 1 / 2 / 3; the jets are the
+    # tensors of orders 0..3, each evaluated once
     x = lift(trig_driver(N=3, cells=64))
     func = SmoothFunctionWithDerivatives.from_expressions(
         ("sin(x1) + x1*x2**2",), ("x1", "x2")
@@ -290,7 +269,7 @@ def test_compose_FX_evaluates_each_tensor_order_once(monkeypatch):
 
     monkeypatch.setattr(SmoothFunctionWithDerivatives, "tensor", counted)
     compose_FX(x, func, 3)
-    assert sorted(calls) == [1, 2, 3]
+    assert sorted(calls) == [0, 1, 2, 3]
 
 
 def test_compose_FY_blocks_use_higher_coefficients():
@@ -306,7 +285,7 @@ def test_compose_FY_blocks_use_higher_coefficients():
     func = SmoothFunctionWithDerivatives.from_expressions(
         ("x1**2",), ("x1", "x2")
     )
-    z = compose_FY(y, func, 2)
+    z = compose_FY(y, jets(func, y, 2), 2)
     u = y.coeffs[EMPTY]
     want = 2.0 * 1.0 * 1.0 + 2 * u[:, 0] * 2.0  # D²F:(e1,e1) + DF:(extra)
     assert np.allclose(z.coeffs[w][:, 0], want, atol=1e-12)
@@ -319,10 +298,12 @@ def test_compose_FY_validation():
         ("x1",), ("x1", "x2")
     )
     with pytest.raises(ValueError):
-        compose_FY(y, func, y.order + 1)
+        compose_FY(y, jets(func, y, y.order), y.order + 1)
+    with pytest.raises(ValueError):
+        compose_FY(y, jets(func, y, 1), 2)  # too few jets
     bad = SmoothFunctionWithDerivatives.from_expressions(("x1",), ("x1",))
     with pytest.raises(ValueError):
-        compose_FY(y, bad, 1)
+        jets(bad, y, 1)
 
 
 def test_splittings_census():

@@ -10,10 +10,12 @@ intensity-driven instance below is kept as a slope-only specimen, asserting
 the documented behavior rather than hiding it.
 """
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+import sympy
 
 from planarough import ito_verify
 from planarough.calculus import VectorFieldFamily
@@ -308,6 +310,86 @@ def test_flat_geometry_is_planar_invariant():
         for name, totals in first.terms.items():
             assert np.allclose(rep.terms[name], totals, rtol=0, atol=1e-12), name
         assert np.allclose(rep.residuals, first.residuals, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Numeric jets and the compile budget
+# ---------------------------------------------------------------------------
+
+
+def test_general_jets_match_sympy_reference():
+    # every integrand of the general identity at d = 2, N = 3 and each of its
+    # derivatives that compose_FY takes, against sympy differentiating the
+    # composed expressions (so the product rule is sympy's, not the library's)
+    variables = ("y1", "y2")
+    f_exprs = [
+        ("1 + 0.2*y2**2 + sin(y1)*y2", "0.3*y1*y2"),
+        ("cos(y2) - y1**3/4", "1 - y2/4 + y1**2"),
+    ]
+    F_expr = "sin(y1)*y2 + y1**3/3 + 0.3*y1*y2**2"
+    fields = VectorFieldFamily.from_expressions(f_exprs, variables)
+    func = sfunc(F_expr, variables)
+    y = fields.stacked.symbols
+    local = dict(zip(variables, y))
+    F = sympy.sympify(F_expr, locals=local)
+    f = [[sympy.sympify(e, locals=local) for e in row] for row in f_exprs]
+
+    def D(e, l):  # De:f_l
+        return sum(e.diff(y[a]) * f[l - 1][a] for a in range(2))
+
+    u = np.random.default_rng(10).uniform(-1.2, 1.2, (6, 2))
+    DF = [func.tensor(u, m).reshape((len(u),) + (2,) * m) for m in range(4)]
+    jets_of, mixed = ito_verify._general_jets(DF, fields.tensors(u, 2))
+
+    def check(got, expr, what):
+        want = np.broadcast_to(sympy.lambdify(y, expr)(u[:, 0], u[:, 1]), len(u))
+        scale = np.abs(want).max()
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale), what
+
+    for k in (1, 2, 3):
+        for ls in itertools.product((1, 2), repeat=k):
+            # the integrand D^kF:(f_l1, …, f_lk) as one expression in y
+            g = sum(
+                F.diff(*(y[a] for a in multi))
+                * sympy.Mul(*(f[l - 1][a] for l, a in zip(ls, multi)))
+                for multi in itertools.product(range(2), repeat=k)
+            )
+            for m, t in enumerate(jets_of[k]):
+                for bs in itertools.product(range(2), repeat=m):
+                    expr = g.diff(*(y[b] for b in bs)) if bs else g
+                    at = (slice(None),) + tuple(l - 1 for l in ls) + bs
+                    check(t[at], expr, (ls, bs))
+    assert [len(jets_of[k]) for k in (1, 2, 3)] == [3, 2, 1]
+    for i, j, k in itertools.product((1, 2), repeat=3):
+        # D²F:(f_i, Df_j:f_k), with Df_j:f_k a fixed direction
+        dfjk = [D(f[j - 1][b], k) for b in range(2)]
+        expr = sum(
+            F.diff(y[a], y[b]) * f[i - 1][a] * dfjk[b]
+            for a in range(2)
+            for b in range(2)
+        )
+        check(mixed[:, i - 1, j - 1, k - 1], expr, (i, j, k))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_compile_budget(monkeypatch, N):
+    # one compile per user function and derivative order: F at 0..N and the
+    # stacked fields at 0..N−1; every integrand is a numeric contraction
+    calls = []
+    lambdify = sympy.lambdify
+    monkeypatch.setattr(
+        sympy, "lambdify", lambda *a, **k: calls.append(a) or lambdify(*a, **k)
+    )
+    x = trig_x(N=N, cells=64)
+    fields = VectorFieldFamily.from_expressions(
+        [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
+    )
+    func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
+    verify_general(x, fields, func, [0.1, -0.2], rungs=2)
+    assert len(calls) <= 2 * N + 1
+    calls.clear()
+    verify_simple(x, sfunc("sin(x1)*x2 + x2**3/3", ("x1", "x2")), rungs=2)
+    assert len(calls) <= N + 1
 
 
 # ---------------------------------------------------------------------------
