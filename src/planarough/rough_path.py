@@ -55,6 +55,7 @@ from .hopf_mkw import FloatAlgebra, TruncatedBasis, shuffle
 from .rates import fit_loglog
 
 _SQRT3 = math.sqrt(3.0)
+_GAUSS = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
 
 
 class ConfigError(ValueError):
@@ -118,6 +119,12 @@ class SpectralSignal:
     with independent standard normal ``a_m, b_m`` drawn from the seed.  On
     scales above ``period/modes`` the increments scale like ``h^hurst``; below
     that the signal is smooth, so rate fits should stay above the cutoff.
+
+    ``value`` and ``rate`` evaluate the sum at any times, in O(times · modes).
+    The lift samples the uniform substep grid through :meth:`sample_grid`
+    instead, by inverse real FFT in O(steps + q·log q), whenever the period
+    spans a whole number ``q`` of substeps with ``2·modes < q ≤ steps``;
+    other grids fall back to ``value`` and ``rate``.
     """
 
     hurst: float
@@ -150,6 +157,35 @@ class SpectralSignal:
         return (-np.sin(phase) * self._freq) @ self._cos + (
             np.cos(phase) * self._freq
         ) @ self._sin
+
+    def sample_grid(self, T: float, steps: int):
+        """Values on the nodes ``k·T/steps`` (``k = 0..steps``) and rates at
+        the Gauss points ``(k + c)·T/steps`` of each step, ``c = ½ ∓ √3/6``;
+        ``None`` when the grid does not fit one inverse real FFT.
+
+        The FFT length is the period in steps, ``q = period·steps/T``.  It
+        must be a whole number above ``2·modes``, because the Nyquist bin of
+        an even length holds a real coefficient only, and at most ``steps``,
+        so no FFT array outgrows the node array.  Node ``k`` reads bin
+        ``k mod q``: a grid that holds several periods tiles.  The value
+        coefficients are ``(q/2)(a_m − i b_m)``; a rate's are those times
+        ``iω_m`` and the phase shift ``exp(2πi·m·c/q)``.
+        """
+        q = self.period * steps / T
+        if not (2 * self.modes < q <= steps and q.is_integer()):
+            return None
+        q = int(q)
+        bins = np.zeros(q // 2 + 1, dtype=complex)
+
+        def on_grid(coeffs, size):
+            bins[1 : self.modes + 1] = coeffs
+            return np.resize(np.fft.irfft(bins, q), size)
+
+        coeffs = (q / 2) * (self._cos - 1j * self._sin)
+        slopes = coeffs * (1j * self._freq)
+        shift = (2j * np.pi / q) * np.arange(1, self.modes + 1)
+        values = on_grid(coeffs, steps + 1)
+        return values, *(on_grid(slopes * np.exp(c * shift), steps) for c in _GAUSS)
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +317,28 @@ class SubstepSamples:
 def _sample_substeps(driver: DriverSpec):
     """Sample each distinct signal once on the substep nodes and Gauss points.
 
-    Returns the samples and the base signals on the grid, which is every
+    A signal with a ``sample_grid`` method samples the uniform grid itself
+    when it can (a spectral signal by FFT); every other signal, and a grid
+    that method declines, is evaluated by ``value`` and ``rate``.  Returns
+    the samples and the base signals on the grid, which is every
     ``substeps``-th node.
     """
-    nodes = np.linspace(0.0, driver.T, driver.cells * driver.substeps + 1)
+    steps = driver.cells * driver.substeps
+    nodes = np.linspace(0.0, driver.T, steps + 1)
     lo, hi = nodes[:-1], nodes[1:]
     h = hi - lo
-    c1 = lo + h * (0.5 - _SQRT3 / 6.0)
-    c2 = lo + h * (0.5 + _SQRT3 / 6.0)
     pairs = [(single(i + 1), sig) for i, sig in enumerate(driver.base)]
     pairs += list(driver.intensities)
     seen = {}
     for _f, sig in pairs:
-        if id(sig) not in seen:
-            v = sig.value(nodes)
-            seen[id(sig)] = (v, v[1:] - v[:-1], sig.rate(c1), sig.rate(c2))
+        if id(sig) in seen:
+            continue
+        sample_grid = getattr(sig, "sample_grid", None)
+        sampled = sample_grid(driver.T, steps) if sample_grid else None
+        if sampled is None:
+            sampled = (sig.value(nodes), *(sig.rate(lo + h * c) for c in _GAUSS))
+        v, r1, r2 = sampled
+        seen[id(sig)] = (v, v[1:] - v[:-1], r1, r2)
     columns = [(f, *seen[id(sig)][1:]) for f, sig in pairs]
     base_values = np.stack([seen[id(s)][0][:: driver.substeps] for s in driver.base])
     return SubstepSamples(h, columns), base_values

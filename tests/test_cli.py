@@ -490,6 +490,31 @@ def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
 
 
 @pytest.mark.parametrize(
+    "period, T",
+    [
+        pytest.param(1e300, 1.0, id="period-1e300"),
+        pytest.param(1.7e308, 1.0, id="period-1.7e308"),
+        pytest.param(1.0, 1e-300, id="T-1e-300"),
+    ],
+)
+def test_exit_ok_on_spectral_grid_beyond_the_fft(tmp_path, capsys, period, T):
+    # the FFT length period·steps/T exceeds the substeps or overflows to inf,
+    # so the lift samples by the outer product and passes as it did before
+    exp = analytic_ito_experiment("wide")
+    exp["driver"].update(
+        T=T,
+        cells=64,
+        base=[{"kind": "spectral", "hurst": 0.7, "modes": 8, "period": period}],
+    )
+    exp["lift"] = {}
+    cfg = write_config(tmp_path, "c.json", exp)
+    for command in ("lift", "ito"):
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / command)])
+        assert rc == EXIT_OK
+        assert f"PASS {command} wide" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
     "text",
     [
         pytest.param("[" * 100_000, id="nested-100000-deep"),
@@ -641,7 +666,7 @@ FROZEN_REPORTS = {
         "lift",
         {"driver": PIN_LIFT_DRIVER, "lift": {"probes": 32}},
         "lift_report.json",
-        "54984cc1a864df94e6458bb3b147901f84e990868f67e45e50f6d4f675d64cf3",
+        "52a89970133eeebe3880948075b01fc775770c61bbf6c5ccc43ca220c7a1463a",
     ),
     # grids whose Magnus substeps span several blocks of cells
     "lift-d3n3-blocks": (
@@ -651,7 +676,7 @@ FROZEN_REPORTS = {
             "lift": {"probes": 32},
         },
         "lift_report.json",
-        "af479e37f63a5afb5279679b55926f593b791aa9bd8ccc1d86083bfec0fb0106",
+        "7e924d8399117f1146981d178896587765a434eeb35eed37e0c9255dd90d570e",
     ),
     "general-d2n3-blocks": (
         "ito",
@@ -695,7 +720,11 @@ def test_report_bytes_are_frozen(tmp_path, name):
     digests were re-recorded again when the integrands and ``f_τ`` became
     numeric contractions of the compiled tensors: they sum in another order
     and move by at most 5.6e-17 in any term, residual or ``lhs`` (slopes by
-    at most 2.1e-9).
+    at most 2.1e-9).  ``lift-d3n3`` and ``lift-d3n3-blocks`` were
+    re-recorded when the lift began to sample a spectral signal by inverse
+    real FFT: their one changed float each, a Chen or character maximum at
+    roundoff, moved by at most 1.1e-16 (``-blocks``' ``chen_max``
+    1.1e-16 → 2.2e-16).
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})

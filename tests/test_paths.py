@@ -35,6 +35,7 @@ from planarough.rough_path import (
     ScalarExtensionPath,
     SpectralSignal,
     TrigSignal,
+    _sample_substeps,
     _substep_chars,
     alpha_window,
     bracket_extension,
@@ -438,11 +439,13 @@ def test_scalar_extension_path_consistency():
 
 
 class CountingSignal:
-    """Wraps a signal and records the size of every ``value``/``rate`` call."""
+    """Wraps a signal and records every sample taken of it: the size of each
+    ``value``/``rate`` call, and the arguments of each ``sample_grid`` call,
+    which it forwards when the wrapped signal has that method."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.value_sizes, self.rate_sizes = [], []
+        self.value_sizes, self.rate_sizes, self.grid_calls = [], [], []
 
     def value(self, t):
         self.value_sizes.append(np.size(t))
@@ -451,6 +454,17 @@ class CountingSignal:
     def rate(self, t):
         self.rate_sizes.append(np.size(t))
         return self.inner.rate(t)
+
+    def __getattr__(self, name):
+        if name != "sample_grid":
+            raise AttributeError(name)
+        sample_grid = getattr(self.inner, name)  # a trig signal has none
+
+        def counted(T, steps):
+            self.grid_calls.append((T, steps))
+            return sample_grid(T, steps)
+
+        return counted
 
 
 def test_lift_and_extension_sample_each_signal_once():
@@ -473,13 +487,80 @@ def test_lift_and_extension_sample_each_signal_once():
     x = lift(spec(*counted))
     xhat = bracket_extension(x)
     n = 32 * 4
-    for sig in counted:
-        assert sig.value_sizes == [n + 1]
-        assert sig.rate_sizes == [n, n]
+    trig_calls, spectral_calls = counted
+    assert trig_calls.grid_calls == []
+    assert trig_calls.value_sizes == [n + 1]
+    assert trig_calls.rate_sizes == [n, n]
+    # period = T = 1: the FFT length q = 128 exceeds 2·33, so the spectral
+    # signal samples the whole grid in its one grid call
+    assert spectral_calls.grid_calls == [(1.0, n)]
+    assert spectral_calls.value_sizes == []
+    assert spectral_calls.rate_sizes == []
     plain = lift(spec(trig, spectral))
     assert np.array_equal(x.base_values, plain.base_values)
     for a, b in zip(xhat.levels, bracket_extension(plain).levels):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "T, period, steps, modes, fft",
+    [
+        (1.0, 1.0, 512, 96, True),
+        (2.0, 0.5, 512, 60, True),  # q = 128: four periods tile the grid
+        (1.0, 33 / 64, 64, 16, True),  # q = 33, the edge 2·modes < q
+        (1.0, 33 / 64, 64, 17, False),
+        (1.0, 0.5, 64, 16, False),  # q = 32: bin 16 is the real-only Nyquist bin
+        (2.5, 1.0, 512, 8, False),  # q = 204.8 is not whole
+        (1.0, 1e300, 64, 8, False),  # q > steps
+        (1.0, 1.7e308, 64, 8, False),  # q overflows to inf
+        (1e-300, 1.0, 64, 8, False),  # q overflows to inf
+    ],
+)
+def test_fft_samples_match_the_outer_product(T, period, steps, modes, fft):
+    sig = SpectralSignal(
+        hurst=0.4, modes=modes, seed=modes, amplitude=0.5, period=period
+    )
+    nodes = np.linspace(0.0, T, steps + 1)
+    lo, h = nodes[:-1], nodes[1:] - nodes[:-1]
+    want = (
+        sig.value(nodes),
+        sig.rate(lo + h * (0.5 - np.sqrt(3.0) / 6.0)),
+        sig.rate(lo + h * (0.5 + np.sqrt(3.0) / 6.0)),
+    )
+    grid = sig.sample_grid(T, steps)
+    assert (grid is not None) == fft
+    if fft:
+        for got, ref in zip(grid, want):
+            assert got.shape == ref.shape
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+    driver = DriverSpec(
+        d=1, base=(sig,), T=T, cells=steps // 4, substeps=4, N=2, alpha=0.45
+    )
+    samples, base_values = _sample_substeps(driver)
+    v, r1, r2 = grid if fft else want  # the FFT's samples, or bitwise the product
+    _f, inc, rate1, rate2 = samples.columns[0]
+    assert np.array_equal(inc, v[1:] - v[:-1])
+    assert np.array_equal(rate1, r1) and np.array_equal(rate2, r2)
+    assert np.array_equal(base_values[0], v[::4])
+
+
+def test_spectral_sampling_peak_memory_is_node_sized():
+    # simple-n3-fbm's spectral driver: 96 modes on 8192 cells x 4 substeps.
+    # The outer product peaked at 74.1 MiB (296 node arrays) with its
+    # (steps, modes) phase temporaries; the FFT peaks at 2.1 MiB (8.5 node
+    # arrays: nodes, step lengths, values, increments, two rates, and the
+    # FFT's bins and output)
+    sig = SpectralSignal(hurst=0.78, modes=96, seed=11, amplitude=0.35)
+    driver = DriverSpec(d=1, base=(sig,), cells=8192, substeps=4, N=3, alpha=0.3)
+    tracemalloc.start()
+    try:
+        _sample_substeps(driver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    node_array = (8192 * 4 + 1) * np.dtype(float).itemsize
+    assert peak < 10 * node_array, peak / node_array
 
 
 @pytest.mark.parametrize("modes", [7, 33, 64, 96])
