@@ -21,7 +21,6 @@ Usage: python3 scripts/alpha_window.py   (176 lifts, about a minute)
 
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -90,8 +89,6 @@ def row(N: int, hurst: float, alpha: float, window: str) -> str:
 
 
 def main() -> int:
-    # rough drivers trip the Young-precondition estimate on every rung
-    warnings.filterwarnings("ignore", "Young precondition")
     print(
         f"driver: spectral, {MODES} modes, {CELLS} cells x {SUBSTEPS} substeps, "
         f"{RUNGS} rungs, seeds {SEEDS.start}..{SEEDS.stop - 1}; medians over seeds"

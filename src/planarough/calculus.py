@@ -20,15 +20,13 @@ once per derivative order.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forest_core import EMPTY, b_plus, concat, letter_weight, single
 from .controlled import ControlledPath, SmoothFunctionWithDerivatives
-from .rates import MeshLadder, fit_loglog
+from .rates import MeshLadder
 from .rough_path import ConfigError, RoughPath
 
 
@@ -142,46 +140,22 @@ def rough_integral(
     return out
 
 
-def holder_exponent(node_values: np.ndarray, scales_T: float = 1.0) -> float:
-    """Empirical Hölder order of a sampled path from dyadic increment maxima."""
-    v = np.asarray(node_values, dtype=float)
-    m = len(v) - 1
-    scales, maxima = [], []
-    stride = 1
-    while stride * 8 <= m:
-        diffs = v[stride::stride] - v[:-stride:stride]
-        scales.append(scales_T * stride / m)
-        maxima.append(float(np.max(np.abs(diffs))))
-        stride *= 2
-    return fit_loglog(scales, maxima, floor=1e-14)
-
-
 def young_integral(
-    integrand_nodes: np.ndarray,
-    cell_increments: np.ndarray,
-    T: float = 1.0,
+    integrand_nodes: np.ndarray, cell_increments: np.ndarray
 ) -> np.ndarray:
     """Left-point Young sums per cell: ``g(t_k) · δW_k``.
 
     ``integrand_nodes`` holds the integrand at the mesh nodes (one more entry
-    than ``cell_increments``).  On 16 or more cells the empirical Hölder
-    orders of both sequences are estimated from dyadic increments; a summed
-    order ≤ 1 triggers a ``UserWarning`` (the product limit is then not
-    guaranteed to exist).
+    than ``cell_increments``).  The sums converge when the Hölder orders of
+    integrand and integrator add up to more than 1 (Young 1936).  At ``N = 3``
+    the identities pair α-Hölder integrands with 3α-Hölder compensators, so
+    that is ``4α > 1``, which ``DriverSpec`` guarantees through
+    ``alpha_window(3)``.
     """
     g = np.asarray(integrand_nodes, dtype=float)
     dw = np.asarray(cell_increments, dtype=float)
     if len(g) != len(dw) + 1:
         raise ValueError("need one more integrand node than increments")
-    if len(dw) >= 16:
-        a_g = holder_exponent(g, T)
-        a_w = holder_exponent(np.concatenate([[0.0], np.cumsum(dw)]), T)
-        if a_g + a_w <= 1.0 and not (math.isinf(a_g) or math.isinf(a_w)):
-            warnings.warn(
-                f"Young precondition violated: estimated orders "
-                f"{a_g:.3f} + {a_w:.3f} <= 1",
-                stacklevel=2,
-            )
     return g[:-1] * dw
 
 

@@ -61,7 +61,7 @@ from .forest_core import (
     bracket_alphabet,
     parse_forest,
 )
-from .hopf_mkw import TruncatedBasis, coproduct_table, run_selftest, star_table
+from .hopf_mkw import TruncatedBasis, coproduct_table, run_selftest
 from .ito_verify import verify_general, verify_simple
 from .rates import MeshLadder
 from .rough_path import (
@@ -430,7 +430,7 @@ def _cmd_dump(exp: dict, out_dir: str) -> dict:
         write_csv(
             os.path.join(out_dir, "star.csv"),
             "left,right,result,coefficient",
-            star_table(basis),
+            ((l, r, src, c) for src, l, r, c in coproduct_table(basis)),
         )
         out = "star.csv"
     elif what == "lift":

@@ -390,14 +390,6 @@ def coproduct_table(basis: TruncatedBasis):
             yield (src, basis.forests[li].key, basis.forests[ri].key, c)
 
 
-def star_table(basis: TruncatedBasis):
-    """Rows ``(left_key, right_key, result_key, coefficient)``."""
-    for k, rows in enumerate(basis.cut_rows):
-        res = basis.forests[k].key
-        for li, ri, c in rows:
-            yield (basis.forests[li].key, basis.forests[ri].key, res, c)
-
-
 # ---------------------------------------------------------------------------
 # Exact self-checks
 # ---------------------------------------------------------------------------

@@ -54,9 +54,10 @@ from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
     RoughPath,
+    ScalarExtensionPath,
     bracket_extension,
-    cbar_path,
-    tilde_path,
+    cbar_series,
+    tilde_series,
 )
 
 
@@ -93,7 +94,7 @@ class Term:
     integrands: dict
     integrator: object
 
-    def total(self, stride: int, T: float) -> float:
+    def total(self, stride: int) -> float:
         """The sum over the ``stride``-cell mesh."""
         if isinstance(self.integrator, RoughPath):
             return sum(
@@ -103,7 +104,7 @@ class Term:
         total = 0.0
         for l, g in self.integrands.items():
             increments = self.integrator[l].cell_increments(stride)
-            total += float(young_integral(g[::stride], increments, T=T).sum())
+            total += float(young_integral(g[::stride], increments).sum())
         return total
 
 
@@ -136,7 +137,7 @@ def _table(x: RoughPath, z: ControlledPath, jets_of: dict, mixed) -> list:
             Term(
                 "tilde_third_order",
                 {ijk: integrand(*ijk)[0][:, 0, 0] for ijk in triples},
-                {ijk: tilde_path(xhat, *ijk) for ijk in triples},
+                {ijk: ScalarExtensionPath(xhat, tilde_series(*ijk)) for ijk in triples},
             )
         )
         if mixed is not None:
@@ -144,7 +145,7 @@ def _table(x: RoughPath, z: ControlledPath, jets_of: dict, mixed) -> list:
                 Term(
                     "cbar_mixed_order",
                     {(i, j, k): mixed[:, i - 1, j - 1, k - 1] for i, j, k in triples},
-                    {ijk: cbar_path(xhat, *ijk) for ijk in triples},
+                    {ijk: ScalarExtensionPath(xhat, cbar_series(*ijk)) for ijk in triples},
                 )
             )
     return table
@@ -158,7 +159,7 @@ def _verify(name, theorem, values, x, table, rungs, tolerance) -> ItoReport:
     terms = {t.name: [] for t in table}
     for stride in strides:
         for t in table:
-            terms[t.name].append(t.total(stride, x.T))
+            terms[t.name].append(t.total(stride))
     rhs = [sum(terms[k][r] for k in terms) for r in range(len(strides))]
     ladder = MeshLadder.fit(strides, scales, rhs, lhs)
     threshold = (x.N + 1) * x.alpha - 1.0 - 0.3

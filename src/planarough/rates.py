@@ -1,10 +1,10 @@
 """Log-log slope fitting for empirical convergence orders.
 
 All rate estimates in the package funnel through :func:`fit_loglog`, which
-implements one shared convention: residuals at or below ``floor`` are treated
-as exact (pure roundoff) and excluded from the fit, and when fewer than two
-informative points remain the fit returns ``+inf`` — "converged faster than
-measurable", which passes any threshold.
+implements one shared convention for every caller: residuals at or below
+:data:`RESIDUAL_FLOOR` are treated as exact (pure roundoff) and excluded from
+the fit, and when fewer than two informative points remain the fit returns
+``+inf`` — "converged faster than measurable", which passes any threshold.
 
 :class:`MeshLadder` holds the one mesh-ladder policy of the reports: which
 strides a refinement study uses, their mesh sizes, the residual fit along
@@ -23,23 +23,23 @@ import numpy as np
 RESIDUAL_FLOOR = 1e-10
 
 
-def fit_loglog(scales, values, floor: float = RESIDUAL_FLOOR) -> float:
+def fit_loglog(scales, values) -> float:
     """Least-squares slope of log(values) against log(scales).
 
     Args:
         scales: positive mesh sizes / step sizes.
         values: nonnegative residual magnitudes, same length.
-        floor: values ≤ floor are dropped (roundoff, no information).
 
     Returns:
-        Fitted slope, or ``+inf`` when fewer than two points survive the
-        floor (the quantity vanishes to within roundoff at every scale).
+        Fitted slope, or ``+inf`` when fewer than two points lie above
+        :data:`RESIDUAL_FLOOR` (the quantity vanishes to within roundoff at
+        every scale).
     """
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
     if scales.shape != values.shape:
         raise ValueError("scales and values must have matching shapes")
-    keep = values > floor
+    keep = values > RESIDUAL_FLOOR
     if keep.sum() < 2:
         return math.inf
     return float(np.polyfit(np.log(scales[keep]), np.log(values[keep]), 1)[0])

@@ -684,22 +684,12 @@ class ScalarExtensionPath:
     def increment(self, a: int, b: int) -> float:
         return float(self.xhat.eval_nodes(a, b) @ self._vec)
 
-    def cell_increments(self, stride: int = 1) -> np.ndarray:
+    def cell_increments(self, stride: int) -> np.ndarray:
         """Direct increments of all aligned stride-blocks of the grid."""
         return self.xhat.stride_chars(stride) @ self._vec
 
     def additivity_defect(self, a: int, u: int, b: int) -> float:
         return self.increment(a, b) - self.increment(a, u) - self.increment(u, b)
-
-
-def tilde_path(xhat: RoughPath, i: int, j: int, k: int) -> ScalarExtensionPath:
-    """Third-order scalar extension path for the letter triple ``(i, j, k)``."""
-    return ScalarExtensionPath(xhat, tilde_series(i, j, k))
-
-
-def cbar_path(xhat: RoughPath, i: int, j: int, k: int) -> ScalarExtensionPath:
-    """Mixed-compensator scalar extension path for ``(i, j, k)``."""
-    return ScalarExtensionPath(xhat, cbar_series(i, j, k))
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,11 @@ from planarough.rough_path import (
     TrigSignal,
     bracket_extension,
     bracket_series,
-    cbar_path,
     cbar_series,
     character_residuals,
     chen_residuals,
     lift,
-    tilde_path,
+    tilde_series,
 )
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -292,7 +291,7 @@ def test_criterion_09_extension_additivity_and_restriction():
             )
         )
     )
-    tilde = tilde_path(xh3, 1, 1, 1)
+    tilde = ScalarExtensionPath(xh3, tilde_series(1, 1, 1))
     for _ in range(100):
         a, u, b = sorted(int(v) for v in rng.integers(0, xh3.cells + 1, 3))
         assert abs(tilde.additivity_defect(a, u, b)) <= 1e-10
@@ -334,8 +333,9 @@ def test_criterion_09_extension_additivity_and_restriction():
             for _ in range(n)
         ]
         for ijk in ijks:
+            path = ScalarExtensionPath(xh, cbar_series(*ijk))
             for a, u, b in splits:
-                plain = abs(cbar_path(xh, *ijk).additivity_defect(a, u, b))
+                plain = abs(path.additivity_defect(a, u, b))
                 assert plain <= 1e-10, (
                     f"mixed-compensator additivity defect is {plain:.6g} at "
                     f"{ijk} over {(a, u, b)}, gate is 1e-10: the series is "

@@ -1,7 +1,6 @@
 """Elementary differentials, integrals, and the tree-Euler solver."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from planarough.calculus import (
     DivergenceError,
     VectorFieldFamily,
     elementary_differentials,
-    holder_exponent,
     rough_integral,
     solve_rde,
     young_integral,
@@ -28,7 +26,6 @@ from planarough.forest_core import (
 from planarough.rough_path import (
     DriverSpec,
     PolySignal,
-    SpectralSignal,
     bracket_extension,
     lift,
 )
@@ -235,26 +232,6 @@ def test_young_integral_left_point_sums():
 def test_young_integral_shape_validation():
     with pytest.raises(ValueError):
         young_integral(np.zeros(5), np.zeros(5))
-
-
-def test_young_precondition_warning_fires_for_rough_pair():
-    t = np.linspace(0.0, 1.0, 513)
-    g = SpectralSignal(hurst=0.4, modes=256, seed=3).value(t)
-    w = SpectralSignal(hurst=0.45, modes=256, seed=4).value(t)
-    with pytest.warns(UserWarning, match="Young precondition"):
-        young_integral(g, np.diff(w))
-
-
-def test_young_precondition_quiet_for_smooth_pair():
-    t = np.linspace(0.0, 1.0, 257)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        young_integral(t, np.diff(t**2))
-
-
-def test_holder_exponent_linear_path():
-    t = np.linspace(0.0, 1.0, 257)
-    assert holder_exponent(t) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,18 @@ def test_ito_command_runs_and_reports(tmp_path, capsys):
     assert "PASS ito ana" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+def test_suite_entry_runs_warning_free(tmp_path, capsys):
+    # the suite's N = 3 spectral entry, with every warning an error: its
+    # Young sums rely on 4α > 1, which its declared α guarantees
+    suite = os.path.join(os.path.dirname(__file__), "..", "configs", "ito-suite.json")
+    (exp,) = [e for e in load_experiments(suite) if e["name"] == "simple-n3-fbm"]
+    cfg = write_config(tmp_path, "c.json", exp)
+    rc = main(["ito", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"])
+    assert rc == EXIT_OK
+    assert "PASS ito simple-n3-fbm" in capsys.readouterr().out
+
+
 def test_outputs_are_byte_deterministic(tmp_path):
     doc = {
         "experiments": [

@@ -46,7 +46,6 @@ from planarough.hopf_mkw import (
     pairing,
     shuffle,
     shuffle_morphism_defect,
-    star_table,
 )
 from planarough.rough_path import bracket_series, cbar_series, tilde_series
 
@@ -321,15 +320,6 @@ def test_restricted_commutator_matches_full(letters, support_keys):
     full = alg.star(a, b) - alg.star(b, a)
     assert np.count_nonzero(full) > 0
     assert np.array_equal(alg.commutator(a, b, support), full)
-
-
-def test_star_table_transposes_coproduct_table():
-    basis = TruncatedBasis(bracket_alphabet(1), MAX_WEIGHT)
-    rows = {(l, r, res) for l, r, res, _c in star_table(basis)}
-    from planarough.hopf_mkw import coproduct_table
-
-    cows = {(l, r, src) for src, l, r, _c in coproduct_table(basis)}
-    assert rows == cows
 
 
 # ---------------------------------------------------------------------------

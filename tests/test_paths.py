@@ -39,12 +39,12 @@ from planarough.rough_path import (
     _substep_chars,
     alpha_window,
     bracket_extension,
-    cbar_path,
+    cbar_series,
     character_residuals,
     chen_residuals,
     get_algebra,
     lift,
-    tilde_path,
+    tilde_series,
 )
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def test_third_order_compensator_path_additive():
         alpha=0.30,
     )
     xhat = bracket_extension(lift(spec))
-    p = tilde_path(xhat, 1, 2, 1)
+    p = ScalarExtensionPath(xhat, tilde_series(1, 2, 1))
     assert abs(p.increment(0, xhat.cells)) > 1e-2  # non-degenerate specimen
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -381,7 +381,7 @@ def test_third_order_compensator_path_additive():
 
 def test_third_order_compensator_vanishes_for_canonical_driver():
     xhat = bracket_extension(lift(analytic_driver(N=3)))
-    p = tilde_path(xhat, 1, 1, 1)
+    p = ScalarExtensionPath(xhat, tilde_series(1, 1, 1))
     assert abs(p.increment(0, xhat.cells)) < 1e-13
 
 
@@ -411,7 +411,7 @@ def test_mixed_compensator_known_defect():
     assert old.additivity_defect(0, half, xhat.cells) == pytest.approx(
         0.25, abs=1e-12
     )
-    p = cbar_path(xhat, 1, 1, 1)
+    p = ScalarExtensionPath(xhat, cbar_series(1, 1, 1))
     assert abs(p.increment(0, xhat.cells)) <= 1e-12
     assert abs(p.additivity_defect(0, half, xhat.cells)) <= 1e-12
 
@@ -424,7 +424,8 @@ def test_scalar_extension_path_consistency():
     xhat = bracket_extension(lift(spec))
     # block sums reproduce the whole increment only for additive series:
     # the tilde and the mixed path are, the pre-fix mixed series visibly not
-    for p in (tilde_path(xhat, 1, 2, 1), cbar_path(xhat, 2, 1, 1)):
+    for series in (tilde_series(1, 2, 1), cbar_series(2, 1, 1)):
+        p = ScalarExtensionPath(xhat, series)
         whole = p.increment(0, xhat.cells)
         assert abs(whole) > 1e-3  # non-degenerate specimen
         assert p.cell_increments(4).sum() == pytest.approx(whole, abs=1e-14)
