@@ -92,10 +92,10 @@ class SmoothFunctionWithDerivatives:
             comps = list(self.exprs)
             for _ in range(m):
                 comps = [c.diff(s) for c in comps for s in self.symbols]
-            self._tensors[m] = sympy.lambdify(self.symbols, comps, modules="numpy")
+            # the module object, not "numpy": that string star-imports numpy,
+            # which loads numpy.f2py, numpy.testing and unittest
+            self._tensors[m] = sympy.lambdify(self.symbols, comps, modules=[np])
         u = np.asarray(u, dtype=float)
-        if u.ndim == 1:  # one RDE step: no per-component copies
-            return np.array(self._tensors[m](*u), dtype=float)
         comps = self._tensors[m](*(u[..., k] for k in range(self.n_in)))
         out = np.empty(u.shape[:-1] + (len(comps),))
         for i, c in enumerate(comps):

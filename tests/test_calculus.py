@@ -26,6 +26,8 @@ from planarough.forest_core import (
 from planarough.rough_path import (
     DriverSpec,
     PolySignal,
+    SpectralSignal,
+    TrigSignal,
     bracket_extension,
     lift,
 )
@@ -274,6 +276,100 @@ def test_solve_rde_dimension_mismatch():
     )
     with pytest.raises(ValueError):
         solve_rde(x, fields, [1.0])
+
+
+def cell_recursion(x, fields, xi):
+    """``Y_{k+1} = Y_k + Σ_τ ⟨X_{cell k}, τ⟩ f_τ(Y_k)``, one cell at a time,
+    up to the first state outside the trust region."""
+    basis = x.algebra.basis
+    trees = [f for f in basis.forests if len(f.trees) == 1]
+    f_taus = elementary_differentials(trees, fields.d)
+    cells = x.levels[0][:, [basis.index[f] for f in trees]]
+    y = np.empty((len(x.grid), fields.n))
+    y[0] = xi
+    with np.errstate(all="ignore"):
+        for k in range(x.cells):
+            ft = f_taus(fields.tensors(y[k : k + 1], x.N - 1))[0]
+            y[k + 1] = y[k] + cells[k] @ ft
+            if not np.all(np.abs(y[k + 1]) <= 1e6):
+                return y[: k + 2]
+    return y
+
+
+def d2_x(base, N=3, cells=1024, intensities=()):
+    return lift(
+        DriverSpec(
+            d=2, base=base, intensities=intensities, cells=cells, substeps=2,
+            N=N, alpha=0.45 if N == 2 else 0.30,
+        )
+    )
+
+
+def fields_of(*rows):
+    n = len(rows[0])
+    return VectorFieldFamily.from_expressions(rows, tuple(f"y{a + 1}" for a in range(n)))
+
+
+D2N3_FIELDS = (("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4"))
+TRIG_POLY = (
+    TrigSignal(((0.55, 2.0, 0.4), (0.18, 5.0, 2.1))),
+    PolySignal((0.0, 0.7, -0.3)),
+)
+ROUGH = tuple(SpectralSignal(hurst=0.3, modes=256, seed=s) for s in (3, 4))
+
+SWEEP_CASES = {
+    "d1-n2": lambda: (canonical_x(N=2, lam=0.3), fields_of(("0.5 + sin(2*y1)",)), [0.3]),
+    "d1-n3": lambda: (canonical_x(N=3, lam=0.3), fields_of(("0.5 + sin(2*y1)",)), [0.3]),
+    "general-d2n3": lambda: (
+        d2_x(TRIG_POLY, intensities=((parse_forest("[•1]2"), PolySignal((0.0, 0.15))),)),
+        fields_of(*D2N3_FIELDS),
+        [0.2, -0.4],
+    ),
+    "cos-exp": lambda: (canonical_x(N=3), fields_of(("cos(y1) + exp(y1/3)",)), [0.1]),
+    "constant": lambda: (d2_x(TRIG_POLY, N=2), fields_of(("0.25", "1"), ("-0.5", "0.75")), [1.0, 2.0]),
+    "rough-d2": lambda: (d2_x(ROUGH), fields_of(*D2N3_FIELDS), [0.2, -0.4]),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_sweep_matches_cell_recursion(case):
+    # every node of the windowed sweep is the recursion's, bit for bit
+    x, fields, xi = SWEEP_CASES[case]()
+    y = solve_rde(x, fields, xi)
+    assert np.array_equal(y.coeffs[EMPTY], cell_recursion(x, fields, xi))
+
+
+def test_sweep_evaluates_windows_not_cells(monkeypatch):
+    # a smooth driver settles each window in a few sweeps, so the fields are
+    # evaluated far fewer times than once per cell
+    calls = []
+    tensors = VectorFieldFamily.tensors
+    monkeypatch.setattr(
+        VectorFieldFamily,
+        "tensors",
+        lambda self, u, order: calls.append(len(u)) or tensors(self, u, order),
+    )
+    x = canonical_x(N=3, cells=4096, lam=0.3)
+    solve_rde(x, fields_of(("0.5 + sin(2*y1)",)), [0.3])
+    assert len(calls) <= x.cells // 16
+    # constant fields make every guess exact after one sweep over it, and the
+    # next sweep confirms it: eight sweeps and the coefficients
+    calls.clear()
+    x, fields, xi = SWEEP_CASES["constant"]()
+    solve_rde(x, fields, xi)
+    assert len(calls) <= 9 and calls[-1] == len(x.grid)
+
+
+@pytest.mark.parametrize("expr, xi", [("y1**2", 5.0), ("exp(y1)", 0.5)])
+@pytest.mark.filterwarnings("error")
+def test_divergence_keeps_its_step(expr, xi):
+    # the error names the first node outside the trust region, as the cell
+    # recursion finds it; overflowing guesses beyond it warn nothing
+    x = canonical_x(cells=256)
+    want = x.grid[len(cell_recursion(x, scalar_fields(expr), [xi])) - 1]
+    assert want < x.grid[-1]
+    with pytest.raises(DivergenceError, match=f"t={want:.6g}$"):
+        solve_rde(x, scalar_fields(expr), [xi])
 
 
 # ---------------------------------------------------------------------------

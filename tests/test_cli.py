@@ -280,6 +280,63 @@ def test_exit_diverged(tmp_path, capsys):
     assert "FAIL rde blowup" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+def test_exit_diverged_on_overflow(tmp_path, capsys):
+    # exp overflows in the guesses past the first node outside the trust
+    # region; with every warning an error the exit code stays the documented
+    # one, for the general identity as for the solver alone
+    exp = analytic_ito_experiment("overflow")
+    del exp["driver"]["intensities"]
+    exp["ito"] = {
+        "theorem": "general",
+        "F": {"exprs": ["y1**2"], "vars": ["y1"]},
+        "fields": {"exprs": [["exp(y1)"]], "vars": ["y1"]},
+        "xi": [0.5],
+    }
+    exp["rde"] = {"fields": exp["ito"]["fields"], "xi": [0.5]}
+    cfg = write_config(tmp_path, "c.json", exp)
+    for command in ("ito", "rde"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_DIVERGED
+        summary = read_json(out, "summary.json")
+        assert "trust region at t=0.617188" in summary["experiments"][0]["error"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_lambdify_leaves_numpy_test_modules_unloaded(tmp_path):
+    # a general ito run compiles through numpy's namespace, not through
+    # "from numpy import *", which loads numpy.f2py, numpy.testing, unittest
+    exp = analytic_ito_experiment("lean")
+    del exp["driver"]["intensities"]
+    exp["driver"]["cells"] = 64
+    exp["ito"] = {
+        "theorem": "general",
+        "F": {"exprs": ["sin(y1)"], "vars": ["y1"]},
+        "fields": {"exprs": [["cos(y1)"]], "vars": ["y1"]},
+        "xi": [0.5],
+        "rungs": 3,
+        "tolerance": 1e-4,
+    }
+    cfg = write_config(tmp_path, "c.json", exp)
+    root = os.path.join(os.path.dirname(__file__), "..")
+    code = (
+        "import sys; from planarough.cli import main; "
+        f"rc = main(['ito', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
+        "print(rc, sorted(m for m in ('numpy.f2py', 'numpy.testing', 'unittest') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
+
 def test_exit_config_on_bad_alpha(tmp_path, capsys):
     exp = analytic_ito_experiment("bad")
     exp["driver"]["alpha"] = 0.9
