@@ -326,6 +326,12 @@ SWEEP_CASES = {
         [0.2, -0.4],
     ),
     "cos-exp": lambda: (canonical_x(N=3), fields_of(("cos(y1) + exp(y1/3)",)), [0.1]),
+    # two states: each column reaches the compiled functions as a strided view
+    "d2-sin-exp": lambda: (
+        d2_x(TRIG_POLY),
+        fields_of(("sin(y2)", "cos(y1)"), ("exp(-y1*y2)", "0.3*sin(y1 + y2)")),
+        [0.2, -0.4],
+    ),
     "constant": lambda: (d2_x(TRIG_POLY, N=2), fields_of(("0.25", "1"), ("-0.5", "0.75")), [1.0, 2.0]),
     "rough-d2": lambda: (d2_x(ROUGH), fields_of(*D2N3_FIELDS), [0.2, -0.4]),
 }
