@@ -28,9 +28,10 @@ call each value goes to holds its default and checks the rules it relies
 on, raising :class:`~planarough.rough_path.ConfigError`.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 a solution
-diverged, 3 an I/O failure, 64 a malformed config, 70 an internal error (an
-uncaught exception, in this process or in a ``--jobs`` worker, reported as
-one ``internal error:`` line on stderr).
+diverged, 3 an I/O failure, 64 a malformed config or command line (an
+unknown command, a flag without its value, ``--jobs`` below 1), 70 an
+internal error (an uncaught exception, in this process or in a ``--jobs``
+worker, reported as one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -465,8 +466,28 @@ def run_experiment(command: str, exp: dict, out_root: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 64 (sysexits' ``EX_USAGE``), not 2,
+    the code of a diverged solution; ``--help`` still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planarough",
         description="planarly branched rough-path calculus experiments",
     )
@@ -475,7 +496,7 @@ def _parse_args(argv):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment file")
         p.add_argument("--out", default="out", help="output directory root")
-        p.add_argument("--jobs", type=int, default=1, help="parallel experiments")
+        p.add_argument("--jobs", type=_jobs, default=1, help="parallel experiments")
     return parser.parse_args(argv)
 
 
@@ -494,7 +515,9 @@ def main(argv=None) -> int:
         runs = [(args.command, exp, args.out) for exp in experiments]
         with contextlib.ExitStack() as stack:
             if args.jobs > 1 and len(runs) > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs))
+                # the fork start method starts every worker on the first submit
+                workers = min(args.jobs, len(runs))
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 calls = [pool.submit(run_experiment, *run).result for run in runs]
             else:
                 calls = [functools.partial(run_experiment, *run) for run in runs]

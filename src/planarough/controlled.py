@@ -15,6 +15,10 @@ on its first use; sympy does nothing else), the one numeric contraction
 tensors at a controlled path's states (its *jets*), and the transport
 remainder with its empirical rate fit.  ``F(X)`` is the same composition
 along :func:`driver_path`, the driver controlled by its own lift.
+
+This is the only module that uses sympy, and it imports it inside the
+methods that parse, differentiate and compile an expression, so commands
+that parse none (``lift``, ``dump``, ``hopf-selftest``) never load it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
-from sympy.core.function import AppliedUndef
 
 from .forest_core import EMPTY, MAX_WEIGHT, PlanarForest, forest, single
 from .hopf_mkw import coproduct_mkw
@@ -54,6 +56,8 @@ class SmoothFunctionWithDerivatives:
     _tensors: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        import sympy
+
         self.exprs = tuple(sympy.sympify(e) for e in self.exprs)
 
     @classmethod
@@ -64,6 +68,9 @@ class SmoothFunctionWithDerivatives:
         outside ``variables`` or a call of an undefined function, so every
         order compiles.
         """
+        import sympy
+        from sympy.core.function import AppliedUndef
+
         if len(set(variables)) != len(variables):
             raise ConfigError(f"vars repeat a name: {list(variables)}")
         symbols = tuple(sympy.Symbol(n, real=True) for n in variables)
@@ -89,6 +96,8 @@ class SmoothFunctionWithDerivatives:
     def _eval_flat(self, m: int, u):
         """Order-m components at ``u``, row-major in ``(output, a1, …, am)``."""
         if m not in self._tensors:
+            import sympy
+
             comps = list(self.exprs)
             for _ in range(m):
                 comps = [c.diff(s) for c in comps for s in self.symbols]

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: commands, determinism, exit codes."""
 
+import concurrent.futures
+import contextlib
 import hashlib
 import json
 import os
@@ -150,6 +152,37 @@ def test_jobs_flag_runs_experiments_in_processes(tmp_path):
     rc = main(["ito", "--config", cfg, "--out", str(tmp_path / "serial")])
     assert rc == EXIT_OK
     assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "serial")
+
+
+@pytest.mark.parametrize(
+    "jobs, experiments, workers", [(4, 2, [2]), (2, 3, [2]), (3, 1, [])]
+)
+def test_jobs_pool_starts_no_idle_workers(
+    tmp_path, monkeypatch, jobs, experiments, workers
+):
+    # a forked pool starts all max_workers processes on its first submit;
+    # the stand-in records the size and runs each call in this process
+    sizes = []
+
+    class InlinePool(contextlib.AbstractContextManager):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __exit__(self, *exc):
+            return None
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    exps = [{"name": f"e{k}", "dump": {"d": 1}} for k in range(experiments)]
+    cfg = write_config(tmp_path, "c.json", {"experiments": exps})
+    argv = ["dump", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", str(jobs)]
+    assert main(argv) == EXIT_OK
+    assert sizes == workers
+    assert len(read_json(tmp_path, "o", "summary.json")["experiments"]) == experiments
 
 
 def test_integrate_command(tmp_path):
@@ -303,6 +336,20 @@ def test_exit_diverged_on_overflow(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter from the repository root with its
+    ``src`` on ``PYTHONPATH``, so no module this process loaded is there."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
 def test_lambdify_leaves_numpy_test_modules_unloaded(tmp_path):
     # a general ito run compiles through numpy's namespace, not through
     # "from numpy import *", which loads numpy.f2py, numpy.testing, unittest
@@ -318,23 +365,43 @@ def test_lambdify_leaves_numpy_test_modules_unloaded(tmp_path):
         "tolerance": 1e-4,
     }
     cfg = write_config(tmp_path, "c.json", exp)
-    root = os.path.join(os.path.dirname(__file__), "..")
     code = (
         "import sys; from planarough.cli import main; "
         f"rc = main(['ito', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
         "print(rc, sorted(m for m in ('numpy.f2py', 'numpy.testing', 'unittest') "
         "if m in sys.modules))"
     )
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
-        text=True, timeout=120,
-    )
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
+
+
+def test_only_commands_that_parse_expressions_load_sympy(tmp_path):
+    # sympy's import is most of a cold start; lift, dump and hopf-selftest
+    # parse no expression, so they must not pay for it
+    exp = analytic_ito_experiment("e")
+    exp["driver"]["cells"] = 64
+    exp["ito"]["rungs"] = 3
+    exp["lift"] = {"probes": 4}
+    exp["hopf"] = {"d": 1, "max_weight": 2}
+    exp["dump"] = {"d": 1, "max_weight": 2}
+    cfg = write_config(tmp_path, "c.json", exp)
+    code = (
+        "import sys; import planarough; print('sympy:', 'sympy' in sys.modules)\n"
+        "from planarough.cli import main\n"
+        "for command in ('lift', 'dump', 'hopf-selftest', 'ito'):\n"
+        f"    rc = main([command, '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
+        "    print(f'sympy after {command}:', rc, 'sympy' in sys.modules)\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert [l for l in proc.stdout.splitlines() if l.startswith("sympy")] == [
+        "sympy: False",
+        f"sympy after lift: {EXIT_OK} False",
+        f"sympy after dump: {EXIT_OK} False",
+        f"sympy after hopf-selftest: {EXIT_OK} False",
+        f"sympy after ito: {EXIT_OK} True",
+    ]
 
 
 def test_exit_config_on_bad_alpha(tmp_path, capsys):
@@ -631,6 +698,35 @@ def test_exit_io_on_missing_config(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["lift", "--config"],
+        ["lift", "--unknown"],
+        ["dump", "--jobs", "x"],
+        ["dump", "--jobs", "0"],
+        ["dump", "--jobs", "-3"],
+    ],
+)
+def test_usage_errors_exit_config(capsys, argv):
+    # argparse's own code, 2, is the code of a diverged solution
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: planarough")
+    assert "error:" in err.splitlines()[-1]
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--jobs" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # Frozen report bytes
 # ---------------------------------------------------------------------------
@@ -804,23 +900,11 @@ def test_report_bytes_are_frozen(tmp_path, name):
 
 def test_benchmark_trace_still_attaches():
     """Every library name the benchmark's trace mode wraps still exists."""
-    root = os.path.join(os.path.dirname(__file__), "..")
     code = (
         "import sys; sys.path.insert(0, 'perfbench'); "
         "from probes import Tracer, instrument; instrument(Tracer())"
     )
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        cwd=root,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
 
 
