@@ -53,8 +53,8 @@ class VectorFieldFamily:
     d: int
 
     def __post_init__(self):
-        if self.d < 1 or self.stacked.n_out != self.d * self.n:
-            raise ValueError("need one or more vector fields mapping R^n to R^n")
+        if min(self.d, self.n) < 1 or self.stacked.n_out != self.d * self.n:
+            raise ValueError("need one or more vector fields on R^n, n ≥ 1")
 
     @classmethod
     def from_expressions(cls, exprs_per_field, variables):

@@ -236,7 +236,7 @@ def load_experiments(path: str) -> list:
             raise ConfigError("each experiment must be an object")
         name = _require(exp, "name", "experiment")
         bad = not isinstance(name, str) or not name or name.startswith(".")
-        if bad or "/" in name or "\\" in name:
+        if bad or any(c in name for c in "/\\\0"):
             raise ConfigError(f"bad experiment name {name!r}")
         if name in names:
             raise ConfigError(f"duplicate experiment name {name!r}")

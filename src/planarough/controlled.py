@@ -64,9 +64,11 @@ class SmoothFunctionWithDerivatives:
     def from_expressions(cls, exprs, variables):
         """Build from expression strings and distinct variable names.
 
-        Raises :class:`ConfigError` for a repeated name, a free symbol
-        outside ``variables`` or a call of an undefined function, so every
-        order compiles.
+        Raises :class:`ConfigError` for a repeated name, an entry that is no
+        real scalar expression (``None``, a list, a relation, or one holding
+        complex infinity or the imaginary unit), a free symbol outside
+        ``variables`` or a call of an undefined function, so every order
+        compiles to real arrays.
         """
         import sympy
         from sympy.core.function import AppliedUndef
@@ -77,6 +79,8 @@ class SmoothFunctionWithDerivatives:
         local = dict(zip(variables, symbols))
         parsed = tuple(sympy.sympify(e, locals=local) for e in exprs)
         for e in parsed:
+            if not isinstance(e, sympy.Expr) or e.has(sympy.zoo, sympy.I):
+                raise ConfigError(f"each expression must be a real scalar, not {e}")
             stray = (e.free_symbols - set(symbols)) | e.atoms(AppliedUndef)
             if stray:
                 names = ", ".join(sorted(map(str, stray)))

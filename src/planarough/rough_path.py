@@ -17,15 +17,15 @@ components are exact.
 
 The bracket extension re-lifts the driver over the alphabet extended by
 bracket letters ``(i j)``, whose level-one increments are defined per substep
-as ``⟨g, •_j •_i⟩ − ⟨g, [•_j]_i⟩`` of the base substep character.  Restricted
-to base-letter forests the extension reproduces the original lift exactly.
+as ``⟨g, •_j •_i⟩ − ⟨g, [•_j]_i⟩`` of the base substep character: the negated
+increment of the intensity on ``[•_j]_i``.  Restricted to base-letter forests
+the extension reproduces the original lift exactly.
 
 Both paths share one Magnus pipeline.  The lift samples each distinct signal
 once (values on the substep nodes, rates on the two Gauss arrays) and keeps
-those samples and the substep bracket increments on the :class:`RoughPath`;
-the extension reuses them instead of sampling the driver or rebuilding the
-base substep characters again.  Both build the substep characters one block
-of whole cells at a time and keep only the block's cell characters, so the
+those samples on the :class:`RoughPath`; the extension reuses them instead of
+sampling the driver again.  Both build the substep characters one block of
+whole cells at a time and keep only the block's cell characters, so the
 ``(substeps, dim)`` temporaries of the Magnus step are block-sized, not
 path-sized.
 """
@@ -304,14 +304,12 @@ class SubstepSamples:
     """What a lift sampled on its Magnus substeps, kept for the extension.
 
     A column is ``(forest, increments, rates at c₁, rates at c₂)`` per substep
-    of length ``h``, with Gauss points ``c₁, c₂``.  ``columns`` covers base
-    letters and intensities; ``brackets`` covers the letters ``(i j)``, with
-    increments ``⟨g, •_j •_i⟩ − ⟨g, [•_j]_i⟩`` of the base substep characters.
+    of length ``h``, with Gauss points ``c₁, c₂``; ``columns`` covers the base
+    letters and the intensities, which also give the bracket letters.
     """
 
     h: np.ndarray
     columns: list
-    brackets: list = field(default_factory=list)
 
 
 def _sample_substeps(driver: DriverSpec):
@@ -382,17 +380,14 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
 _BLOCK_ROWS = 2048
 
 
-def _cell_blocks(
-    driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, columns, pairs
-):
-    """Yield ``(substep column differences, cell characters)`` block by block.
+def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, columns):
+    """Yield the cell characters block by block.
 
     Each block is the same power-of-two number of whole cells; its substep
     characters come from :func:`_substep_chars` on the block's slice of the
-    samples, its cell characters are their ★-products per cell, and its
-    differences are ``chars[:, a] − chars[:, b]`` for each ``(a, b)`` in
-    ``pairs``.  The substep characters never leave this generator and are
-    dropped before the next block is built.
+    samples and its cell characters are their ★-products per cell.  The
+    substep characters never leave this generator and are dropped before the
+    next block is built.
     """
     cells = min(driver.cells, max(2, _BLOCK_ROWS // driver.substeps))
     rows = cells * driver.substeps
@@ -400,12 +395,11 @@ def _cell_blocks(
         block = slice(start, start + rows)
         sampled = [(f, *(a[block] for a in arrays)) for f, *arrays in columns]
         sub_chars = _substep_chars(algebra, h[block], sampled)
-        deltas = [sub_chars[:, a] - sub_chars[:, b] for a, b in pairs]
         cell_chars = algebra.star_reduce(
             sub_chars.reshape(cells, driver.substeps, algebra.dim)
         )
         del sub_chars
-        yield deltas, cell_chars
+        yield cell_chars
 
 
 def _pyramid(algebra: FloatAlgebra, cell_chars: np.ndarray):
@@ -567,7 +561,8 @@ class RoughPath:
         )
 
 
-def _path(driver, algebra, cell_chars, base_values, samples) -> RoughPath:
+def _path(driver, algebra, samples, columns, base_values) -> RoughPath:
+    cell_chars = list(_cell_blocks(driver, algebra, samples.h, columns))
     return RoughPath(
         algebra=algebra,
         grid=driver.grid,
@@ -583,17 +578,7 @@ def lift(driver: DriverSpec) -> RoughPath:
     """Lift a driver to a branched rough path over its base alphabet."""
     algebra = get_algebra(base_alphabet(driver.d), driver.N)
     samples, base_values = _sample_substeps(driver)
-    idx = algebra.basis.index
-    pairs = [(i, j) for i in range(1, driver.d + 1) for j in range(1, driver.d + 1)]
-    cols = [
-        (idx[concat(single(j), single(i))], idx[b_plus(single(j), i)]) for i, j in pairs
-    ]
-    blocks = _cell_blocks(driver, algebra, samples.h, samples.columns, cols)
-    deltas, cell_chars = zip(*blocks)
-    for (i, j), delta in zip(pairs, map(np.concatenate, zip(*deltas))):
-        rate = delta / samples.h
-        samples.brackets.append((single((i, j)), delta, rate, rate))
-    return _path(driver, algebra, cell_chars, base_values, samples)
+    return _path(driver, algebra, samples, samples.columns, base_values)
 
 
 def bracket_extension(x: RoughPath) -> RoughPath:
@@ -602,16 +587,29 @@ def bracket_extension(x: RoughPath) -> RoughPath:
     Level-one bracket components integrate ``⟨•_j •_i⟩ − ⟨[•_j]_i⟩`` of the
     base lift substep by substep, so the defining identity holds exactly on
     every grid interval (that combination is primitive, hence additive), and
-    base-letter components are reproduced bit for bit.  The signal samples
-    and the bracket increments are the ones the lift kept.
+    base-letter components are reproduced bit for bit.
+
+    Per substep, ``⟨exp Ω, •_j •_i⟩`` and ``⟨exp Ω, [•_j]_i⟩`` share the
+    quadratic part ``½·Ω_j·Ω_i`` and the Gauss commutator
+    ``h²·√3/12·(a1_j·a2_i − a2_j·a1_i)`` (one structure constant ``(•_j, •_i)``
+    each), so their difference is ``Ω_{•_j •_i} − Ω_{[•_j]_i} = −Δλ_{[•_j]_i}``,
+    the negated increment of the intensity on ``[•_j]_i``.  Each such intensity
+    in the lift's samples gives the column ``(•(ij), −Δλ, −Δλ/h, −Δλ/h)``; a
+    letter without one has zero increments and gets no column.  A lift step
+    that breaks this identity has to compute the difference again.
     """
     driver, samples = x.driver, x.samples
     if driver is None or samples is None:
         raise ValueError("bracket_extension needs a lift that kept its driver")
     ext_alg = get_algebra(bracket_alphabet(driver.d), driver.N)
-    columns = samples.columns + samples.brackets
-    cell_chars = [c for _, c in _cell_blocks(driver, ext_alg, samples.h, columns, [])]
-    return _path(driver, ext_alg, cell_chars, x.base_values, samples)
+    brackets = []
+    for f, inc, *_rates in samples.columns:
+        if f.degree == 2:  # the tree [•j]i, with root i
+            (root,) = f.trees
+            rate = -inc / samples.h
+            letter = (root.letter, root.children[0].letter)
+            brackets.append((single(letter), -inc, rate, rate))
+    return _path(driver, ext_alg, samples, samples.columns + brackets, x.base_values)
 
 
 # ---------------------------------------------------------------------------

@@ -300,7 +300,7 @@ def test_float_algebra_matches_exact_star():
     [
         # the columns a d = 3 lift samples: letters and two intensities
         (base_alphabet(3), ["•1", "•2", "•3", "[•1]2", "[•3•2]1"]),
-        # the columns a d = 2 extension samples: letters, brackets, intensity
+        # a d = 2 extension's letters and intensity, with every bracket letter
         (
             bracket_alphabet(2),
             ["•1", "•2", "[•1]2", "•(11)", "•(12)", "•(21)", "•(22)"],

@@ -579,7 +579,7 @@ def test_spectral_samples_do_not_depend_on_the_array(modes, T, cells, substeps):
 
 
 def _one_shot_levels(driver, algebra, h, columns):
-    """Substep and pyramid characters with every substep built at once."""
+    """Pyramid characters with every substep built at once."""
     sub_chars = _substep_chars(algebra, h, columns)
     levels = [
         algebra.star_reduce(
@@ -589,7 +589,7 @@ def _one_shot_levels(driver, algebra, h, columns):
     while levels[-1].shape[0] > 1:
         prev = levels[-1]
         levels.append(algebra.star(prev[0::2], prev[1::2]))
-    return sub_chars, levels
+    return levels
 
 
 @pytest.mark.parametrize("cells, substeps", [(512, 16), (4, 4096), (2, 2)])
@@ -613,36 +613,71 @@ def test_blocked_lift_matches_one_shot(cells, substeps):
     )
     x = lift(driver)
     h, columns = x.samples.h, x.samples.columns
-    sub_chars, levels = _one_shot_levels(driver, x.algebra, h, columns)
-    idx = x.algebra.basis.index
-    brackets = []
-    for i in (1, 2):
-        for j in (1, 2):
-            delta = (
-                sub_chars[:, idx[parse_forest(f"•{j}•{i}")]]
-                - sub_chars[:, idx[parse_forest(f"[•{j}]{i}")]]
-            )
-            brackets.append((single((i, j)), delta, delta / h, delta / h))
+    levels = _one_shot_levels(driver, x.algebra, h, columns)
     assert len(x.levels) == len(levels)
     for got, want in zip(x.levels, levels):
         assert np.array_equal(got, want)
-    assert len(x.samples.brackets) == len(brackets)
-    for got, want in zip(x.samples.brackets, brackets):
-        assert got[0] is want[0]
-        for a, b in zip(got[1:], want[1:]):
-            assert np.array_equal(a, b)
+    # the intensity on [•1]2 gives the letter (21); (11), (12), (22) have none
+    (inc,) = [inc for f, inc, *_ in columns if f == parse_forest("[•1]2")]
+    brackets = [(single((2, 1)), -inc, -inc / h, -inc / h)]
     ext_alg = get_algebra(bracket_alphabet(2), 3)
-    _sub, ext_levels = _one_shot_levels(driver, ext_alg, h, columns + brackets)
+    ext_levels = _one_shot_levels(driver, ext_alg, h, columns + brackets)
     xhat = bracket_extension(x)
     assert len(xhat.levels) == len(ext_levels)
     for got, want in zip(xhat.levels, ext_levels):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "d, N, trees",
+    [(1, 2, ("[•1]1",)), (3, 3, ("[•1]2", "[•2]2", "[•3•2]1", "[[•1]2]3"))],
+)
+def test_bracket_increments_are_negated_intensity_increments(d, N, trees):
+    # per substep character g, ⟨g, •j•i⟩ − ⟨g, [•j]i⟩ is −Δλ on [•j]i up to
+    # roundoff, and exactly zero without an intensity there; the extension
+    # takes its bracket letters from the intensity samples on that ground
+    base = (SpectralSignal(hurst=0.6, modes=24, seed=3, amplitude=0.4),)
+    base += tuple(
+        TrigSignal(((0.5 / k, 2.0 + k, 0.3 * k), (0.2, 7.0 + k, 1.1)))
+        for k in range(2, d + 1)
+    )
+    intensities = tuple(
+        (parse_forest(t), TrigSignal(((0.1 + 0.05 * n, 3.0 + n, 0.7 * n),)))
+        for n, t in enumerate(trees)
+    )
+    driver = DriverSpec(
+        d=d,
+        base=base,
+        intensities=intensities,
+        cells=64,
+        substeps=8,
+        N=N,
+        alpha=0.45 if N == 2 else 0.30,
+    )
+    samples, _values = _sample_substeps(driver)
+    algebra = get_algebra(base_alphabet(d), N)
+    sub = _substep_chars(algebra, samples.h, samples.columns)
+    idx = algebra.basis.index
+    increments = {f: inc for f, inc, *_ in samples.columns}
+    with_intensity = 0
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            tree = b_plus(single(j), i)
+            old = sub[:, idx[concat(single(j), single(i))]] - sub[:, idx[tree]]
+            if tree in increments:
+                dlam = increments[tree]
+                assert np.max(np.abs(old + dlam)) <= 1e-15 * np.max(np.abs(dlam))
+                with_intensity += 1
+            else:
+                assert not old.any()
+    assert with_intensity == sum(parse_forest(t).degree == 2 for t in trees)
+
+
 def test_lift_peak_memory_is_block_sized():
     # a full-width lift of 512 x 16 substeps peaked at 41.4 MiB, building
     # every (substeps, dim) array at once; blocks peaked at 14.5 MiB while
-    # the previous block's substep characters stayed alive, 12.0 MiB since
+    # the previous block's substep characters stayed alive, 12.0 MiB since,
+    # and 11.7 MiB since the lift stopped building bracket columns
     driver = d3_driver(cells=512, substeps=16)
     lift(d3_driver(cells=2, substeps=2))  # warm the algebra tables
     tracemalloc.start()
