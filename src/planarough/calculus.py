@@ -14,12 +14,11 @@ Differential equations driven by a lift are solved by the step-``N`` scheme
 
 with the elementary differentials ``f_{•_i} = f_i`` and
 ``f_{[τ1…τm]_i} = D^m f_i : (f_{τ1}, …, f_{τm})``, numeric contractions
-(:func:`elementary_differentials`) of the fields' tensors, which compile
-once per derivative order.  The recursion is sequential, but
-:func:`solve_rde` evaluates it a window of cells at a time: each sweep
-evaluates the steps at the latest guess of every node of the window and
-sums them in order, and the nodes that reproduce their guess bit for bit
-prove the next node exact.  The solution is the cell-by-cell recursion's to
+(:func:`elementary_differentials`) of the fields' derivative tensors.
+The recursion is sequential, but :func:`solve_rde` evaluates it a window of
+cells at a time: each sweep evaluates the steps at the latest guess of every
+node of the window and sums them in order, and the nodes that reproduce
+their guess bit for bit prove the next node exact.  The solution is the cell-by-cell recursion's to
 the last bit.
 """
 
@@ -47,7 +46,8 @@ class DivergenceError(RuntimeError):
 @dataclass(eq=False)
 class VectorFieldFamily:
     """Driving vector fields ``f_1, …, f_d`` on R^n as one ``stacked``
-    function of ``d·n`` outputs: each order compiles once for all fields."""
+    function of ``d·n`` outputs: one Taylor evaluation per order serves
+    all fields."""
 
     stacked: SmoothFunctionWithDerivatives
     d: int

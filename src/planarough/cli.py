@@ -193,13 +193,14 @@ def driver_from(cfg) -> DriverSpec:
 
 def _expressions(build, cfg, what: str):
     """``build(exprs, vars)`` from a function or fields section; every
-    error of sympify or of ``build``'s checks becomes a config error."""
+    error of the expression parser or of ``build``'s checks becomes a
+    config error."""
     _object(cfg, f"{what} section")
     exprs = _require(cfg, "exprs", what)
     variables = _require(cfg, "vars", what)
     try:
         return build(exprs, variables)
-    except (ValueError, TypeError, SyntaxError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad expressions in {what}: {exc}") from exc
 
 

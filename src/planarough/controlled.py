@@ -8,17 +8,16 @@ transported expansion
                term of σ}  +  R^τ_{s,t}
 
 has remainders of order ``(N − weight(τ)) · α`` in ``t − s``.  This module
-provides the function objects used everywhere (values plus exact derivative
-tensors of a user expression, each order differentiated and compiled once,
-on its first use; sympy does nothing else), the one numeric contraction
+provides the function objects used everywhere (values plus derivative
+tensors of a user expression), the one numeric contraction
 ``D^mF:(v1, …, vm)``, the controlled composition ``F(Y)`` of derivative
 tensors at a controlled path's states (its *jets*), and the transport
 remainder with its empirical rate fit.  ``F(X)`` is the same composition
 along :func:`driver_path`, the driver controlled by its own lift.
 
-This is the only module that uses sympy, and it imports it inside the
-methods that parse, differentiate and compile an expression, so commands
-that parse none (``lift``, ``dump``, ``hopf-selftest``) never load it.
+Expressions are parsed by a whitelist and differentiated in truncated
+Taylor arithmetic by :mod:`planarough.taylor`, which this module imports at
+the first expression it parses; nothing is evaluated as Python.
 """
 
 from __future__ import annotations
@@ -40,91 +39,60 @@ from .rough_path import ConfigError, RoughPath
 
 @dataclass(eq=False)
 class SmoothFunctionWithDerivatives:
-    """A smooth map with exact derivative tensors, compiled from sympy.
+    """A smooth map ``R^n_in → R^n_out`` given by expression strings, with its
+    derivative tensors by Taylor arithmetic (:mod:`planarough.taylor`).
 
     ``value(u)`` evaluates the map at points ``u`` of shape ``(..., n_in)``;
-    ``dm(u, (v1, …, vm))`` evaluates the m-th derivative as a symmetric
-    multilinear form on the given direction arrays.  All evaluations
-    broadcast over leading axes.  Each derivative order is differentiated
-    and compiled on its first use, as one function returning every
-    component of that tensor, so orders that are never evaluated cost
-    nothing.
+    ``tensor(u, m)`` the m-th derivative tensor; ``dm(u, (v1, …, vm))`` the
+    m-th derivative as a symmetric multilinear form on the given direction
+    arrays.  All evaluations broadcast over leading axes, and every row is
+    computed by elementwise operations alone, so a row reads the same bits
+    in any batch.  The expressions are parsed once, on construction.
     """
 
     exprs: tuple
-    symbols: tuple
-    _tensors: dict = field(init=False, repr=False, default_factory=dict)
+    variables: tuple
+    _program: object = field(init=False, repr=False)
 
     def __post_init__(self):
-        import sympy
+        """Parse the expressions; :class:`ConfigError` for a repeated or
+        non-string variable name, or an expression that
+        :func:`planarough.taylor.parse_expression` refuses."""
+        if not isinstance(self.exprs, (list, tuple)):
+            raise ConfigError("exprs must be a list of expressions")
+        if not isinstance(self.variables, (list, tuple)) or not all(
+            isinstance(v, str) for v in self.variables
+        ):
+            raise ConfigError("vars must be a list of names")
+        self.exprs, self.variables = tuple(self.exprs), tuple(self.variables)
+        if len(set(self.variables)) != len(self.variables):
+            raise ConfigError(f"vars repeat a name: {list(self.variables)}")
+        from .taylor import TaylorProgram  # compiled only where a command parses
 
-        self.exprs = tuple(sympy.sympify(e) for e in self.exprs)
+        self._program = TaylorProgram(self.exprs, self.variables)
 
     @classmethod
     def from_expressions(cls, exprs, variables):
-        """Build from expression strings and distinct variable names.
-
-        Raises :class:`ConfigError` for a repeated name, an entry that is no
-        real scalar expression (``None``, a list, a relation, or one holding
-        complex infinity or the imaginary unit), a free symbol outside
-        ``variables`` or a call of an undefined function, so every order
-        compiles to real arrays.
-        """
-        import sympy
-        from sympy.core.function import AppliedUndef
-
-        if len(set(variables)) != len(variables):
-            raise ConfigError(f"vars repeat a name: {list(variables)}")
-        symbols = tuple(sympy.Symbol(n, real=True) for n in variables)
-        local = dict(zip(variables, symbols))
-        parsed = tuple(sympy.sympify(e, locals=local) for e in exprs)
-        for e in parsed:
-            if not isinstance(e, sympy.Expr) or e.has(sympy.zoo, sympy.I):
-                raise ConfigError(f"each expression must be a real scalar, not {e}")
-            stray = (e.free_symbols - set(symbols)) | e.atoms(AppliedUndef)
-            if stray:
-                names = ", ".join(sorted(map(str, stray)))
-                raise ConfigError(
-                    f"expressions may use only vars and known functions, not {names}"
-                )
-        return cls(exprs=parsed, symbols=symbols)
+        """Build from expressions over distinct variable names."""
+        return cls(exprs=exprs, variables=variables)
 
     @property
     def n_in(self) -> int:
-        return len(self.symbols)
+        return len(self.variables)
 
     @property
     def n_out(self) -> int:
         return len(self.exprs)
 
-    def _eval_flat(self, m: int, u):
-        """Order-m components at ``u``, row-major in ``(output, a1, …, am)``."""
-        if m not in self._tensors:
-            import sympy
-
-            comps = list(self.exprs)
-            for _ in range(m):
-                comps = [c.diff(s) for c in comps for s in self.symbols]
-            # the module object, not "numpy": that string star-imports numpy,
-            # which loads numpy.f2py, numpy.testing and unittest
-            self._tensors[m] = sympy.lambdify(self.symbols, comps, modules=[np])
-        u = np.asarray(u, dtype=float)
-        comps = self._tensors[m](*(u[..., k] for k in range(self.n_in)))
-        out = np.empty(u.shape[:-1] + (len(comps),))
-        for i, c in enumerate(comps):
-            out[..., i] = c
-        return out
-
     def value(self, u) -> np.ndarray:
         """Map values, shape ``(..., n_out)``."""
-        return self._eval_flat(0, u)
+        return self.tensor(u, 0)[..., 0]
 
     def tensor(self, u, m: int) -> np.ndarray:
         """m-th derivative tensor, shape ``(..., n_out, n_in**m)`` (flat)."""
         if m > MAX_WEIGHT:
             raise ValueError(f"derivative order {m} exceeds {MAX_WEIGHT}")
-        flat = self._eval_flat(m, u)
-        return flat.reshape(flat.shape[:-1] + (self.n_out, self.n_in**m))
+        return self._program.tensor(np.asarray(u, dtype=float), m)
 
     def dm(self, u, directions) -> np.ndarray:
         """Directional derivative ``D^m F(u):(v1, …, vm)``, m = len(directions)."""

@@ -257,7 +257,7 @@ def verify_general(
     """Check the change-of-variable identity for ``F(Y)`` along the solution
     of ``dY = Σ f_i(Y) dX^i``."""
     _scalar(func)
-    if tuple(func.symbols) != tuple(fields.stacked.symbols):
+    if func.variables != fields.stacked.variables:
         raise ConfigError("F and the fields must use the same variables")
     y = solve_rde(x, fields, xi)
     DF = _scalar_jets(func, y)

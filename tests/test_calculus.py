@@ -125,7 +125,7 @@ def test_elementary_differentials_match_sympy_reference():
         ("cos(y2) - y1**3/4", "1 - y2/4 + y1**2"),
     ]
     fields = VectorFieldFamily.from_expressions(exprs, ("y1", "y2"))
-    symbols = fields.stacked.symbols
+    symbols = sympy.symbols("y1 y2", real=True)
     local = dict(zip(("y1", "y2"), symbols))
     exprs = [[sympy.sympify(e, locals=local) for e in f] for f in exprs]
     trees = [f for f in all_forests(base_alphabet(2), 3) if len(f.trees) == 1]

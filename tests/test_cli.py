@@ -350,9 +350,9 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_lambdify_leaves_numpy_test_modules_unloaded(tmp_path):
-    # a general ito run compiles through numpy's namespace, not through
-    # "from numpy import *", which loads numpy.f2py, numpy.testing, unittest
+def test_general_ito_leaves_numpy_test_modules_unloaded(tmp_path):
+    # a general ito run loads none of numpy.f2py, numpy.testing and unittest
+    # (a star import of numpy, as sympy's lambdify of "numpy" does, loads all)
     exp = analytic_ito_experiment("lean")
     del exp["driver"]["intensities"]
     exp["driver"]["cells"] = 64
@@ -377,31 +377,34 @@ def test_lambdify_leaves_numpy_test_modules_unloaded(tmp_path):
 
 
 def test_only_commands_that_parse_expressions_load_sympy(tmp_path):
-    # sympy's import is most of a cold start; lift, dump and hopf-selftest
-    # parse no expression, so they must not pay for it
+    # sympy's import was most of a cold start; expressions are parsed by the
+    # ast whitelist now, so no command loads it, those that parse included,
+    # and only those that parse compile the parser
     exp = analytic_ito_experiment("e")
     exp["driver"]["cells"] = 64
     exp["ito"]["rungs"] = 3
     exp["lift"] = {"probes": 4}
     exp["hopf"] = {"d": 1, "max_weight": 2}
     exp["dump"] = {"d": 1, "max_weight": 2}
+    exp["integrate"] = {**INTEGRATE, "rungs": 3}
+    exp["rde"] = {"fields": RDE["fields"], "xi": RDE["xi"]}
     cfg = write_config(tmp_path, "c.json", exp)
+    commands = ("lift", "dump", "hopf-selftest", "ito", "integrate", "rde")
     code = (
         "import sys; import planarough; print('sympy:', 'sympy' in sys.modules)\n"
         "from planarough.cli import main\n"
-        "for command in ('lift', 'dump', 'hopf-selftest', 'ito'):\n"
+        f"for command in {commands!r}:\n"
         f"    rc = main([command, '--config', {cfg!r}, '--out', {str(tmp_path)!r}])\n"
-        "    print(f'sympy after {command}:', rc, 'sympy' in sys.modules)\n"
+        "    print(f'sympy after {command}:', rc, 'sympy' in sys.modules,\n"
+        "          'planarough.taylor' in sys.modules)\n"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+    # the commands that parse run last, so the parser stays unloaded before
+    parses = {"ito", "integrate", "rde"}
     assert [l for l in proc.stdout.splitlines() if l.startswith("sympy")] == [
-        "sympy: False",
-        f"sympy after lift: {EXIT_OK} False",
-        f"sympy after dump: {EXIT_OK} False",
-        f"sympy after hopf-selftest: {EXIT_OK} False",
-        f"sympy after ito: {EXIT_OK} True",
-    ]
+        "sympy: False"
+    ] + [f"sympy after {c}: {EXIT_OK} False {c in parses}" for c in commands]
 
 
 def test_exit_config_on_bad_alpha(tmp_path, capsys):
@@ -598,6 +601,25 @@ class Raw(str):
         pytest.param("ito", ("ito", "F", "exprs"), ["x1/0"], id="ito-expr-x1-over-0"),
         pytest.param("ito", ("ito", "F", "exprs"), ["x1 > 0"], id="ito-expr-relation"),
         pytest.param("ito", ("ito", "F", "exprs"), ["I*x1"], id="ito-expr-imaginary"),
+        # the whitelist: Python that is no arithmetic, names sympy knew, and
+        # inputs that once ended in RecursionError, MemoryError or exit 1
+        pytest.param(
+            "ito", ("ito", "F", "exprs"), ['__import__("os").getcwd() or x1'],
+            id="ito-expr-import",
+        ),
+        pytest.param("ito", ("ito", "F", "exprs"), ["x1.real"], id="ito-expr-attribute"),
+        pytest.param("ito", ("ito", "F", "exprs"), ["[x1][0]"], id="ito-expr-subscript"),
+        pytest.param("ito", ("ito", "F", "exprs"), ["(lambda: x1)()"], id="ito-expr-lambda"),
+        pytest.param("ito", ("ito", "F", "exprs"), ["sin(x=x1)"], id="ito-expr-keyword"),
+        pytest.param(
+            "ito", ("ito", "F", "exprs"), ["+".join(["x1"] * 20000)], id="ito-expr-sum-20000"
+        ),
+        pytest.param(
+            "ito", ("ito", "F", "exprs"), ["-" * 100000 + "x1"], id="ito-expr-minus-100000"
+        ),
+        pytest.param("ito", ("ito", "F", "exprs"), ["abs(x1)"], id="ito-expr-abs"),
+        pytest.param("ito", ("ito", "F", "exprs"), ["pi*x1"], id="ito-expr-pi"),
+        pytest.param("ito", ("ito", "F", "exprs"), ["1e400*x1"], id="ito-expr-1e400"),
         pytest.param("ito", ("name",), "a\0b", id="ito-name-nul"),
         pytest.param(
             "integrate",
@@ -640,6 +662,16 @@ def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+
+
+def test_expressions_are_never_executed(tmp_path, capsys):
+    target = tmp_path / "touched"
+    exp = analytic_ito_experiment("bad")
+    exp["ito"]["F"]["exprs"] = [f'__import__("pathlib").Path({str(target)!r}).touch() or x1']
+    cfg = write_config(tmp_path, "c.json", exp)
+    assert main(["ito", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize(
@@ -836,7 +868,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": PIN_DRIVER, "ito": PIN_GENERAL},
         "ito_report.json",
-        "ff696316349484c0be0dea5164f5ee8ac34e55854df0e3cfa3238a7f8621a4cf",
+        "8f4719638e6b47a13da29fcd9149dfd953b5b42190c95ff953b62bb93be4892f",
     ),
     "hopf-d2w3": (
         "hopf-selftest",
@@ -864,7 +896,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": {**PIN_DRIVER, "cells": 1024, "substeps": 4}, "ito": PIN_GENERAL},
         "ito_report.json",
-        "346786a9aca3c6b6a784d88fb447364ca4d0b10b4010d4f541ada0ee0fccbc02",
+        "b125b93e56b6f902f022583e3409fdfdb7d8b3de3625360bfc38d58ac82a1b07",
     ),
     "lift-d2n3-wide": (
         "lift",
@@ -911,7 +943,12 @@ def test_report_bytes_are_frozen(tmp_path, name):
     bracket letters from the intensity samples (``−Δλ`` on ``[•j]i``, equal
     to the old substep difference up to roundoff) and dropped the all-zero
     columns of letters without one: only tilde and c̄ totals that vanish in
-    exact arithmetic moved, by at most 2.7e-21.
+    exact arithmetic moved, by at most 2.7e-21.  ``general-d2n3`` and
+    ``general-d2n3-blocks`` were re-recorded for Taylor-jet derivatives,
+    when sympy stopped differentiating the expressions: four
+    ``tilde_third_order`` totals of order 1e-21, which vanish in exact
+    arithmetic, moved by at most 1.9e-37; every other ``ito`` and
+    ``integrate`` digest kept its bytes.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})

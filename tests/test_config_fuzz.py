@@ -1,9 +1,12 @@
 """Generated configs through ``main()``: every input ends in a documented exit.
 
-The strategies build experiments that are mostly well-shaped, so they reach
-``load_experiments``, ``driver_from``, ``parse_forest`` and the command
-bodies, with any field swapped for arbitrary JSON.  Sizes are bounded (at
-most 64 cells, d ≤ 2 for lifts) so the whole search stays short.
+The first strategy builds experiments that are mostly well-shaped, so they
+reach ``load_experiments``, ``driver_from``, ``parse_forest`` and the command
+bodies, with any field swapped for arbitrary JSON.  Most of its runs stop at
+a driver error, so the second keeps the driver and every setting but the
+expressions fixed and valid: each of its runs reaches the expression parser.
+Sizes are bounded (at most 64 cells, d ≤ 2 for lifts) so the whole search
+stays short.
 """
 
 import contextlib
@@ -93,7 +96,11 @@ driver = keys(
 )
 expr = st.sampled_from(
     ["x1**2", "sin(x1)", "exp(x1)*x2", "x1 +", "y9", "f(x1)", "1/x1", "zoo", "nan",
-     "sqrt(x1)", "log(x1)", "", "x1 x2", "0.25", "x1 > 0", "I*x1"]
+     "sqrt(x1)", "log(x1)", "", "x1 x2", "0.25", "x1 > 0", "I*x1",
+     # the edges of the whitelist
+     '__import__("os").getcwd() or x1', "x1.real", "[x1][0]", "(lambda: x1)()",
+     "sin(x=x1)", "+".join(["x1"] * 20000), "-" * 100000 + "x1", "abs(x1)", "pi",
+     "1e400*x1", "x1/0", "x1**-2", "(-x1)**3", "x1**0.5", "2**x1", "x1^2"]
 )
 variables = st.lists(st.sampled_from(["x1", "x2", "t", "1x", ""]), max_size=2)
 function = keys({"exprs": st.lists(expr, max_size=2), "vars": variables})
@@ -130,11 +137,52 @@ def runs(draw):
     return command, draw(maybe(st.just(doc)))
 
 
+# a driver and sections every command accepts but for their expressions, so
+# each generated F, field and oracle reaches the parser
+VALID_DRIVER = {"d": 1, "base": [{"kind": "poly", "coeffs": [0.0, 1.0]}],
+                "cells": 16, "substeps": 2, "N": 2, "alpha": 0.45}
+one_var = st.fixed_dictionaries(
+    {"exprs": st.lists(expr, min_size=1, max_size=2), "vars": st.just(["x1"])}
+)
+one_field = st.fixed_dictionaries(
+    {"exprs": st.lists(expr, min_size=1, max_size=1).map(lambda e: [e]),
+     "vars": st.just(["x1"])}
+)
+expression_sections = {
+    "ito": st.fixed_dictionaries(
+        {"theorem": st.sampled_from(["simple", "general"]), "F": one_var,
+         "fields": one_field, "xi": st.just([0.5]), "rungs": st.just(2)}
+    ),
+    "integrate": st.fixed_dictionaries({"F": one_var, "rungs": st.just(2)}),
+    "rde": st.fixed_dictionaries(
+        {"fields": one_field, "xi": st.just([0.5])}, optional={"oracle": one_var}
+    ),
+}
+
+
+@st.composite
+def expression_runs(draw):
+    """A command that parses expressions, its section valid but for them."""
+    command = draw(st.sampled_from(sorted(expression_sections)))
+    section = draw(expression_sections[command])
+    return command, {"name": "e", "driver": VALID_DRIVER, command: section}
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(run=runs())
 def test_generated_configs_end_in_a_documented_exit(run):
-    command, doc = run
+    ends_in_a_documented_exit(*run)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=expression_runs())
+def test_generated_expressions_end_in_a_documented_exit(run):
+    ends_in_a_documented_exit(*run)
+
+
+def ends_in_a_documented_exit(command, doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,6 +1,9 @@
 """Derivative tensors and controlled-coefficient constructions."""
 
+import importlib.util
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarough import taylor
 from planarough.controlled import (
     ControlledPath,
     SmoothFunctionWithDerivatives,
@@ -95,44 +99,118 @@ def test_tensor_order_cap():
 
 
 def test_each_order_compiles_once_on_first_use(monkeypatch):
+    # the one compile is a parse of each expression, on construction; no
+    # order evaluated afterwards parses again
     calls = []
-    lambdify = sympy.lambdify
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lambdify(*args, **kwargs)
-
-    monkeypatch.setattr(sympy, "lambdify", counted)
+    parse = taylor.parse_expression
+    monkeypatch.setattr(
+        taylor, "parse_expression", lambda *a: calls.append(a[0]) or parse(*a)
+    )
     func = SmoothFunctionWithDerivatives.from_expressions(
         ("sin(x1)*x2", "0.25"), ("x1", "x2")
     )
-    assert len(calls) == 0
+    assert calls == ["sin(x1)*x2", "0.25"]
     u = np.array([[0.3, -1.2], [1.1, 0.4]])
     func.value(u)
     func.value(u)
-    assert len(calls) == 1
     func.tensor(u, 2)
-    func.tensor(u[0], 2)
+    func.tensor(u[0], 3)
     assert len(calls) == 2
 
 
-def test_tensor_matches_per_component_reference():
-    # a constant output, constant and zero derivatives: scalars broadcast
-    func = SmoothFunctionWithDerivatives.from_expressions(
-        ("sin(x1)*x2**2", "0.25", "x1**2 + exp(x2)"), ("x1", "x2")
+def config_expressions():
+    """``(exprs, vars)`` of every function and field section in ``configs/``
+    and of the perfbench workloads that parse expressions."""
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            if "exprs" in node:
+                exprs = node["exprs"]
+                flat = [e for row in exprs for e in row] if isinstance(exprs[0], list) else exprs
+                found.append((tuple(flat), tuple(node["vars"])))
+            for v in node.values():
+                walk(v)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v)
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    for fn in sorted(os.listdir(os.path.join(root, "configs"))):
+        with open(os.path.join(root, "configs", fn), encoding="utf-8") as fh:
+            walk(json.load(fh))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py")
     )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        if name != "ito-suite":  # configs/ito-suite.json, read above
+            walk(json.loads(workloads.generate(name, 0)[1]))
+    return list(dict.fromkeys(found))
+
+
+# the expressions of the tests, then the rest of the grammar: division,
+# roots, logs, real, negative and variable powers
+TEST_EXPRESSIONS = [
+    (("sin(x1*x2)", "x1**3 - x2", "sin(x1)*x2", "0.25", "x1*x2"), ("x1", "x2")),
+    (("sin(x1)*x2**2", "x1**2 + exp(x2)", "sin(x1) + x1*x2**2", "x1"), ("x1", "x2")),
+    (("sin(x1)*x2 + x2**3/3", "sin(x2) + x2*x1**2", "x1**2"), ("x1", "x2")),
+    (("x1**2", "x1**3", "sin(x1) + x1**3", "exp(x1)"), ("x1",)),
+    (("1 + 0.2*y2**2 + sin(y1)*y2", "0.3*y1*y2", "cos(y2) - y1**3/4"), ("y1", "y2")),
+    (("1 - y2/4 + y1**2", "sin(y1)*y2 + y1**3/3 + 0.3*y1*y2**2", "-y2", "y1"),
+     ("y1", "y2")),
+    (("sin(y2)", "cos(y1)", "exp(-y1*y2)", "0.3*sin(y1 + y2)"), ("y1", "y2")),
+    (("0.5 + sin(2*y1)", "cos(y1) + exp(y1/3)", "exp(y1)", "y1**2 - 5.0"), ("y1",)),
+    (("log(x1**2 + 1)", "sqrt(x1**2 + 2)", "x1**2.5", "1/(1 + x1**2)"), ("x1",)),
+    (("cos(x1)**-3", "exp(-x1)/x1", "x1**x2", "2**x1", "x1/x2 - x3*x1"),
+     ("x1", "x2", "x3")),
+]
+
+
+def test_tensor_matches_per_component_reference():
+    # sympy differentiates each component on its own: the Taylor tensors lie
+    # within 1e-13 of it, relative to the largest entry of that output's
+    # tensor over the points (one entry alone may cancel, as 12·x² − 2
+    # does), and are exactly 0 wherever its tensor is 0 (a constant output,
+    # constant and zero derivatives, every mixed derivative that vanishes)
     rng = np.random.default_rng(6)
-    u = rng.standard_normal((3, 4, 2))
-    for m in range(4):
-        want = np.empty(u.shape[:-1] + (func.n_out, 2**m))
-        for i, e in enumerate(func.exprs):
-            for flat, multi in enumerate(itertools.product(range(2), repeat=m)):
-                de = e
-                for a in multi:
-                    de = de.diff(func.symbols[a])
-                fn = sympy.lambdify(func.symbols, de, modules="numpy")
-                want[..., i, flat] = fn(u[..., 0], u[..., 1])
-        assert np.array_equal(func.tensor(u, m), want), m
+    for exprs, variables in config_expressions() + TEST_EXPRESSIONS:
+        func = SmoothFunctionWithDerivatives.from_expressions(exprs, variables)
+        symbols = sympy.symbols(variables, real=True)
+        local = dict(zip(variables, symbols))
+        n = len(variables)
+        u = rng.uniform(0.2, 1.6, (3, 4, n))
+        for m in range(4):
+            want = np.empty(u.shape[:-1] + (func.n_out, n**m))
+            for i, e in enumerate(exprs):
+                e = sympy.sympify(e, locals=local)
+                for flat, multi in enumerate(itertools.product(range(n), repeat=m)):
+                    de = e.diff(*(symbols[a] for a in multi)) if multi else e
+                    fn = sympy.lambdify(symbols, de, modules=[np])
+                    want[..., i, flat] = fn(*(u[..., k] for k in range(n)))
+            got = func.tensor(u, m)
+            assert np.all(got[want == 0] == 0), (exprs, m)
+            scale = np.abs(want).max(axis=(0, 1, 3), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (exprs, m)
+
+
+def test_rows_read_the_same_bits_in_any_batch():
+    # every row of a batch is the tensor of that row alone, bit for bit, for
+    # window sizes solve_rde's sweeps use: the evaluator is elementwise
+    func = SmoothFunctionWithDerivatives.from_expressions(
+        ("sin(x1)*x2**2 + log(x1**2 + 1)", "1/(1 + x2**2) - sqrt(x1**2 + 2)",
+         "x1**2.5 + exp(-x2)/x1", "0.25"),
+        ("x1", "x2"),
+    )
+    rng = np.random.default_rng(8)
+    for rows in (1, 3, 16, 129):
+        u = rng.uniform(0.2, 1.6, (rows, 2))
+        for m in range(4):
+            batch = func.tensor(u, m)
+            for p in range(rows):
+                assert np.array_equal(batch[p], func.tensor(u[p : p + 1], m)[0])
+                assert np.array_equal(batch[p], func.tensor(u[p], m))
 
 
 @given(st.floats(-2.0, 2.0))

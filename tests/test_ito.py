@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import sympy
 
-from planarough import ito_verify
+from planarough import ito_verify, taylor
 from planarough.calculus import VectorFieldFamily
 from planarough.controlled import SmoothFunctionWithDerivatives
 from planarough.forest_core import parse_forest
@@ -329,7 +329,7 @@ def test_general_jets_match_sympy_reference():
     F_expr = "sin(y1)*y2 + y1**3/3 + 0.3*y1*y2**2"
     fields = VectorFieldFamily.from_expressions(f_exprs, variables)
     func = sfunc(F_expr, variables)
-    y = fields.stacked.symbols
+    y = sympy.symbols(variables, real=True)
     local = dict(zip(variables, y))
     F = sympy.sympify(F_expr, locals=local)
     f = [[sympy.sympify(e, locals=local) for e in row] for row in f_exprs]
@@ -373,23 +373,25 @@ def test_general_jets_match_sympy_reference():
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_compile_budget(monkeypatch, N):
-    # one compile per user function and derivative order: F at 0..N and the
-    # stacked fields at 0..N−1; every integrand is a numeric contraction
+    # one parse per user expression, on construction (F and the four stacked
+    # field components); verifying parses nothing: every derivative order is
+    # a Taylor evaluation and every integrand a numeric contraction
     calls = []
-    lambdify = sympy.lambdify
+    parse = taylor.parse_expression
     monkeypatch.setattr(
-        sympy, "lambdify", lambda *a, **k: calls.append(a) or lambdify(*a, **k)
+        taylor, "parse_expression", lambda *a: calls.append(a[0]) or parse(*a)
     )
     x = trig_x(N=N, cells=64)
     fields = VectorFieldFamily.from_expressions(
         [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
     )
     func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
+    assert len(calls) == 5
     verify_general(x, fields, func, [0.1, -0.2], rungs=2)
-    assert len(calls) <= 2 * N + 1
-    calls.clear()
-    verify_simple(x, sfunc("sin(x1)*x2 + x2**3/3", ("x1", "x2")), rungs=2)
-    assert len(calls) <= N + 1
+    func = sfunc("sin(x1)*x2 + x2**3/3", ("x1", "x2"))
+    assert len(calls) == 6
+    verify_simple(x, func, rungs=2)
+    assert len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
