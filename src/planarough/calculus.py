@@ -46,8 +46,8 @@ class DivergenceError(RuntimeError):
 @dataclass(eq=False)
 class VectorFieldFamily:
     """Driving vector fields ``f_1, …, f_d`` on R^n as one ``stacked``
-    function of ``d·n`` outputs: one Taylor evaluation per order serves
-    all fields."""
+    function of ``d·n`` outputs: one Taylor evaluation serves every order
+    of every field."""
 
     stacked: SmoothFunctionWithDerivatives
     d: int
@@ -72,11 +72,10 @@ class VectorFieldFamily:
 
     def tensors(self, u, order: int) -> list:
         """``D^m f_i(u)`` for m = 0..order, axes ``(..., i, a, b1, …, bm)``."""
-        u = np.asarray(u, dtype=float)
-        lead = u.shape[:-1] + (self.d,)
+        lead = np.shape(u)[:-1] + (self.d,)
         return [
-            self.stacked.tensor(u, m).reshape(lead + (self.n,) * (m + 1))
-            for m in range(order + 1)
+            t.reshape(lead + (self.n,) * (m + 1))
+            for m, t in enumerate(self.stacked.tensors(u, order))
         ]
 
 

@@ -43,7 +43,8 @@ class SmoothFunctionWithDerivatives:
     derivative tensors by Taylor arithmetic (:mod:`planarough.taylor`).
 
     ``value(u)`` evaluates the map at points ``u`` of shape ``(..., n_in)``;
-    ``tensor(u, m)`` the m-th derivative tensor; ``dm(u, (v1, …, vm))`` the
+    ``tensor(u, m)`` the m-th derivative tensor and ``tensors(u, m)`` those
+    of orders 0..m from one Taylor evaluation; ``dm(u, (v1, …, vm))`` the
     m-th derivative as a symmetric multilinear form on the given direction
     arrays.  All evaluations broadcast over leading axes, and every row is
     computed by elementwise operations alone, so a row reads the same bits
@@ -90,9 +91,13 @@ class SmoothFunctionWithDerivatives:
 
     def tensor(self, u, m: int) -> np.ndarray:
         """m-th derivative tensor, shape ``(..., n_out, n_in**m)`` (flat)."""
-        if m > MAX_WEIGHT:
-            raise ValueError(f"derivative order {m} exceeds {MAX_WEIGHT}")
-        return self._program.tensor(np.asarray(u, dtype=float), m)
+        return self.tensors(u, m)[m]
+
+    def tensors(self, u, order: int) -> list:
+        """The flat tensors of orders 0..order, from one Taylor evaluation."""
+        if order > MAX_WEIGHT:
+            raise ValueError(f"derivative order {order} exceeds {MAX_WEIGHT}")
+        return self._program.tensors(np.asarray(u, dtype=float), order)
 
     def dm(self, u, directions) -> np.ndarray:
         """Directional derivative ``D^m F(u):(v1, …, vm)``, m = len(directions)."""
@@ -115,8 +120,7 @@ def jets(func: SmoothFunctionWithDerivatives, y, order: int) -> list:
     :class:`ConfigError` unless ``func`` takes those states."""
     if func.n_in != y.n_out:
         raise ConfigError(f"F takes {func.n_in} variables, the path has {y.n_out}")
-    u = y.coeffs[EMPTY]
-    return [func.tensor(u, m) for m in range(order + 1)]
+    return func.tensors(y.coeffs[EMPTY], order)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ prefix forms an internally rigid block; the left tensor factor is the shuffle
 of the rigid word ωL with all blocks, the right factor is the pruned ωR.
 
 Everything in this module is exact (int / Fraction coefficients) except
-:class:`FloatAlgebra`, which compiles the structure constants into numpy
-arrays for batched numerical work.  The module ends with its own exact
+:class:`FloatAlgebra`, which compiles the structure constants into a table
+of index pairs for batched numerical work.  The module ends with its own exact
 self-checks (coassociativity, counit, shuffle morphism, characters, …),
 run by :func:`run_selftest` and by the test suite.
 
@@ -294,76 +294,76 @@ def pairing(a: dict, b: dict):
 # Vectorised layer
 # ---------------------------------------------------------------------------
 
+# Rows per matrix product, so the pair products stay about the output's size.
+_CHUNK_ROWS = 512
+
 
 class FloatAlgebra:
     """Batched numpy evaluation of ``star`` / ``exp_star`` over a basis.
 
-    The structure constants are grouped per output index, so one ``star`` of
-    a batch of character vectors costs ``dim`` small gather-multiply-dot
-    operations, each vectorised over the batch.
+    The coproduct terms with an empty factor, ``(ω, e)`` and ``(e, ω)``, add
+    ``A·B₀ + A₀·B`` (``A₀B₀`` at ``e``).  Every other structure constant sits
+    at its ``(left, right)`` index pair in a dense ``(pairs, dim)`` matrix
+    ``C``, so ``star`` is the gather-multiply ``A_L·B_R`` and one matrix
+    product with ``C``, ``_CHUNK_ROWS`` rows at a time.
     """
 
     def __init__(self, basis: TruncatedBasis):
         self.basis = basis
         self.dim = basis.dim
-        self.weights = np.array([f.weight for f in basis.forests])
-        self._groups = []
-        for rows in basis.cut_rows:
-            li = np.array([r[0] for r in rows], dtype=np.intp)
-            ri = np.array([r[1] for r in rows], dtype=np.intp)
-            co = np.array([r[2] for r in rows], dtype=np.float64)
-            self._groups.append((li, ri, co))
-        self._restricted = {}  # frozenset of columns -> _support_groups
+        rows = enumerate(basis.cut_rows)
+        terms = [(l, r, k, c) for k, cuts in rows for l, r, c in cuts if l and r]
+        left, right, k, c = np.array(terms, dtype=np.intp).reshape(-1, 4).T
+        pairs, slot = np.unique([left, right], axis=1, return_inverse=True)
+        self._left, self._right = pairs
+        self._coeffs = np.zeros((pairs.shape[1], self.dim))
+        self._coeffs[slot, k] = c
 
     def unit(self, shape=()) -> np.ndarray:
         g = np.zeros(tuple(shape) + (self.dim,))
         g[..., 0] = 1.0
         return g
 
-    def star(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Product of batches of dual vectors; leading axes broadcast."""
+    def _chunks(self, A: np.ndarray, B: np.ndarray):
+        """A new output for the broadcast ``A``, ``B``, and their row chunks."""
         A, B = np.broadcast_arrays(A, B)
         out = np.empty(A.shape)
-        for k, (li, ri, co) in enumerate(self._groups):
-            out[..., k] = (A[..., li] * B[..., ri]) @ co
+        rows = [x.reshape(-1, self.dim) for x in (A, B, out)]
+        starts = range(0, len(rows[2]), _CHUNK_ROWS)
+        return out, ([x[s : s + _CHUNK_ROWS] for x in rows] for s in starts)
+
+    def star(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Product of batches of dual vectors; leading axes broadcast."""
+        out, chunks = self._chunks(A, B)
+        for a, b, o in chunks:
+            np.matmul(a[:, self._left] * b[:, self._right], self._coeffs, out=o)
+            o += a * b[:, :1]
+            o += a[:, :1] * b
+            o[:, 0] = a[:, 0] * b[:, 0]
         return out
 
     def commutator(self, A: np.ndarray, B: np.ndarray, support) -> np.ndarray:
-        """``A ★ B − B ★ A`` for equal-shape batches that vanish off ``support``.
-
-        Only structure constants whose left and right indices both lie in
-        ``support`` can meet two nonzero factors, so only those run; each
-        output subtracts the same two partial dots ``star`` would form.
-        """
-        out = np.zeros(A.shape)
-        for k, li, ri, co in self._support_groups(support):
-            out[..., k] = (A[..., li] * B[..., ri]) @ co
-            out[..., k] -= (B[..., li] * A[..., ri]) @ co
+        """``A ★ B − B ★ A`` for batches that vanish off ``support``: the unit
+        terms cancel, and only pairs inside ``support`` can meet two nonzero
+        factors, so this is ``(A_L·B_R − B_L·A_R) @ C`` over those pairs."""
+        inside = np.zeros(self.dim, dtype=bool)
+        inside[support] = True
+        keep = inside[self._left] & inside[self._right]
+        L, R, C = self._left[keep], self._right[keep], self._coeffs[keep]
+        out, chunks = self._chunks(A, B)
+        for a, b, o in chunks:
+            np.matmul(a[:, L] * b[:, R] - b[:, L] * a[:, R], C, out=o)
         return out
-
-    def _support_groups(self, support) -> list:
-        """``(k, li, ri, co)`` of the structure constants inside ``support``,
-        built once per column set."""
-        key = frozenset(support)
-        groups = self._restricted.get(key)
-        if groups is None:
-            inside = np.zeros(self.dim, dtype=bool)
-            inside[list(key)] = True
-            groups = []
-            for k, (li, ri, co) in enumerate(self._groups):
-                keep = inside[li] & inside[ri]
-                if keep.any():
-                    groups.append((k, li[keep], ri[keep], co[keep]))
-            self._restricted[key] = groups
-        return groups
 
     def exp(self, O: np.ndarray) -> np.ndarray:
         """★-exponential of batched infinitesimal vectors (index 0 must be 0)."""
-        g = self.unit(O.shape[:-1]) + O
+        g = self.unit(O.shape[:-1])
+        g += O
         term = O
         for k in range(2, self.basis.max_weight + 1):
-            term = self.star(term, O) / k
-            g = g + term
+            term = self.star(term, O)
+            term /= k
+            g += term
         return g
 
     def star_reduce(self, chars: np.ndarray) -> np.ndarray:

@@ -372,11 +372,11 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
 # Substep rows per Magnus block.  On perfbench's lift-d3n3 (dim 157, two
 # lifts of 16,384 substeps; 2 cores, one BLAS thread, median of 6 CLI runs)
 # blocks of 1024 / 2048 / 4096 rows took 0.95 / 0.90 / 0.96 s against 1.24 s
-# for one full-width block.  A block holds a power-of-two number of cells,
-# at least two: a power-of-two row count keeps OpenBLAS's gemv tail handling,
-# and two cells keep star_reduce's last rounds, where they were in one
-# stacked call, so the characters stay bit for bit those of a full-width
-# block.
+# for one full-width block, with the per-output ★ loop of that time; the
+# pair-table ★ lifts in about the same time at all three sizes.  A block
+# holds a power-of-two number of cells, at least two, so whole blocks tile
+# the dyadic cells; a ★ row reads the same bits in any batch, so the
+# characters stay bit for bit those of a full-width block.
 _BLOCK_ROWS = 2048
 
 

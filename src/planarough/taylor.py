@@ -325,16 +325,22 @@ class TaylorProgram:
             vals.append(_jet_op(op, a, b, m, ranks))
         return [vals[i] if isinstance(i, int) else i for i in self.outputs]
 
-    def tensor(self, u: np.ndarray, m: int) -> np.ndarray:
-        """The flat m-th derivative tensor at ``u``, shape
-        ``lead + (outputs, n_in**m)``."""
-        _, _, gather, scale = _jet_tables(self.n_in, m)
+    def tensors(self, u: np.ndarray, m: int) -> list:
+        """The flat derivative tensors of orders 0..m at ``u``, shapes
+        ``lead + (outputs, n_in**k)``, all read off one evaluation of the
+        jets to degree m: a coefficient of degree k sums the same terms in
+        the same order at every degree ≥ k."""
         lead = u.shape[:-1]
         to_last = tuple(range(1, len(lead) + 1)) + (0,)
-        out = np.empty(lead + (len(self.outputs), len(gather)))
-        for i, jet in enumerate(self.jets(u, m)):
-            if isinstance(jet, float):
-                out[..., i, :] = jet if m == 0 else 0.0
-            else:
-                out[..., i, :] = jet[gather].transpose(to_last) * scale
+        jets = self.jets(u, m)
+        out = []
+        for k in range(m + 1):
+            _, _, gather, scale = _jet_tables(self.n_in, k)
+            t = np.empty(lead + (len(jets), len(gather)))
+            for i, jet in enumerate(jets):
+                if isinstance(jet, float):
+                    t[..., i, :] = jet if k == 0 else 0.0
+                else:
+                    t[..., i, :] = jet[gather].transpose(to_last) * scale
+            out.append(t)
         return out

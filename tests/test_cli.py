@@ -862,13 +862,13 @@ FROZEN_REPORTS = {
             "ito": {"theorem": "simple", "F": PIN_F, "rungs": 4},
         },
         "ito_report.json",
-        "61b176bc8bc1ed8fbbe158b12dbca2cba4c50e1a0c2fe205ec866519a9469926",
+        "fd12206fe7b64d15d16133ac90987cbead4d890d1d3b66a940eb918e002c05cd",
     ),
     "general-d2n3": (
         "ito",
         {"driver": PIN_DRIVER, "ito": PIN_GENERAL},
         "ito_report.json",
-        "8f4719638e6b47a13da29fcd9149dfd953b5b42190c95ff953b62bb93be4892f",
+        "4fcdc1eb7224766565c12bcc2c084f33d0e871d48085541904add74d1f3a8418",
     ),
     "hopf-d2w3": (
         "hopf-selftest",
@@ -890,13 +890,13 @@ FROZEN_REPORTS = {
             "lift": {"probes": 32},
         },
         "lift_report.json",
-        "7e924d8399117f1146981d178896587765a434eeb35eed37e0c9255dd90d570e",
+        "60e5277f135f2b96b8fe84f4b232bc76349966dff570b62793baca884d5b7251",
     ),
     "general-d2n3-blocks": (
         "ito",
         {"driver": {**PIN_DRIVER, "cells": 1024, "substeps": 4}, "ito": PIN_GENERAL},
         "ito_report.json",
-        "b125b93e56b6f902f022583e3409fdfdb7d8b3de3625360bfc38d58ac82a1b07",
+        "11936b2fb94be6e9cb973023111a0c474b2eef06d38ffabf931b5f4bb12f4695",
     ),
     "lift-d2n3-wide": (
         "lift",
@@ -905,7 +905,7 @@ FROZEN_REPORTS = {
             "lift": {"probes": 32, "dump": True},
         },
         "lift.csv",
-        "7545f877e0603667a81cd8feea2cae7e079d6a9fcf21791c10cdbc98b820575c",
+        "b7ac77427017c45f37958ae69ebe0d226f7debcc019906d36ef072e35b2dbe82",
     ),
 }
 
@@ -949,6 +949,20 @@ def test_report_bytes_are_frozen(tmp_path, name):
     ``tilde_third_order`` totals of order 1e-21, which vanish in exact
     arithmetic, moved by at most 1.9e-37; every other ``ito`` and
     ``integrate`` digest kept its bytes.
+
+    Five digests were re-recorded for the GEMM ★ kernel, which sums the
+    structure constants by index pair in one matrix product and adds the
+    unit terms after them.  GEMM ★ kernel, ``general-d2n3``: the
+    ``tilde_third_order`` and ``cbar_mixed_order`` totals, which vanish in
+    exact arithmetic, moved by at most 4.2e-20, and one
+    ``bracket_second_order`` total by one ulp (6.9e-18).  GEMM ★ kernel,
+    ``general-d2n3-blocks``: the same totals moved by at most 1.5e-21.
+    GEMM ★ kernel, ``simple-d2n3``: the ``tilde_third_order`` totals moved
+    by at most 4.6e-20.  GEMM ★ kernel, ``lift-d3n3-blocks``: ``chen_max``
+    2.2204e-16 → 2.2031e-16 and ``character_max`` 1.058e-16 → 1.093e-16.
+    GEMM ★ kernel, ``lift-d2n3-wide``: 85 of the 204 dumped values moved, by
+    at most 3.5e-18 (7.7e-16 relative).  Every verdict and every other
+    digest kept its bytes.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})

@@ -213,6 +213,19 @@ def test_rows_read_the_same_bits_in_any_batch():
                 assert np.array_equal(batch[p], func.tensor(u[p], m))
 
 
+def test_one_evaluation_reads_every_order_bit_for_bit():
+    # jets and the RDE sweep read orders 0..m off one evaluation to degree
+    # m; each equals an evaluation to its own degree, bit for bit, for every
+    # expression of the configs, the perfbench workloads and the tests
+    rng = np.random.default_rng(9)
+    for exprs, variables in config_expressions() + TEST_EXPRESSIONS:
+        func = SmoothFunctionWithDerivatives.from_expressions(exprs, variables)
+        u = rng.uniform(0.2, 1.6, (5, len(variables)))
+        top = func.tensors(u, 3)
+        for m in range(4):
+            assert np.array_equal(top[m], func.tensor(u, m)), (exprs, m)
+
+
 @given(st.floats(-2.0, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_dm_linear_in_each_direction(a):
@@ -332,22 +345,23 @@ def test_compose_FX_words_carry_tensor_columns(N):
 
 def test_compose_FX_evaluates_each_tensor_order_once(monkeypatch):
     # evaluating D^mF afresh for every word and splitting cost, at d = 2 and
-    # order 3, 2 / 4 / 8 tensor calls of orders 1 / 2 / 3; the jets are the
-    # tensors of orders 0..3, each evaluated once
+    # order 3, 2 / 4 / 8 tensor calls of orders 1 / 2 / 3; then one Taylor
+    # evaluation per order; the jets are the tensors of orders 0..3, all read
+    # off one evaluation of the program to degree 3
     x = lift(trig_driver(N=3, cells=64))
     func = SmoothFunctionWithDerivatives.from_expressions(
         ("sin(x1) + x1*x2**2",), ("x1", "x2")
     )
     calls = []
-    tensor = SmoothFunctionWithDerivatives.tensor
+    jets = taylor.TaylorProgram.jets
 
     def counted(self, u, m):
         calls.append(m)
-        return tensor(self, u, m)
+        return jets(self, u, m)
 
-    monkeypatch.setattr(SmoothFunctionWithDerivatives, "tensor", counted)
+    monkeypatch.setattr(taylor.TaylorProgram, "jets", counted)
     compose_FX(x, func, 3)
-    assert sorted(calls) == [0, 1, 2, 3]
+    assert calls == [3]
 
 
 def test_compose_FY_blocks_use_higher_coefficients():

@@ -281,18 +281,79 @@ def test_pairing_and_counit():
 
 
 def test_float_algebra_matches_exact_star():
+    # the bracket and base algebras at N = 3 and the bracket algebra at N = 2
     import numpy as np
 
-    basis = TruncatedBasis(bracket_alphabet(2), MAX_WEIGHT)
-    alg = FloatAlgebra(basis)
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        va, vb = rng.standard_normal((2, basis.dim))
-        a = dict(zip(basis.forests, va))
-        b = dict(zip(basis.forests, vb))
-        want = basis.vector(basis.star(a, b))
-        got = alg.star(va, vb)
-        assert np.allclose(got, want, atol=1e-12)
+    for letters, max_weight in [
+        (bracket_alphabet(2), 3),
+        (base_alphabet(3), 3),
+        (base_alphabet(1), 3),
+        (bracket_alphabet(1), 2),
+    ]:
+        basis = TruncatedBasis(letters, max_weight)
+        alg = FloatAlgebra(basis)
+
+        def exact(v, w):
+            a, b = (dict(zip(basis.forests, x)) for x in (v, w))
+            return basis.vector(basis.star(a, b))
+
+        for _ in range(20):
+            va, vb = rng.standard_normal((2, basis.dim))
+            assert np.allclose(alg.star(va, vb), exact(va, vb), atol=1e-12)
+        # star_reduce over (cells, substeps, dim), as the lift calls it
+        chars = rng.standard_normal((3, 4, basis.dim))
+        for got, cell in zip(alg.star_reduce(chars), chars):
+            want = exact(exact(cell[0], cell[1]), exact(cell[2], cell[3]))
+            assert np.allclose(got, want, atol=1e-12)
+        # one row against a batch, as eval_many pads its tilings with the unit
+        row = rng.standard_normal(basis.dim)
+        batch = rng.standard_normal((5, basis.dim))
+        for got, w in zip(alg.star(row, batch), batch):
+            assert np.allclose(got, exact(row, w), atol=1e-12)
+        assert np.array_equal(alg.star(alg.unit(), batch), batch)
+        # exp against the exact ★-exponential on Fractions
+        gen = {f: Fraction(int(rng.integers(-9, 10)), 8) for f in basis.forests[1:]}
+        omega = basis.vector(gen)
+        want = basis.vector(basis.exp_star(gen))
+        assert np.allclose(alg.exp(omega), want, atol=1e-12)
+        assert np.allclose(alg.exp(np.stack([omega, omega / 2]))[0], want, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "letters, support_keys",
+    [
+        (base_alphabet(3), ["•1", "•2", "•3", "[•1]2", "[•3•2]1"]),
+        (bracket_alphabet(2), ["•1", "•2", "[•1]2", "•(12)", "•(21)"]),
+    ],
+    ids=["base-d3n3", "bracket-d2n3"],
+)
+def test_star_rows_read_the_same_bits_in_any_batch(letters, support_keys):
+    # the lift's blocks, its last block, the pyramid and eval_many stack
+    # rows in counts that vary, so a row must read the same bits alone as
+    # in any batch, on both sides of a matrix-product chunk boundary
+    import numpy as np
+
+    alg = FloatAlgebra(TruncatedBasis(letters, MAX_WEIGHT))
+    support = [alg.basis.index[parse_forest(k)] for k in support_keys]
+    rng = np.random.default_rng(3)
+    a, b = 0.5 * rng.standard_normal((2, 2048, alg.dim))
+    rates = np.zeros_like(a), np.zeros_like(b)
+    rates[0][:, support], rates[1][:, support] = a[:, support], b[:, support]
+    omega = a.copy()
+    omega[:, 0] = 0.0
+    ops = {
+        "star": (alg.star, (a, b)),
+        "exp": (alg.exp, (omega,)),
+        "commutator": (lambda x, y: alg.commutator(x, y, support), rates),
+        "star_reduce": (alg.star_reduce, (np.stack([a, b, b, a], axis=1),)),
+    }
+    for name, (op, args) in ops.items():
+        full = op(*args)
+        for n in (1, 3, 512, 513, 2048):
+            assert np.array_equal(op(*(x[:n] for x in args)), full[:n]), (name, n)
+        for row in (0, 2, 511, 512, 2047):
+            assert np.array_equal(op(*(x[row] for x in args)), full[row]), (name, row)
 
 
 @pytest.mark.parametrize(
