@@ -18,8 +18,8 @@ with the elementary differentials ``f_{•_i} = f_i`` and
 The recursion is sequential, but :func:`solve_rde` evaluates it a window of
 cells at a time: each sweep evaluates the steps at the latest guess of every
 node of the window and sums them in order, and the nodes that reproduce
-their guess bit for bit prove the next node exact.  The solution is the cell-by-cell recursion's to
-the last bit.
+their guess bit for bit prove the next node exact.  The solution is the
+cell-by-cell recursion's to the last bit.
 """
 
 from __future__ import annotations

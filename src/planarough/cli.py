@@ -253,7 +253,7 @@ def load_experiments(path: str) -> list:
 def write_json(path: str, obj) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+        fh.write(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False))
         fh.write("\n")
 
 
@@ -298,6 +298,8 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
     x = lift(driver)
     chen = chen_residuals(x, probes, seed)
     char = character_residuals(x, probes, seed)
+    if not np.isfinite([chen.max(), char.max()]).all():
+        raise ConfigError("the lift overflows on a probed interval")
     passed = bool(chen.max() < tol and char.max() < tol)
     report = {
         "cells": x.cells,
@@ -357,7 +359,12 @@ def _cmd_rde(exp: dict, out_dir: str) -> dict:
         if oracle.n_in != 1 or oracle.n_out != fields.n:
             raise ConfigError("oracle must map one time variable to the state space")
         tol = _number(sec.get("tolerance", 1e-4), "rde tolerance")
-    x = lift(driver_from(_require(exp, "driver", "experiment")))
+    driver = driver_from(_require(exp, "driver", "experiment"))
+    if oracle is not None:
+        ref = oracle.value(driver.grid[:, None])
+        if not np.isfinite(ref).all():
+            raise ConfigError("the oracle is not finite on the grid")
+    x = lift(driver)
     y = solve_rde(x, fields, xi)
     yv = y.coeffs[EMPTY]
     header = "t," + ",".join(f"y{k + 1}" for k in range(fields.n))
@@ -374,7 +381,6 @@ def _cmd_rde(exp: dict, out_dir: str) -> dict:
     }
     passed = True
     if oracle is not None:
-        ref = oracle.value(x.grid[:, None])
         err = float(np.abs(yv - ref).max())
         passed = err <= tol
         report.update({"oracle_error_max": err, "tolerance": tol})

@@ -117,10 +117,14 @@ def contract_tensor(t, directions) -> np.ndarray:
 
 def jets(func: SmoothFunctionWithDerivatives, y, order: int) -> list:
     """The flat tensors ``D^m func`` (m = 0..order) at ``y``'s states;
-    :class:`ConfigError` unless ``func`` takes those states."""
+    :class:`ConfigError` unless ``func`` takes those states and its tensors
+    there are finite."""
     if func.n_in != y.n_out:
         raise ConfigError(f"F takes {func.n_in} variables, the path has {y.n_out}")
-    return func.tensors(y.coeffs[EMPTY], order)
+    tensors = func.tensors(y.coeffs[EMPTY], order)
+    if not all(np.isfinite(t).all() for t in tensors):
+        raise ConfigError(f"F or a derivative up to order {order} is not finite")
+    return tensors
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,17 @@ numeric contractions of ``F``'s tensors (orders ``0..N``) and the fields'
 general one for ``f_i = e_i``, whose solution is the driver itself: ``F(X)``
 is ``F(Y)`` along :func:`~planarough.controlled.driver_path`, the jets are
 slices of ``F``'s tensors, and the mixed compensator term vanishes because
-``Df_j = 0``.  So one builder, :func:`_table`, makes the :class:`Term` rows
-of both, one per sum above: a name, the integrands per letter, pair or
-triple, and the integrator (the base lift, the bracket extension ``X̂``, or
-the scalar Young paths ``X̃`` and ``c̄X``); one loop evaluates every term on
-every rung of the mesh ladder.
+``Df_j = 0``.
+
+On a mesh cell ``[u, v]`` every sum is linear in the character ``X̂_{u,v}``
+of the bracket extension, whose basis holds the base forests too
+(Hairer–Kelly 2015): a rough sum against letter ``l`` adds
+``⟨τ, Z_u⟩·⟨X̂_{u,v}, [τ]_l⟩`` over its integrand's coefficients τ, a Young
+sum ``g(u)·⟨X̂_{u,v}, series⟩``.  So :func:`_terms` makes each term a node
+functional Φ on the columns it touches, whose total on the stride-``s`` mesh
+is ``Σ_k ⟨X̂_{t_k, t_k+s}, Φ(t_k)⟩``: the rough ones from one ``compose_FY``
+call per order, the letters stacked as outputs, the Young ones from one
+product of the integrands with the stacked series of ``X̃`` or ``c̄X``.
 
 Each report records per-term totals on every rung, the identity residual, and
 the empirical convergence order of the residual, with verdicts against a
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import VectorFieldFamily, rough_integral, solve_rde, young_integral
+from .calculus import VectorFieldFamily, solve_rde
 from .controlled import (
     ControlledPath,
     SmoothFunctionWithDerivatives,
@@ -49,12 +55,11 @@ from .controlled import (
     driver_path,
     jets,
 )
-from .forest_core import EMPTY
+from .forest_core import EMPTY, b_plus
 from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
     RoughPath,
-    ScalarExtensionPath,
     bracket_extension,
     cbar_series,
     tilde_series,
@@ -80,99 +85,69 @@ class ItoReport(MeshLadder):
     passed: bool
 
 
-@dataclass(frozen=True)
-class Term:
-    """One sum of an identity: ``Σ_l ∫ integrands[l] d integrator[l]``.
-
-    A :class:`RoughPath` integrator takes controlled integrands and the
-    compensated rough sum against its letter ``l``.  A dict of scalar
-    extension paths takes integrands sampled at the grid nodes and the
-    left-point Young sum against ``integrator[l]``.
-    """
-
-    name: str
-    integrands: dict
-    integrator: object
-
-    def total(self, stride: int) -> float:
-        """The sum over the ``stride``-cell mesh."""
-        if isinstance(self.integrator, RoughPath):
-            return sum(
-                float(rough_integral(z, self.integrator, l, stride).sum())
-                for l, z in self.integrands.items()
-            )
-        total = 0.0
-        for l, g in self.integrands.items():
-            increments = self.integrator[l].cell_increments(stride)
-            total += float(young_integral(g[::stride], increments).sum())
-        return total
-
-
-def _table(x: RoughPath, z: ControlledPath, jets_of: dict, mixed) -> list:
-    """The terms of an identity for states ``z`` controlled by ``x``.
-
-    ``jets_of[k]`` lists the integrands of k letters and their derivatives:
-    entry m has axes ``(node, l1…lk, b1…bm)``, for m up to ``N − k``.  The
-    integrands of one and two letters are composed with ``z`` into
-    controlled integrands.  ``mixed`` is the ``c̄X`` integrand with axes
-    ``(node, i, j, k)``, or None where the identity has none.
-    """
-    letters = range(1, x.base_values.shape[0] + 1)
-
-    def integrand(*ls):
-        at = (slice(None),) + tuple(l - 1 for l in ls)
-        return [t[at].reshape(len(t), 1, -1) for t in jets_of[len(ls)]]
-
-    first = {i: compose_FY(z, integrand(i), x.N - 1) for i in letters}
-    pairs = itertools.product(letters, repeat=2)
-    second = {ij: compose_FY(z, integrand(*ij), x.N - 2) for ij in pairs}
-    xhat = bracket_extension(x)
-    table = [
-        Term("rough_first_order", first, x),
-        Term("bracket_second_order", second, xhat),
+def _rough(xhat: RoughPath, z: ControlledPath, jets_k: list, letters) -> list:
+    """The functional of ``Σ_l ∫ Z^l dX̂^l`` as ``(column, Φ)`` pairs: column
+    ``[τ]_l`` carries ``⟨τ, Z^l⟩``.  The integrands of ``letters``, stacked
+    in ``jets_k`` after the node axis, compose as one path's outputs."""
+    jets_k = [t.reshape(len(t), len(letters), -1) for t in jets_k]
+    idx = xhat.algebra.basis.index
+    return [
+        (idx[b_plus(tau, l)], coeff[:, o])
+        for tau, coeff in compose_FY(z, jets_k, len(jets_k) - 1).coeffs.items()
+        for o, l in enumerate(letters)
     ]
-    if x.N == 3:
-        triples = list(itertools.product(letters, repeat=3))
-        table.append(
-            Term(
-                "tilde_third_order",
-                {ijk: integrand(*ijk)[0][:, 0, 0] for ijk in triples},
-                {ijk: ScalarExtensionPath(xhat, tilde_series(*ijk)) for ijk in triples},
-            )
-        )
+
+
+def _young(xhat: RoughPath, g: np.ndarray, series) -> list:
+    """The functional of ``Σ_{ijk} ∫ g_{ijk} d⟨X̂, series(i, j, k)⟩`` for
+    ``g`` with axes ``(node, i, j, k)``, as ``(column, Φ)`` pairs."""
+    triples = itertools.product(range(1, g.shape[1] + 1), repeat=3)
+    rows = np.stack([xhat.algebra.basis.vector(series(*ijk)) for ijk in triples])
+    cols = np.flatnonzero(rows.any(axis=0))
+    return list(zip(cols, (g.reshape(len(g), -1) @ rows[:, cols]).T))
+
+
+def _terms(xhat: RoughPath, z: ControlledPath, jets_of: dict, mixed):
+    """Yield ``(name, functional)`` per term of the identity for states ``z``.
+    Entry m of ``jets_of[k]`` holds the integrands of k letters and their
+    m-th derivatives, axes ``(node, l1…lk, b1…bm)`` for m up to ``N − k``;
+    ``mixed`` is the ``c̄X`` integrand, axes ``(node, i, j, k)``, or None."""
+    letters = range(1, z.x.base_values.shape[0] + 1)
+    yield "rough_first_order", _rough(xhat, z, jets_of[1], letters)
+    pairs = list(itertools.product(letters, repeat=2))
+    yield "bracket_second_order", _rough(xhat, z, jets_of[2], pairs)
+    if xhat.N == 3:
+        yield "tilde_third_order", _young(xhat, jets_of[3][0], tilde_series)
         if mixed is not None:
-            table.append(
-                Term(
-                    "cbar_mixed_order",
-                    {(i, j, k): mixed[:, i - 1, j - 1, k - 1] for i, j, k in triples},
-                    {ijk: ScalarExtensionPath(xhat, cbar_series(*ijk)) for ijk in triples},
-                )
-            )
-    return table
+            yield "cbar_mixed_order", _young(xhat, mixed, cbar_series)
 
 
-def _verify(name, theorem, values, x, table, rungs, tolerance) -> ItoReport:
-    """Evaluate every term of ``table`` on every rung and judge the identity
+def _verify(name, theorem, values, z, jets_of, mixed, rungs, tolerance) -> ItoReport:
+    """Evaluate every term on every rung and judge the identity
     ``F(z_T) − F(z_0) = Σ terms`` for ``F``'s ``values`` at the nodes."""
+    x = z.x
     lhs = float(values[-1] - values[0])
     strides, scales = MeshLadder.rungs_of(x, rungs)
-    terms = {t.name: [] for t in table}
-    for stride in strides:
-        for t in table:
-            terms[t.name].append(t.total(stride))
+    xhat = bracket_extension(x)
+    terms = {}
+    for term, functional in _terms(xhat, z, jets_of, mixed):
+        terms[term] = [
+            sum(float(xhat.stride_chars(s)[:, c] @ phi[:-1:s]) for c, phi in functional)
+            for s in strides
+        ]
+        del functional  # one term's functional alive at a time
     rhs = [sum(terms[k][r] for k in terms) for r in range(len(strides))]
     ladder = MeshLadder.fit(strides, scales, rhs, lhs)
     threshold = (x.N + 1) * x.alpha - 1.0 - 0.3
     finest = ladder["residuals"][-1]
-    passed_res = finest <= tolerance
-    passed_ord = ladder["slope"] >= threshold
+    passed_res, passed_ord = finest <= tolerance, ladder["slope"] >= threshold
     return ItoReport(
         name=name,
         theorem=f"{theorem}-n{x.N}",
         truncation=x.N,
         alpha=x.alpha,
         lhs=lhs,
-        terms={k: [float(v) for v in vals] for k, vals in terms.items()},
+        terms=terms,
         rhs=[float(v) for v in rhs],
         finest_residual=finest,
         tolerance=float(tolerance),
@@ -241,8 +216,7 @@ def verify_simple(
     DF = _scalar_jets(func, z)
     # f_i = e_i: the integrand of letters l1…lk is F's tensor at (l1…lk, …)
     jets_of = {k: DF[k:] for k in range(1, x.N + 1)}
-    table = _table(x, z, jets_of, mixed=None)
-    return _verify(name, "simple", DF[0], x, table, rungs, tolerance)
+    return _verify(name, "simple", DF[0], z, jets_of, None, rungs, tolerance)
 
 
 def verify_general(
@@ -262,5 +236,4 @@ def verify_general(
     y = solve_rde(x, fields, xi)
     DF = _scalar_jets(func, y)
     jets_of, mixed = _general_jets(DF, fields.tensors(y.coeffs[EMPTY], x.N - 1))
-    table = _table(x, y, jets_of, mixed)
-    return _verify(name, "general", DF[0], x, table, rungs, tolerance)
+    return _verify(name, "general", DF[0], y, jets_of, mixed, rungs, tolerance)

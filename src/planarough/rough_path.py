@@ -328,13 +328,15 @@ def _sample_substeps(driver: DriverSpec):
     pairs = [(single(i + 1), sig) for i, sig in enumerate(driver.base)]
     pairs += list(driver.intensities)
     seen = {}
-    for _f, sig in pairs:
+    for f, sig in pairs:
         if id(sig) in seen:
             continue
         sample_grid = getattr(sig, "sample_grid", None)
         sampled = sample_grid(driver.T, steps) if sample_grid else None
         if sampled is None:
             sampled = (sig.value(nodes), *(sig.rate(lo + h * c) for c in _GAUSS))
+        if not all(np.isfinite(a).all() for a in sampled):
+            raise ConfigError(f"the signal on {f.key} is not finite on the grid")
         v, r1, r2 = sampled
         seen[id(sig)] = (v, v[1:] - v[:-1], r1, r2)
     columns = [(f, *seen[id(sig)][1:]) for f, sig in pairs]
@@ -563,10 +565,17 @@ class RoughPath:
 
 def _path(driver, algebra, samples, columns, base_values) -> RoughPath:
     cell_chars = list(_cell_blocks(driver, algebra, samples.h, columns))
+    levels = _pyramid(algebra, np.concatenate(cell_chars))
+    # ★ only adds and multiplies, and every row's entries reach the product
+    # through its unit terms, so a non-finite cell character, or an overflow
+    # on any level, leaves the one row of the top level, and its sum,
+    # non-finite
+    if not np.isfinite(levels[-1].sum()):
+        raise ConfigError("the lift overflows: the signals grow too large")
     return RoughPath(
         algebra=algebra,
         grid=driver.grid,
-        levels=_pyramid(algebra, np.concatenate(cell_chars)),
+        levels=levels,
         base_values=base_values,
         alpha=driver.alpha,
         driver=driver,

@@ -592,6 +592,13 @@ class Raw(str):
             {"fields": {"exprs": [[]], "vars": []}, "xi": []},
             id="rde-zero-dimensional-state",
         ),
+        # a report once held its error as a bare Infinity token, no JSON
+        pytest.param(
+            "rde",
+            ("rde",),
+            {**RDE, "oracle": {"exprs": ["exp(exp(exp(3*t)))"], "vars": ["t"]}},
+            id="rde-oracle-not-finite",
+        ),
         # uncaught exceptions once: AttributeError (a non-expression, a
         # relation), KeyError('ComplexInfinity') from lambdify, TypeError
         # storing a complex value, ValueError from os.makedirs
@@ -697,6 +704,53 @@ def test_exit_ok_on_spectral_grid_beyond_the_fft(tmp_path, capsys, period, T):
         rc = main([command, "--config", cfg, "--out", str(tmp_path / command)])
         assert rc == EXIT_OK
         assert f"PASS {command} wide" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, driver, F",
+    [
+        pytest.param(
+            "lift", {"base": [{"kind": "spectral", "hurst": -400, "modes": 8}]},
+            "x1**2", id="lift-spectral-hurst-minus-400",
+        ),
+        pytest.param(
+            "ito", {"base": [{"kind": "poly", "coeffs": [0, 1e300, 1e300]}]},
+            "x1**2", id="ito-poly-1e300",
+        ),
+        pytest.param(
+            "ito", {"base": [{"kind": "poly", "coeffs": [0, 3]}]},
+            "exp(exp(exp(x1)))", id="ito-F-exp-exp-exp",
+        ),
+        # every aligned block is finite, an unaligned probed interval is not
+        pytest.param(
+            "lift",
+            {
+                "N": 3,
+                "alpha": 0.3,
+                "base": [{"kind": "trig", "terms": [[3e102, 40, 0]]}],
+            },
+            "x1**2",
+            id="lift-trig-3e102-probes",
+        ),
+    ],
+)
+def test_exit_config_on_non_finite_values(tmp_path, capsys, command, driver, F):
+    # non-finite sampled signals, characters and derivative tensors once
+    # ended in exit 1 and reports holding bare NaN or Infinity, no JSON
+    exp = analytic_ito_experiment("huge")
+    exp["driver"].update(cells=64, **driver)
+    exp["ito"]["F"]["exprs"] = [F]
+    exp["lift"] = {}
+    cfg = write_config(tmp_path, "c.json", exp)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("config error: ") for line in err), err
+    assert not (tmp_path / "o" / "huge").exists()
+
+
+def test_reports_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_json(str(tmp_path / "r.json"), {"x": float("nan")})
 
 
 @pytest.mark.parametrize(
@@ -841,13 +895,13 @@ FROZEN_REPORTS = {
             "ito": {"theorem": "simple", "F": PIN_F, "rungs": 4},
         },
         "ito_report.json",
-        "01605bc143f417fdc7004005391823e55975815b3eaae36086c0a0424134d21c",
+        "5d3ef1fbc8b25bdd9e1f2259d577d7530618d70826f389e3e2a9ba3b4e64b140",
     ),
     "general-d2n2": (
         "ito",
         {"driver": PIN_DRIVER_N2, "ito": PIN_GENERAL},
         "ito_report.json",
-        "7df1b385c4cb41c2f530c6a3a5a134649d0b075e22632dfc784de529a149061c",
+        "ced941843fa75704d4ee0afccc418e33cb7d5c9b8d33bb89d144863cf4deef0d",
     ),
     "integrate-d2n3": (
         "integrate",
@@ -862,13 +916,13 @@ FROZEN_REPORTS = {
             "ito": {"theorem": "simple", "F": PIN_F, "rungs": 4},
         },
         "ito_report.json",
-        "fd12206fe7b64d15d16133ac90987cbead4d890d1d3b66a940eb918e002c05cd",
+        "5efed4c9f0d6087350c680faa7caa2a4f3d5e0a4f829a7bfe389c50269076433",
     ),
     "general-d2n3": (
         "ito",
         {"driver": PIN_DRIVER, "ito": PIN_GENERAL},
         "ito_report.json",
-        "4fcdc1eb7224766565c12bcc2c084f33d0e871d48085541904add74d1f3a8418",
+        "83f47a06dc6d4cfb9b6841679fafdde5cfc0c7d25e9058acee77d04b2c027863",
     ),
     "hopf-d2w3": (
         "hopf-selftest",
@@ -896,7 +950,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": {**PIN_DRIVER, "cells": 1024, "substeps": 4}, "ito": PIN_GENERAL},
         "ito_report.json",
-        "11936b2fb94be6e9cb973023111a0c474b2eef06d38ffabf931b5f4bb12f4695",
+        "7ba8af9d29efc9b5456467fb9f3de1e928e5e6f65a649427f9e005bfcf7dfcda",
     ),
     "lift-d2n3-wide": (
         "lift",
@@ -963,6 +1017,15 @@ def test_report_bytes_are_frozen(tmp_path, name):
     GEMM ★ kernel, ``lift-d2n3-wide``: 85 of the 204 dumped values moved, by
     at most 3.5e-18 (7.7e-16 relative).  Every verdict and every other
     digest kept its bytes.
+
+    Five digests were re-recorded when every term became one pairing of
+    ``X̂``'s cell characters with a node functional, summed column by
+    column: ``simple-d2n2``, ``general-d2n2``, ``simple-d2n3``,
+    ``general-d2n3`` and ``general-d2n3-blocks``.  The rough sums against
+    the base letters now read ``X̂``'s base columns, and every sum adds in
+    another order.  Terms, ``rhs`` and residuals moved by at most 1.4e-16
+    and slopes by at most 4.6e-8 (``general-d2n3-blocks``); ``lhs``, every
+    verdict and the other digests kept their bytes.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})
@@ -971,14 +1034,29 @@ def test_report_bytes_are_frozen(tmp_path, name):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def test_benchmark_trace_still_attaches():
-    """Every library name the benchmark's trace mode wraps still exists."""
+def test_benchmark_trace_still_attaches(tmp_path):
+    """Every library name the benchmark's trace mode wraps still exists, and
+    a traced ``ito`` run passes through its hooks (the ``after`` hooks read
+    the paths they get back) and records the verifier's span."""
     code = (
         "import sys; sys.path.insert(0, 'perfbench'); "
         "from probes import Tracer, instrument; instrument(Tracer())"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+    exp = analytic_ito_experiment("traced")
+    exp["driver"]["cells"] = 64
+    cfg = write_config(tmp_path, "c.json", exp)
+    out, trace = str(tmp_path / "o"), str(tmp_path / "trace.json")
+    argv = ["trace", "ito", cfg, out, trace]
+    proc = run_fresh(
+        "import sys; sys.path.insert(0, 'perfbench'); import probes; "
+        f"sys.exit(probes.main({argv!r}))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = [span[0] for span in read_json(trace)["spans"]]
+    assert "ito_verify.verify" in spans, sorted(set(spans))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,26 @@ import pytest
 import sympy
 
 from planarough import ito_verify, taylor
-from planarough.calculus import VectorFieldFamily
-from planarough.controlled import SmoothFunctionWithDerivatives
-from planarough.forest_core import parse_forest
+from planarough.calculus import (
+    VectorFieldFamily,
+    rough_integral,
+    solve_rde,
+    young_integral,
+)
+from planarough.controlled import SmoothFunctionWithDerivatives, compose_FY
+from planarough.forest_core import EMPTY, parse_forest
 from planarough.ito_verify import verify_general, verify_simple
-from planarough.rough_path import ConfigError, DriverSpec, PolySignal, TrigSignal, lift
+from planarough.rough_path import (
+    ConfigError,
+    DriverSpec,
+    PolySignal,
+    ScalarExtensionPath,
+    TrigSignal,
+    bracket_extension,
+    cbar_series,
+    lift,
+    tilde_series,
+)
 
 
 def sfunc(expr, variables=("x1",)):
@@ -312,6 +327,80 @@ def test_flat_geometry_is_planar_invariant():
         assert np.allclose(rep.residuals, first.residuals, rtol=0, atol=1e-12)
 
 
+def test_term_pairings_match_the_integrators(monkeypatch):
+    # every term is one pairing of X̂'s cell characters with a node
+    # functional; on every rung of a d = 2, N = 3 general experiment it must
+    # equal the library's integrators: Σ_l rough_integral of a per-letter
+    # compose_FY, against X for letters i and X̂ for bracket letters (i, j),
+    # and Σ young_integral against the scalar extension paths.  The [•2•1]1
+    # intensity makes c̄X non-trivial, and the [•1]2 intensity only X̂^(21);
+    # each integrand is weighted by its letters so that no term is symmetric
+    # in them, and a pairing at the column of (j, i) for (i, j) fails.
+    x = lift(
+        DriverSpec(
+            d=2,
+            base=(
+                TrigSignal(((0.6, 2.0, 0.3), (0.2, 5.0, 1.1))),
+                PolySignal((0.0, 0.7, -0.3)),
+            ),
+            intensities=(
+                (parse_forest("[•1]2"), PolySignal((0.0, 0.2))),
+                (parse_forest("[•2•1]1"), PolySignal((0.0, 0.5))),
+            ),
+            cells=64,
+            substeps=2,
+            N=3,
+            alpha=0.30,
+        )
+    )
+    fields = VectorFieldFamily.from_expressions(
+        [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
+    )
+    func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
+    general_jets = ito_verify._general_jets
+
+    def weighted(DF, ft):
+        jets_of, mixed = general_jets(DF, ft)
+        w = {k: np.arange(1.0, 2**k + 1).reshape((2,) * k) for k in (1, 2, 3)}
+        for k, ts in jets_of.items():
+            jets_of[k] = [t * w[k].reshape((2,) * k + (1,) * m) for m, t in enumerate(ts)]
+        return jets_of, mixed * w[3]
+
+    monkeypatch.setattr(ito_verify, "_general_jets", weighted)
+    rep = verify_general(x, fields, func, [0.1, -0.2], rungs=4)
+    y = solve_rde(x, fields, [0.1, -0.2])
+    DF = ito_verify._scalar_jets(func, y)
+    jets_of, mixed = weighted(DF, fields.tensors(y.coeffs[EMPTY], 2))
+    xhat = bracket_extension(x)
+    nodes = len(x.grid)
+
+    def rough(k, path, letter, stride):
+        at = (slice(None),) + tuple(np.atleast_1d(letter) - 1)
+        z = compose_FY(y, [t[at].reshape(nodes, 1, -1) for t in jets_of[k]], 3 - k)
+        return rough_integral(z, path, letter, stride).sum()
+
+    def young(g, series, stride):
+        return sum(
+            young_integral(
+                g[(slice(None),) + tuple(np.subtract(ijk, 1))][::stride],
+                ScalarExtensionPath(xhat, series(*ijk)).cell_increments(stride),
+            ).sum()
+            for ijk in itertools.product((1, 2), repeat=3)
+        )
+
+    pairs = list(itertools.product((1, 2), repeat=2))
+    want = {
+        "rough_first_order": lambda s: sum(rough(1, x, i, s) for i in (1, 2)),
+        "bracket_second_order": lambda s: sum(rough(2, xhat, ij, s) for ij in pairs),
+        "tilde_third_order": lambda s: young(jets_of[3][0], tilde_series, s),
+        "cbar_mixed_order": lambda s: young(mixed, cbar_series, s),
+    }
+    assert rep.strides == [8, 4, 2, 1] and list(rep.terms) == list(want)
+    for name, total in want.items():
+        ref = [total(s) for s in rep.strides]
+        assert np.allclose(rep.terms[name], ref, rtol=1e-13, atol=0), name
+
+
 # ---------------------------------------------------------------------------
 # Numeric jets and the compile budget
 # ---------------------------------------------------------------------------
@@ -375,11 +464,16 @@ def test_general_jets_match_sympy_reference():
 def test_compile_budget(monkeypatch, N):
     # one parse per user expression, on construction (F and the four stacked
     # field components); verifying parses nothing: every derivative order is
-    # a Taylor evaluation and every integrand a numeric contraction
-    calls = []
-    parse = taylor.parse_expression
+    # a Taylor evaluation and every integrand a numeric contraction.  The
+    # rough terms compose the integrands of all letters at once: one
+    # compose_FY call per order, two per verification
+    calls, composed = [], []
+    parse, compose = taylor.parse_expression, ito_verify.compose_FY
     monkeypatch.setattr(
         taylor, "parse_expression", lambda *a: calls.append(a[0]) or parse(*a)
+    )
+    monkeypatch.setattr(
+        ito_verify, "compose_FY", lambda *a: composed.append(a[2]) or compose(*a)
     )
     x = trig_x(N=N, cells=64)
     fields = VectorFieldFamily.from_expressions(
@@ -388,10 +482,12 @@ def test_compile_budget(monkeypatch, N):
     func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
     assert len(calls) == 5
     verify_general(x, fields, func, [0.1, -0.2], rungs=2)
+    assert composed == [N - 1, N - 2]
     func = sfunc("sin(x1)*x2 + x2**3/3", ("x1", "x2"))
     assert len(calls) == 6
     verify_simple(x, func, rungs=2)
     assert len(calls) == 6
+    assert composed == [N - 1, N - 2] * 2
 
 
 # ---------------------------------------------------------------------------
