@@ -34,7 +34,6 @@ from planarough.rough_path import (  # noqa: E402
     SpectralSignal,
     TrigSignal,
     alpha_window,
-    lift,
 )
 
 HURSTS = (0.27, 0.30, 0.33, 0.40, 0.45)
@@ -67,7 +66,7 @@ def run(N: int, hurst: float, alpha: float, seed: int) -> tuple:
         N=N,
         alpha=alpha,
     )
-    report = verify_simple(lift(driver), F, rungs=RUNGS)
+    report = verify_simple(driver, F, rungs=RUNGS)
     return report.finest_residual, report.slope
 
 

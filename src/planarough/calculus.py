@@ -184,9 +184,10 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
     at the latest guess before them, and the width follows the last
     advance.  Guesses beyond the exact nodes may overflow unreported.
 
-    The returned path carries the solution at the empty forest and the
-    elementary differentials ``f_τ(Y_t)`` on trees up to weight ``N − 1``
-    (multi-tree forests carry zero).  Raises :class:`ConfigError` unless
+    The scheme reads the base-letter trees only, so ``x`` may be a bracket
+    extension.  The returned path carries the solution at the empty forest
+    and the elementary differentials ``f_τ(Y_t)`` on trees up to weight
+    ``N − 1`` (multi-tree forests carry zero).  Raises :class:`ConfigError` unless
     there is one field per driver letter and one entry of ``xi`` per state,
     and :class:`DivergenceError` at the first node whose norm exceeds 1e6.
     """
@@ -198,7 +199,7 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
     if xi.shape != (fields.n,):
         raise ConfigError(f"xi has {xi.size} entries for {fields.n} states")
     basis = x.algebra.basis
-    trees = [f for f in basis.forests if len(f.trees) == 1]
+    trees = [f for f in basis.forests if len(f.trees) == 1 and f.weight == f.degree]
     f_taus = elementary_differentials(trees, fields.d)
     cells = x.levels[0][:, [basis.index[f] for f in trees]]
     y = np.empty((len(x.grid), fields.n))

@@ -121,7 +121,8 @@ def jets(func: SmoothFunctionWithDerivatives, y, order: int) -> list:
     there are finite."""
     if func.n_in != y.n_out:
         raise ConfigError(f"F takes {func.n_in} variables, the path has {y.n_out}")
-    tensors = func.tensors(y.coeffs[EMPTY], order)
+    with np.errstate(all="ignore"):  # a pole or a log of 0 divides by zero
+        tensors = func.tensors(y.coeffs[EMPTY], order)
     if not all(np.isfinite(t).all() for t in tensors):
         raise ConfigError(f"F or a derivative up to order {order} is not finite")
     return tensors

@@ -25,9 +25,11 @@ is ``F(Y)`` along :func:`~planarough.controlled.driver_path`, the jets are
 slices of ``F``'s tensors, and the mixed compensator term vanishes because
 ``Df_j = 0``.
 
-On a mesh cell ``[u, v]`` every sum is linear in the character ``X̂_{u,v}``
-of the bracket extension, whose basis holds the base forests too
-(Hairer–Kelly 2015): a rough sum against letter ``l`` adds
+Each verifier lifts its driver once, to the bracket extension ``X̂``
+(Hairer–Kelly 2015), whose basis holds the base forests too and whose base
+columns are the lift ``X`` bit for bit; the states, the jets and every sum
+run on ``X̂`` alone.  On a mesh cell ``[u, v]`` every sum is linear in the
+character ``X̂_{u,v}``: a rough sum against letter ``l`` adds
 ``⟨τ, Z_u⟩·⟨X̂_{u,v}, [τ]_l⟩`` over its integrand's coefficients τ, a Young
 sum ``g(u)·⟨X̂_{u,v}, series⟩``.  So :func:`_terms` makes each term a node
 functional Φ on the columns it touches, whose total on the stride-``s`` mesh
@@ -59,7 +61,7 @@ from .forest_core import EMPTY, b_plus
 from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
-    RoughPath,
+    DriverSpec,
     bracket_extension,
     cbar_series,
     tilde_series,
@@ -85,12 +87,12 @@ class ItoReport(MeshLadder):
     passed: bool
 
 
-def _rough(xhat: RoughPath, z: ControlledPath, jets_k: list, letters) -> list:
+def _rough(z: ControlledPath, jets_k: list, letters) -> list:
     """The functional of ``Σ_l ∫ Z^l dX̂^l`` as ``(column, Φ)`` pairs: column
     ``[τ]_l`` carries ``⟨τ, Z^l⟩``.  The integrands of ``letters``, stacked
     in ``jets_k`` after the node axis, compose as one path's outputs."""
     jets_k = [t.reshape(len(t), len(letters), -1) for t in jets_k]
-    idx = xhat.algebra.basis.index
+    idx = z.x.algebra.basis.index
     return [
         (idx[b_plus(tau, l)], coeff[:, o])
         for tau, coeff in compose_FY(z, jets_k, len(jets_k) - 1).coeffs.items()
@@ -98,39 +100,38 @@ def _rough(xhat: RoughPath, z: ControlledPath, jets_k: list, letters) -> list:
     ]
 
 
-def _young(xhat: RoughPath, g: np.ndarray, series) -> list:
+def _young(z: ControlledPath, g: np.ndarray, series) -> list:
     """The functional of ``Σ_{ijk} ∫ g_{ijk} d⟨X̂, series(i, j, k)⟩`` for
     ``g`` with axes ``(node, i, j, k)``, as ``(column, Φ)`` pairs."""
     triples = itertools.product(range(1, g.shape[1] + 1), repeat=3)
-    rows = np.stack([xhat.algebra.basis.vector(series(*ijk)) for ijk in triples])
+    rows = np.stack([z.x.algebra.basis.vector(series(*ijk)) for ijk in triples])
     cols = np.flatnonzero(rows.any(axis=0))
     return list(zip(cols, (g.reshape(len(g), -1) @ rows[:, cols]).T))
 
 
-def _terms(xhat: RoughPath, z: ControlledPath, jets_of: dict, mixed):
+def _terms(z: ControlledPath, jets_of: dict, mixed):
     """Yield ``(name, functional)`` per term of the identity for states ``z``.
     Entry m of ``jets_of[k]`` holds the integrands of k letters and their
     m-th derivatives, axes ``(node, l1…lk, b1…bm)`` for m up to ``N − k``;
     ``mixed`` is the ``c̄X`` integrand, axes ``(node, i, j, k)``, or None."""
     letters = range(1, z.x.base_values.shape[0] + 1)
-    yield "rough_first_order", _rough(xhat, z, jets_of[1], letters)
+    yield "rough_first_order", _rough(z, jets_of[1], letters)
     pairs = list(itertools.product(letters, repeat=2))
-    yield "bracket_second_order", _rough(xhat, z, jets_of[2], pairs)
-    if xhat.N == 3:
-        yield "tilde_third_order", _young(xhat, jets_of[3][0], tilde_series)
+    yield "bracket_second_order", _rough(z, jets_of[2], pairs)
+    if z.x.N == 3:
+        yield "tilde_third_order", _young(z, jets_of[3][0], tilde_series)
         if mixed is not None:
-            yield "cbar_mixed_order", _young(xhat, mixed, cbar_series)
+            yield "cbar_mixed_order", _young(z, mixed, cbar_series)
 
 
 def _verify(name, theorem, values, z, jets_of, mixed, rungs, tolerance) -> ItoReport:
     """Evaluate every term on every rung and judge the identity
     ``F(z_T) − F(z_0) = Σ terms`` for ``F``'s ``values`` at the nodes."""
-    x = z.x
+    xhat = z.x
     lhs = float(values[-1] - values[0])
-    strides, scales = MeshLadder.rungs_of(x, rungs)
-    xhat = bracket_extension(x)
+    strides, scales = MeshLadder.rungs_of(xhat, rungs)
     terms = {}
-    for term, functional in _terms(xhat, z, jets_of, mixed):
+    for term, functional in _terms(z, jets_of, mixed):
         terms[term] = [
             sum(float(xhat.stride_chars(s)[:, c] @ phi[:-1:s]) for c, phi in functional)
             for s in strides
@@ -138,14 +139,14 @@ def _verify(name, theorem, values, z, jets_of, mixed, rungs, tolerance) -> ItoRe
         del functional  # one term's functional alive at a time
     rhs = [sum(terms[k][r] for k in terms) for r in range(len(strides))]
     ladder = MeshLadder.fit(strides, scales, rhs, lhs)
-    threshold = (x.N + 1) * x.alpha - 1.0 - 0.3
+    threshold = (xhat.N + 1) * xhat.alpha - 1.0 - 0.3
     finest = ladder["residuals"][-1]
     passed_res, passed_ord = finest <= tolerance, ladder["slope"] >= threshold
     return ItoReport(
         name=name,
-        theorem=f"{theorem}-n{x.N}",
-        truncation=x.N,
-        alpha=x.alpha,
+        theorem=f"{theorem}-n{xhat.N}",
+        truncation=xhat.N,
+        alpha=xhat.alpha,
         lhs=lhs,
         terms=terms,
         rhs=[float(v) for v in rhs],
@@ -173,7 +174,7 @@ def _scalar_jets(func: SmoothFunctionWithDerivatives, z: ControlledPath) -> list
 
 
 def _general_jets(DF: list, ft: list):
-    """``(jets_of, mixed)`` for :func:`_table` by the product rule, from
+    """``(jets_of, mixed)`` for :func:`_terms` by the product rule, from
     ``D^mF`` and the fields' ``D^m f`` at the states, for example
     ``D²(DF:f_i):(v, w) = D³F:(f_i, v, w) + D²F:(Df_i:v, w)
     + D²F:(Df_i:w, v) + DF:(D²f_i:(v, w))``."""
@@ -204,23 +205,26 @@ def _general_jets(DF: list, ft: list):
 
 
 def verify_simple(
-    x: RoughPath,
+    driver: DriverSpec,
     func: SmoothFunctionWithDerivatives,
     name: str = "simple",
     rungs: int = 6,
     tolerance: float = 1e-5,
 ) -> ItoReport:
-    """Check the change-of-variable identity for ``F(driver)``."""
+    """Check the change-of-variable identity for ``F(driver)`` on the
+    driver's bracket extension."""
     _scalar(func)
-    z = driver_path(x)
+    if func.n_in != driver.d:
+        raise ConfigError(f"F takes {func.n_in} variables, the driver has {driver.d}")
+    z = driver_path(bracket_extension(driver))
     DF = _scalar_jets(func, z)
     # f_i = e_i: the integrand of letters l1…lk is F's tensor at (l1…lk, …)
-    jets_of = {k: DF[k:] for k in range(1, x.N + 1)}
+    jets_of = {k: DF[k:] for k in range(1, driver.N + 1)}
     return _verify(name, "simple", DF[0], z, jets_of, None, rungs, tolerance)
 
 
 def verify_general(
-    x: RoughPath,
+    driver: DriverSpec,
     fields: VectorFieldFamily,
     func: SmoothFunctionWithDerivatives,
     xi,
@@ -229,11 +233,11 @@ def verify_general(
     tolerance: float = 1e-5,
 ) -> ItoReport:
     """Check the change-of-variable identity for ``F(Y)`` along the solution
-    of ``dY = Σ f_i(Y) dX^i``."""
+    of ``dY = Σ f_i(Y) dX^i``, solved on the driver's bracket extension."""
     _scalar(func)
     if func.variables != fields.stacked.variables:
         raise ConfigError("F and the fields must use the same variables")
-    y = solve_rde(x, fields, xi)
+    y = solve_rde(bracket_extension(driver), fields, xi)
     DF = _scalar_jets(func, y)
-    jets_of, mixed = _general_jets(DF, fields.tensors(y.coeffs[EMPTY], x.N - 1))
+    jets_of, mixed = _general_jets(DF, fields.tensors(y.coeffs[EMPTY], driver.N - 1))
     return _verify(name, "general", DF[0], y, jets_of, mixed, rungs, tolerance)

@@ -15,19 +15,17 @@ algebra.  Each step is therefore group-like to machine precision, cell
 characters compose by ★ (Chen's identity holds exactly), and level-one
 components are exact.
 
-The bracket extension re-lifts the driver over the alphabet extended by
-bracket letters ``(i j)``, whose level-one increments are defined per substep
-as ``⟨g, •_j •_i⟩ − ⟨g, [•_j]_i⟩`` of the base substep character: the negated
+The bracket extension lifts the driver over the alphabet extended by bracket
+letters ``(i j)``, whose level-one increments are defined per substep as
+``⟨g, •_j •_i⟩ − ⟨g, [•_j]_i⟩`` of the base substep character: the negated
 increment of the intensity on ``[•_j]_i``.  Restricted to base-letter forests
-the extension reproduces the original lift exactly.
+the extension reproduces the lift exactly, so a verification needs it alone.
 
-Both paths share one Magnus pipeline.  The lift samples each distinct signal
-once (values on the substep nodes, rates on the two Gauss arrays) and keeps
-those samples on the :class:`RoughPath`; the extension reuses them instead of
-sampling the driver again.  Both build the substep characters one block of
-whole cells at a time and keep only the block's cell characters, so the
-``(substeps, dim)`` temporaries of the Magnus step are block-sized, not
-path-sized.
+Both paths run one Magnus pipeline.  It samples each distinct signal once
+(values on the substep nodes, rates on the two Gauss arrays), then builds the
+substep characters one block of whole cells at a time and keeps only the
+block's cell characters, so the ``(substeps, dim)`` temporaries of the Magnus
+step are block-sized, not path-sized.
 """
 
 from __future__ import annotations
@@ -141,7 +139,13 @@ class SpectralSignal:
             raise ConfigError(f"spectral period must be positive, got {self.period}")
         rng = np.random.default_rng(self.seed)
         m = np.arange(1, self.modes + 1, dtype=float)
-        decay = self.amplitude * m ** (-(self.hurst + 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            decay = self.amplitude * m ** (-(self.hurst + 0.5))
+        if not np.isfinite(decay).all():
+            raise ConfigError(
+                f"spectral mode decay is not finite for hurst={self.hurst}, "
+                f"amplitude={self.amplitude}"
+            )
         object.__setattr__(self, "_cos", decay * rng.standard_normal(self.modes))
         object.__setattr__(self, "_sin", decay * rng.standard_normal(self.modes))
         object.__setattr__(self, "_freq", 2.0 * np.pi * m / self.period)
@@ -299,27 +303,15 @@ def get_algebra(letters, max_weight: int) -> FloatAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class SubstepSamples:
-    """What a lift sampled on its Magnus substeps, kept for the extension.
-
-    A column is ``(forest, increments, rates at c₁, rates at c₂)`` per substep
-    of length ``h``, with Gauss points ``c₁, c₂``; ``columns`` covers the base
-    letters and the intensities, which also give the bracket letters.
-    """
-
-    h: np.ndarray
-    columns: list
-
-
 def _sample_substeps(driver: DriverSpec):
     """Sample each distinct signal once on the substep nodes and Gauss points.
 
     A signal with a ``sample_grid`` method samples the uniform grid itself
     when it can (a spectral signal by FFT); every other signal, and a grid
     that method declines, is evaluated by ``value`` and ``rate``.  Returns
-    the samples and the base signals on the grid, which is every
-    ``substeps``-th node.
+    the substep lengths ``h``, one column ``(forest, increments, rates at
+    c₁, rates at c₂)`` per base letter and intensity, and the base signals
+    on the grid, which is every ``substeps``-th node.
     """
     steps = driver.cells * driver.substeps
     nodes = np.linspace(0.0, driver.T, steps + 1)
@@ -332,16 +324,18 @@ def _sample_substeps(driver: DriverSpec):
         if id(sig) in seen:
             continue
         sample_grid = getattr(sig, "sample_grid", None)
-        sampled = sample_grid(driver.T, steps) if sample_grid else None
-        if sampled is None:
-            sampled = (sig.value(nodes), *(sig.rate(lo + h * c) for c in _GAUSS))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sampled = sample_grid(driver.T, steps) if sample_grid else None
+            if sampled is None:
+                sampled = (sig.value(nodes), *(sig.rate(lo + h * c) for c in _GAUSS))
+            v, r1, r2 = sampled
+            inc = v[1:] - v[:-1]
         if not all(np.isfinite(a).all() for a in sampled):
             raise ConfigError(f"the signal on {f.key} is not finite on the grid")
-        v, r1, r2 = sampled
-        seen[id(sig)] = (v, v[1:] - v[:-1], r1, r2)
+        seen[id(sig)] = (v, inc, r1, r2)
     columns = [(f, *seen[id(sig)][1:]) for f, sig in pairs]
     base_values = np.stack([seen[id(s)][0][:: driver.substeps] for s in driver.base])
-    return SubstepSamples(h, columns), base_values
+    return h, columns, base_values
 
 
 def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
@@ -419,8 +413,7 @@ class RoughPath:
     ``levels[l]`` holds the characters of the ``cells >> l`` aligned blocks of
     ``2**l`` consecutive cells, so every stride of the dyadic mesh ladder is a
     plain array lookup and arbitrary node intervals compose from O(log) rows.
-    A computed path keeps its ``driver`` and the lift's ``samples``, which
-    :func:`bracket_extension` needs; a loaded one has neither.
+    A computed path keeps its ``driver``; a loaded one has none.
     """
 
     algebra: FloatAlgebra
@@ -429,7 +422,6 @@ class RoughPath:
     base_values: np.ndarray  # (d, nodes) sampled base signals
     alpha: float
     driver: DriverSpec | None = None
-    samples: SubstepSamples | None = None
 
     @property
     def cells(self) -> int:
@@ -563,9 +555,10 @@ class RoughPath:
         )
 
 
-def _path(driver, algebra, samples, columns, base_values) -> RoughPath:
-    cell_chars = list(_cell_blocks(driver, algebra, samples.h, columns))
-    levels = _pyramid(algebra, np.concatenate(cell_chars))
+def _path(driver, algebra, h, columns, base_values) -> RoughPath:
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell_chars = list(_cell_blocks(driver, algebra, h, columns))
+        levels = _pyramid(algebra, np.concatenate(cell_chars))
     # ★ only adds and multiplies, and every row's entries reach the product
     # through its unit terms, so a non-finite cell character, or an overflow
     # on any level, leaves the one row of the top level, and its sum,
@@ -579,46 +572,44 @@ def _path(driver, algebra, samples, columns, base_values) -> RoughPath:
         base_values=base_values,
         alpha=driver.alpha,
         driver=driver,
-        samples=samples,
     )
 
 
 def lift(driver: DriverSpec) -> RoughPath:
     """Lift a driver to a branched rough path over its base alphabet."""
+    # the algebra's tables before the samples: in the other order two d = 3,
+    # N = 3 lifts of 16,384 substeps peaked 0.5 MB higher in one process
     algebra = get_algebra(base_alphabet(driver.d), driver.N)
-    samples, base_values = _sample_substeps(driver)
-    return _path(driver, algebra, samples, samples.columns, base_values)
+    return _path(driver, algebra, *_sample_substeps(driver))
 
 
-def bracket_extension(x: RoughPath) -> RoughPath:
-    """Extend a lifted driver over the bracket alphabet.
+def bracket_extension(driver: DriverSpec) -> RoughPath:
+    """Lift a driver over the bracket alphabet: its bracket extension X̂.
 
     Level-one bracket components integrate ``⟨•_j •_i⟩ − ⟨[•_j]_i⟩`` of the
-    base lift substep by substep, so the defining identity holds exactly on
-    every grid interval (that combination is primitive, hence additive), and
-    base-letter components are reproduced bit for bit.
+    base substep characters, so the defining identity holds exactly on every
+    grid interval (that combination is primitive, hence additive), and the
+    base-letter components are those of :func:`lift` bit for bit.
 
     Per substep, ``⟨exp Ω, •_j •_i⟩`` and ``⟨exp Ω, [•_j]_i⟩`` share the
     quadratic part ``½·Ω_j·Ω_i`` and the Gauss commutator
     ``h²·√3/12·(a1_j·a2_i − a2_j·a1_i)`` (one structure constant ``(•_j, •_i)``
     each), so their difference is ``Ω_{•_j •_i} − Ω_{[•_j]_i} = −Δλ_{[•_j]_i}``,
     the negated increment of the intensity on ``[•_j]_i``.  Each such intensity
-    in the lift's samples gives the column ``(•(ij), −Δλ, −Δλ/h, −Δλ/h)``; a
-    letter without one has zero increments and gets no column.  A lift step
-    that breaks this identity has to compute the difference again.
+    gives the column ``(•(ij), −Δλ, −Δλ/h, −Δλ/h)``; a letter without one has
+    zero increments and gets no column.  A lift step that breaks this
+    identity has to compute the difference again.
     """
-    driver, samples = x.driver, x.samples
-    if driver is None or samples is None:
-        raise ValueError("bracket_extension needs a lift that kept its driver")
-    ext_alg = get_algebra(bracket_alphabet(driver.d), driver.N)
+    algebra = get_algebra(bracket_alphabet(driver.d), driver.N)  # as in lift
+    h, columns, base_values = _sample_substeps(driver)
     brackets = []
-    for f, inc, *_rates in samples.columns:
+    for f, inc, *_rates in columns:
         if f.degree == 2:  # the tree [•j]i, with root i
             (root,) = f.trees
-            rate = -inc / samples.h
+            rate = -inc / h
             letter = (root.letter, root.children[0].letter)
             brackets.append((single(letter), -inc, rate, rate))
-    return _path(driver, ext_alg, samples, samples.columns + brackets, x.base_values)
+    return _path(driver, algebra, h, columns + brackets, base_values)
 
 
 # ---------------------------------------------------------------------------

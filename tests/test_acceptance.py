@@ -133,9 +133,7 @@ def test_criterion_04_canonical_lift(N):
 def test_criterion_05_analytic_identity_n2():
     """The compensated identity holds to 1e-6 on the 2^-12 analytic mesh."""
     func = SmoothFunctionWithDerivatives.from_expressions(("x1**2",), ("x1",))
-    rep = verify_simple(
-        lift(analytic_driver_n2()), func, name="analytic", tolerance=1e-6
-    )
+    rep = verify_simple(analytic_driver_n2(), func, name="analytic", tolerance=1e-6)
     assert rep.finest_residual <= 1e-6, rep.finest_residual
     threshold = 3 * 0.45 - 1.0 - 0.3
     assert rep.slope >= threshold, rep.slope
@@ -240,20 +238,18 @@ def test_criterion_09_extension_additivity_and_restriction():
     """
     # geometric unit-slope driver exhibits the pre-fix defect in closed form
     xg = bracket_extension(
-        lift(
-            DriverSpec(
-                d=1,
-                base=(PolySignal((0.0, 1.0)),),
-                cells=64,
-                substeps=4,
-                N=3,
-                alpha=0.30,
-            )
+        DriverSpec(
+            d=1,
+            base=(PolySignal((0.0, 1.0)),),
+            cells=64,
+            substeps=4,
+            N=3,
+            alpha=0.30,
         )
     )
     # compensated driver for the bracket/tilde clauses
-    x = lift(analytic_driver_n2(cells=256, substeps=8))
-    xhat = bracket_extension(x)
+    driver = analytic_driver_n2(cells=256, substeps=8)
+    x, xhat = lift(driver), bracket_extension(driver)
 
     # restriction: shared components are reproduced bitwise (≤ 1e-12)
     cols = [x.algebra.basis.index[f] for f in x.algebra.basis.forests]
@@ -276,19 +272,17 @@ def test_criterion_09_extension_additivity_and_restriction():
 
     # third-order compensator additivity (≤ 1e-10)
     xh3 = bracket_extension(
-        lift(
-            DriverSpec(
-                d=1,
-                base=(PolySignal((0.0, 1.0)),),
-                intensities=(
-                    (parse_forest("[•1]1"), PolySignal((0.0, -0.5))),
-                    (parse_forest("[•1•1]1"), PolySignal((0.0, 0.2, 0.1))),
-                ),
-                cells=64,
-                substeps=4,
-                N=3,
-                alpha=0.30,
-            )
+        DriverSpec(
+            d=1,
+            base=(PolySignal((0.0, 1.0)),),
+            intensities=(
+                (parse_forest("[•1]1"), PolySignal((0.0, -0.5))),
+                (parse_forest("[•1•1]1"), PolySignal((0.0, 0.2, 0.1))),
+            ),
+            cells=64,
+            substeps=4,
+            N=3,
+            alpha=0.30,
         )
     )
     tilde = ScalarExtensionPath(xh3, tilde_series(1, 1, 1))
@@ -322,7 +316,7 @@ def test_criterion_09_extension_additivity_and_restriction():
 
     # at d=1 both slot orders of the cross term agree; mixed letters tell
     # the left (first sub-interval) slot from the right one
-    xt = bracket_extension(lift(trig_driver(N=3, cells=64, substeps=4, intensity=True)))
+    xt = bracket_extension(trig_driver(N=3, cells=64, substeps=4, intensity=True))
     for xh, ijks, n in (
         (xg, [(1, 1, 1)], 10),
         (xh3, [(1, 1, 1)], 100),

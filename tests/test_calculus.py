@@ -37,21 +37,23 @@ def scalar_fields(expr="y1"):
     return VectorFieldFamily.from_expressions([(expr,)], ("y1",))
 
 
-def canonical_x(N=2, cells=1024, substeps=1, lam=0.0):
+def canonical_driver(N=2, cells=1024, substeps=1, lam=0.0):
     intensities = ()
     if lam:
         intensities = ((parse_forest("[•1]1"), PolySignal((0.0, lam))),)
-    return lift(
-        DriverSpec(
-            d=1,
-            base=(PolySignal((0.0, 1.0)),),
-            intensities=intensities,
-            cells=cells,
-            substeps=substeps,
-            N=N,
-            alpha=0.45 if N == 2 else 0.30,
-        )
+    return DriverSpec(
+        d=1,
+        base=(PolySignal((0.0, 1.0)),),
+        intensities=intensities,
+        cells=cells,
+        substeps=substeps,
+        N=N,
+        alpha=0.45 if N == 2 else 0.30,
     )
+
+
+def canonical_x(**kwargs):
+    return lift(canonical_driver(**kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ def test_rough_integral_pinned_quadratic_limit():
 def test_rough_integral_budget_drops_heavy_coefficients():
     # bracket letters have weight two, so only the weight-zero coefficient
     # pairs against them at N=2
-    xhat = bracket_extension(canonical_x(cells=64, lam=-0.5))
+    xhat = bracket_extension(canonical_driver(cells=64, lam=-0.5))
     func = SmoothFunctionWithDerivatives.from_expressions(("x1**2",), ("x1",))
     z = compose_FX(xhat, func, 0)
     got = rough_integral(z, xhat, (1, 1)).sum()
@@ -339,10 +341,16 @@ SWEEP_CASES = {
 
 @pytest.mark.parametrize("case", list(SWEEP_CASES))
 def test_sweep_matches_cell_recursion(case):
-    # every node of the windowed sweep is the recursion's, bit for bit
+    # every node of the windowed sweep is the recursion's, bit for bit, and
+    # on the bracket extension, which the general verifier solves on, the
+    # solution and its f_τ are those on the lift
     x, fields, xi = SWEEP_CASES[case]()
     y = solve_rde(x, fields, xi)
     assert np.array_equal(y.coeffs[EMPTY], cell_recursion(x, fields, xi))
+    y_hat = solve_rde(bracket_extension(x.driver), fields, xi)
+    assert list(y_hat.coeffs) == list(y.coeffs)
+    for f, arr in y.coeffs.items():
+        assert np.array_equal(y_hat.coeffs[f], arr), f.key
 
 
 def test_sweep_evaluates_windows_not_cells(monkeypatch):

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from planarough import cli
+from planarough import cli, rough_path
 from planarough.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -21,6 +21,7 @@ from planarough.cli import (
     load_experiments,
     main,
 )
+from planarough.forest_core import bracket_alphabet
 from planarough.hopf_mkw import run_selftest
 from planarough.rough_path import ConfigError
 
@@ -461,19 +462,43 @@ def test_rde_bad_oracle_fails_before_solving(tmp_path, capsys):
     assert not (tmp_path / "o" / "rde" / "solution.csv").exists()
 
 
+def count_pipelines(monkeypatch) -> list:
+    """Record the alphabet of every Magnus pipeline that runs from now on."""
+    pipelines = []
+    real = rough_path._cell_blocks
+
+    def counted(driver, algebra, h, columns):
+        pipelines.append(algebra.basis.letters)
+        return real(driver, algebra, h, columns)
+
+    monkeypatch.setattr(rough_path, "_cell_blocks", counted)
+    return pipelines
+
+
 def test_unknown_theorem_fails_before_the_lift(tmp_path, monkeypatch):
-    lifts = []
-    real = cli.lift
-    monkeypatch.setattr(cli, "lift", lambda d: lifts.append(d) or real(d))
+    pipelines = count_pipelines(monkeypatch)
     exp = analytic_ito_experiment()
     exp["ito"]["theorem"] = "special"
     cfg = write_config(tmp_path, "c.json", exp)
     assert main(["ito", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert lifts == []
+    assert pipelines == []
     exp["ito"]["theorem"] = "simple"  # the counter counts
     cfg = write_config(tmp_path, "c.json", exp)
     assert main(["ito", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
-    assert len(lifts) == 1
+    assert len(pipelines) == 1
+
+
+@pytest.mark.parametrize("theorem", ["simple", "general"])
+def test_ito_lifts_once_over_the_bracket_alphabet(tmp_path, monkeypatch, theorem):
+    # the identities live on the bracket extension X̂, whose base columns are
+    # the lift X bit for bit: each verification lifts its driver once, to X̂
+    pipelines = count_pipelines(monkeypatch)
+    exp = {"name": theorem, "driver": PIN_DRIVER, "ito": {"F": PIN_F, "rungs": 3}}
+    if theorem == "general":
+        exp["ito"] = PIN_GENERAL
+    cfg = write_config(tmp_path, "c.json", exp)
+    assert main(["ito", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert pipelines == [bracket_alphabet(2)]
 
 
 GENERAL = {
@@ -599,6 +624,12 @@ class Raw(str):
             {**RDE, "oracle": {"exprs": ["exp(exp(exp(3*t)))"], "vars": ["t"]}},
             id="rde-oracle-not-finite",
         ),
+        pytest.param(
+            "rde",
+            ("rde",),
+            {**RDE, "oracle": {"exprs": ["1/t"], "vars": ["t"]}},
+            id="rde-oracle-pole",
+        ),
         # uncaught exceptions once: AttributeError (a non-expression, a
         # relation), KeyError('ComplexInfinity') from lambdify, TypeError
         # storing a complex value, ValueError from os.makedirs
@@ -652,7 +683,10 @@ class Raw(str):
         ),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
+    # a numpy RuntimeWarning raises here, so a bad value that warns on its
+    # way to the config error exits 70 and fails
     exp = analytic_ito_experiment("bad")
     exp["driver"]["cells"] = 64
     exp["lift"] = {}
@@ -714,12 +748,20 @@ def test_exit_ok_on_spectral_grid_beyond_the_fft(tmp_path, capsys, period, T):
             "x1**2", id="lift-spectral-hurst-minus-400",
         ),
         pytest.param(
+            "ito", {"base": [{"kind": "spectral", "hurst": -400, "modes": 8}]},
+            "x1**2", id="ito-spectral-hurst-minus-400",
+        ),
+        pytest.param(
             "ito", {"base": [{"kind": "poly", "coeffs": [0, 1e300, 1e300]}]},
             "x1**2", id="ito-poly-1e300",
         ),
         pytest.param(
             "ito", {"base": [{"kind": "poly", "coeffs": [0, 3]}]},
             "exp(exp(exp(x1)))", id="ito-F-exp-exp-exp",
+        ),
+        pytest.param(
+            "ito", {"base": [{"kind": "poly", "coeffs": [0, 1]}]},
+            "log(x1)", id="ito-F-log-of-zero",
         ),
         # every aligned block is finite, an unaligned probed interval is not
         pytest.param(
@@ -734,17 +776,23 @@ def test_exit_ok_on_spectral_grid_beyond_the_fft(tmp_path, capsys, period, T):
         ),
     ],
 )
-def test_exit_config_on_non_finite_values(tmp_path, capsys, command, driver, F):
+def test_exit_config_on_non_finite_values(tmp_path, command, driver, F):
     # non-finite sampled signals, characters and derivative tensors once
-    # ended in exit 1 and reports holding bare NaN or Infinity, no JSON
+    # ended in exit 1 and reports holding bare NaN or Infinity, no JSON; a
+    # fresh interpreter shows what a user sees on stderr, numpy's
+    # RuntimeWarnings included, which the test runner would otherwise catch
     exp = analytic_ito_experiment("huge")
     exp["driver"].update(cells=64, **driver)
     exp["ito"]["F"]["exprs"] = [F]
     exp["lift"] = {}
     cfg = write_config(tmp_path, "c.json", exp)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    err = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("config error: ") for line in err), err
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    proc = run_fresh(
+        f"import sys; from planarough.cli import main; sys.exit(main({argv!r}))"
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
     assert not (tmp_path / "o" / "huge").exists()
 
 

@@ -44,40 +44,36 @@ def sfunc(expr, variables=("x1",)):
     return SmoothFunctionWithDerivatives.from_expressions((expr,), variables)
 
 
-def analytic_x(cells=256, substeps=8):
-    return lift(
-        DriverSpec(
-            d=1,
-            base=(PolySignal((0.0, 1.0)),),
-            intensities=((parse_forest("[•1]1"), PolySignal((0.0, -0.5))),),
-            cells=cells,
-            substeps=substeps,
-            N=2,
-            alpha=0.45,
-        )
+def analytic_driver(cells=256, substeps=8):
+    return DriverSpec(
+        d=1,
+        base=(PolySignal((0.0, 1.0)),),
+        intensities=((parse_forest("[•1]1"), PolySignal((0.0, -0.5))),),
+        cells=cells,
+        substeps=substeps,
+        N=2,
+        alpha=0.45,
     )
 
 
-def trig_x(N=2, cells=512, substeps=4, intensity=True):
+def trig_driver(N=2, cells=512, substeps=4, intensity=True):
     intensities = ()
     if intensity:
         intensities = (
             (parse_forest("[•1]2"), PolySignal((0.0, 0.4, -0.3))),
             (parse_forest("[•2]1"), TrigSignal(((0.2, 4.0, 0.5),))),
         )
-    return lift(
-        DriverSpec(
-            d=2,
-            base=(
-                TrigSignal(((0.9, 2.0, 0.1), (0.3, 7.0, 0.8))),
-                TrigSignal(((0.7, 3.0, 1.2),)),
-            ),
-            intensities=intensities,
-            cells=cells,
-            substeps=substeps,
-            N=N,
-            alpha=0.45 if N == 2 else 0.30,
-        )
+    return DriverSpec(
+        d=2,
+        base=(
+            TrigSignal(((0.9, 2.0, 0.1), (0.3, 7.0, 0.8))),
+            TrigSignal(((0.7, 3.0, 1.2),)),
+        ),
+        intensities=intensities,
+        cells=cells,
+        substeps=substeps,
+        N=N,
+        alpha=0.45 if N == 2 else 0.30,
     )
 
 
@@ -87,7 +83,7 @@ def trig_x(N=2, cells=512, substeps=4, intensity=True):
 
 
 def test_simple_n2_analytic_is_exact():
-    rep = verify_simple(analytic_x(), sfunc("x1**2"), tolerance=1e-6)
+    rep = verify_simple(analytic_driver(), sfunc("x1**2"), tolerance=1e-6)
     assert rep.theorem == "simple-n2"
     assert rep.lhs == pytest.approx(1.0, abs=1e-15)
     assert set(rep.terms) == {"rough_first_order", "bracket_second_order"}
@@ -103,14 +99,14 @@ def test_simple_n2_analytic_is_exact():
 
 
 def test_simple_n2_linear_observable_trivial():
-    rep = verify_simple(analytic_x(cells=128), sfunc("x1"), tolerance=1e-12)
+    rep = verify_simple(analytic_driver(cells=128), sfunc("x1"), tolerance=1e-12)
     assert rep.finest_residual < 1e-14
     assert rep.terms["bracket_second_order"][-1] == 0.0
 
 
 def test_simple_n2_quadratic_trig_exact():
     rep = verify_simple(
-        trig_x(),
+        trig_driver(),
         sfunc("x1*x2 + 0.3*x1**2 - 0.5*x2", ("x1", "x2")),
         tolerance=1e-6,
     )
@@ -119,22 +115,20 @@ def test_simple_n2_quadratic_trig_exact():
 
 
 def test_simple_n3_quartic_converges():
-    x = lift(
-        DriverSpec(
-            d=1,
-            base=(PolySignal((0.0, 1.0, 0.5)),),
-            intensities=(
-                (parse_forest("[•1]1"), PolySignal((0.0, 0.3, -0.2))),
-                (parse_forest("[[•1]1]1"), PolySignal((0.0, -0.1, 0.0, 0.2))),
-                (parse_forest("[•1•1]1"), PolySignal((0.0, 0.2, 0.1))),
-            ),
-            cells=512,
-            substeps=2,
-            N=3,
-            alpha=0.30,
-        )
+    driver = DriverSpec(
+        d=1,
+        base=(PolySignal((0.0, 1.0, 0.5)),),
+        intensities=(
+            (parse_forest("[•1]1"), PolySignal((0.0, 0.3, -0.2))),
+            (parse_forest("[[•1]1]1"), PolySignal((0.0, -0.1, 0.0, 0.2))),
+            (parse_forest("[•1•1]1"), PolySignal((0.0, 0.2, 0.1))),
+        ),
+        cells=512,
+        substeps=2,
+        N=3,
+        alpha=0.30,
     )
-    rep = verify_simple(x, sfunc("x1**4 - x1**2"), tolerance=1e-5)
+    rep = verify_simple(driver, sfunc("x1**4 - x1**2"), tolerance=1e-5)
     assert rep.theorem == "simple-n3"
     assert set(rep.terms) == {
         "rough_first_order",
@@ -154,34 +148,30 @@ def test_simple_exchange_of_letters_is_a_symmetry():
     )
     lam = PolySignal((0.0, 0.4, -0.3))
     mu = TrigSignal(((0.2, 4.0, 0.5),))
-    x = lift(
-        DriverSpec(
-            d=2,
-            base=base,
-            intensities=(
-                (parse_forest("[•1]2"), lam),
-                (parse_forest("[•2]1"), mu),
-            ),
-            cells=256,
-            substeps=4,
-        )
+    driver = DriverSpec(
+        d=2,
+        base=base,
+        intensities=(
+            (parse_forest("[•1]2"), lam),
+            (parse_forest("[•2]1"), mu),
+        ),
+        cells=256,
+        substeps=4,
     )
-    x_swapped = lift(
-        DriverSpec(
-            d=2,
-            base=(base[1], base[0]),
-            intensities=(
-                (parse_forest("[•2]1"), lam),
-                (parse_forest("[•1]2"), mu),
-            ),
-            cells=256,
-            substeps=4,
-        )
+    driver_swapped = DriverSpec(
+        d=2,
+        base=(base[1], base[0]),
+        intensities=(
+            (parse_forest("[•2]1"), lam),
+            (parse_forest("[•1]2"), mu),
+        ),
+        cells=256,
+        substeps=4,
     )
     f = sfunc("sin(x1) + x1*x2**2", ("x1", "x2"))
     f_swapped = sfunc("sin(x2) + x2*x1**2", ("x1", "x2"))
-    a = verify_simple(x, f)
-    b = verify_simple(x_swapped, f_swapped)
+    a = verify_simple(driver, f)
+    b = verify_simple(driver_swapped, f_swapped)
     assert np.allclose(a.residuals, b.residuals, atol=1e-12)
     assert np.allclose(a.rhs, b.rhs, atol=1e-12)
     assert a.lhs == pytest.approx(b.lhs, abs=1e-14)
@@ -193,16 +183,14 @@ def test_simple_exchange_of_letters_is_a_symmetry():
 
 
 def test_general_n2_geometric_converges():
-    x = lift(
-        DriverSpec(
-            d=1,
-            base=(TrigSignal(((0.8, 2.0, 0.3), (0.25, 5.0, 1.1))),),
-            cells=1024,
-            substeps=8,
-        )
+    driver = DriverSpec(
+        d=1,
+        base=(TrigSignal(((0.8, 2.0, 0.3), (0.25, 5.0, 1.1))),),
+        cells=1024,
+        substeps=8,
     )
     fields = VectorFieldFamily.from_expressions([("y1",)], ("y1",))
-    rep = verify_general(x, fields, sfunc("y1**2", ("y1",)), [1.0])
+    rep = verify_general(driver, fields, sfunc("y1**2", ("y1",)), [1.0])
     assert rep.theorem == "general-n2"
     assert rep.finest_residual < 1e-5
     assert rep.slope >= rep.order_threshold
@@ -214,7 +202,7 @@ def test_general_n2_constant_fields_exact_with_intensity():
         [("1.0", "-0.2"), ("0.3", "0.8")], ("y1", "y2")
     )
     rep = verify_general(
-        trig_x(cells=256),
+        trig_driver(cells=256),
         fields,
         sfunc("y1*y2 - 0.5*y1**2 + y2", ("y1", "y2")),
         [0.0, 0.0],
@@ -228,17 +216,15 @@ def test_general_n2_intensity_floor_is_slope_only():
     # the documented mesh floor: nonconstant second derivative against a
     # tree intensity leaves an O(mesh) residual at truncation 2, so the
     # verdict fails the residual gate while converging at order ≥ 1
-    x = lift(
-        DriverSpec(
-            d=1,
-            base=(TrigSignal(((0.8, 2.0, 0.3),)),),
-            intensities=((parse_forest("[•1]1"), PolySignal((0.0, 0.5))),),
-            cells=512,
-            substeps=4,
-        )
+    driver = DriverSpec(
+        d=1,
+        base=(TrigSignal(((0.8, 2.0, 0.3),)),),
+        intensities=((parse_forest("[•1]1"), PolySignal((0.0, 0.5))),),
+        cells=512,
+        substeps=4,
     )
     fields = VectorFieldFamily.from_expressions([("y1",)], ("y1",))
-    rep = verify_general(x, fields, sfunc("y1**2", ("y1",)), [1.0])
+    rep = verify_general(driver, fields, sfunc("y1**2", ("y1",)), [1.0])
     assert rep.finest_residual > 1e-4
     assert not rep.passed_residual
     assert rep.slope >= max(rep.order_threshold, 0.8)
@@ -246,19 +232,17 @@ def test_general_n2_intensity_floor_is_slope_only():
 
 
 def test_general_n3_nonlinear_converges():
-    x = lift(
-        DriverSpec(
-            d=1,
-            base=(TrigSignal(((0.7, 2.0, 0.3), (0.2, 5.0, 1.1))),),
-            intensities=((parse_forest("[•1]1"), PolySignal((0.0, 0.25))),),
-            cells=1024,
-            substeps=2,
-            N=3,
-            alpha=0.30,
-        )
+    driver = DriverSpec(
+        d=1,
+        base=(TrigSignal(((0.7, 2.0, 0.3), (0.2, 5.0, 1.1))),),
+        intensities=((parse_forest("[•1]1"), PolySignal((0.0, 0.25))),),
+        cells=1024,
+        substeps=2,
+        N=3,
+        alpha=0.30,
     )
     fields = VectorFieldFamily.from_expressions([("1 + y1**2/4",)], ("y1",))
-    rep = verify_general(x, fields, sfunc("y1**3", ("y1",)), [0.1])
+    rep = verify_general(driver, fields, sfunc("y1**3", ("y1",)), [0.1])
     assert rep.theorem == "general-n3"
     assert set(rep.terms) == {
         "rough_first_order",
@@ -275,28 +259,26 @@ def tree3_report(*intensities):
     trig + poly base of ``test_cli`` with the given ``(tree, slope)``
     intensities ``slope·t``, for ``F = sin(y1) + 0.3·y1·y2`` and non-linear
     fields."""
-    x = lift(
-        DriverSpec(
-            d=2,
-            base=(
-                TrigSignal(((0.6, 2.0, 0.3), (0.2, 5.0, 1.1))),
-                PolySignal((0.0, 0.7, -0.3)),
-            ),
-            intensities=tuple(
-                (parse_forest(key), PolySignal((0.0, slope)))
-                for key, slope in intensities
-            ),
-            cells=128,
-            substeps=2,
-            N=3,
-            alpha=0.30,
-        )
+    driver = DriverSpec(
+        d=2,
+        base=(
+            TrigSignal(((0.6, 2.0, 0.3), (0.2, 5.0, 1.1))),
+            PolySignal((0.0, 0.7, -0.3)),
+        ),
+        intensities=tuple(
+            (parse_forest(key), PolySignal((0.0, slope)))
+            for key, slope in intensities
+        ),
+        cells=128,
+        substeps=2,
+        N=3,
+        alpha=0.30,
     )
     fields = VectorFieldFamily.from_expressions(
         [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
     )
     func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
-    return verify_general(x, fields, func, [0.1, -0.2], rungs=4, tolerance=1e-3)
+    return verify_general(driver, fields, func, [0.1, -0.2], rungs=4, tolerance=1e-3)
 
 
 def test_general_n3_weight3_intensity_converges():
@@ -336,22 +318,20 @@ def test_term_pairings_match_the_integrators(monkeypatch):
     # intensity makes c̄X non-trivial, and the [•1]2 intensity only X̂^(21);
     # each integrand is weighted by its letters so that no term is symmetric
     # in them, and a pairing at the column of (j, i) for (i, j) fails.
-    x = lift(
-        DriverSpec(
-            d=2,
-            base=(
-                TrigSignal(((0.6, 2.0, 0.3), (0.2, 5.0, 1.1))),
-                PolySignal((0.0, 0.7, -0.3)),
-            ),
-            intensities=(
-                (parse_forest("[•1]2"), PolySignal((0.0, 0.2))),
-                (parse_forest("[•2•1]1"), PolySignal((0.0, 0.5))),
-            ),
-            cells=64,
-            substeps=2,
-            N=3,
-            alpha=0.30,
-        )
+    driver = DriverSpec(
+        d=2,
+        base=(
+            TrigSignal(((0.6, 2.0, 0.3), (0.2, 5.0, 1.1))),
+            PolySignal((0.0, 0.7, -0.3)),
+        ),
+        intensities=(
+            (parse_forest("[•1]2"), PolySignal((0.0, 0.2))),
+            (parse_forest("[•2•1]1"), PolySignal((0.0, 0.5))),
+        ),
+        cells=64,
+        substeps=2,
+        N=3,
+        alpha=0.30,
     )
     fields = VectorFieldFamily.from_expressions(
         [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
@@ -367,11 +347,11 @@ def test_term_pairings_match_the_integrators(monkeypatch):
         return jets_of, mixed * w[3]
 
     monkeypatch.setattr(ito_verify, "_general_jets", weighted)
-    rep = verify_general(x, fields, func, [0.1, -0.2], rungs=4)
+    rep = verify_general(driver, fields, func, [0.1, -0.2], rungs=4)
+    x, xhat = lift(driver), bracket_extension(driver)
     y = solve_rde(x, fields, [0.1, -0.2])
     DF = ito_verify._scalar_jets(func, y)
     jets_of, mixed = weighted(DF, fields.tensors(y.coeffs[EMPTY], 2))
-    xhat = bracket_extension(x)
     nodes = len(x.grid)
 
     def rough(k, path, letter, stride):
@@ -475,17 +455,17 @@ def test_compile_budget(monkeypatch, N):
     monkeypatch.setattr(
         ito_verify, "compose_FY", lambda *a: composed.append(a[2]) or compose(*a)
     )
-    x = trig_x(N=N, cells=64)
+    driver = trig_driver(N=N, cells=64)
     fields = VectorFieldFamily.from_expressions(
         [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
     )
     func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
     assert len(calls) == 5
-    verify_general(x, fields, func, [0.1, -0.2], rungs=2)
+    verify_general(driver, fields, func, [0.1, -0.2], rungs=2)
     assert composed == [N - 1, N - 2]
     func = sfunc("sin(x1)*x2 + x2**3/3", ("x1", "x2"))
     assert len(calls) == 6
-    verify_simple(x, func, rungs=2)
+    verify_simple(driver, func, rungs=2)
     assert len(calls) == 6
     assert composed == [N - 1, N - 2] * 2
 
@@ -500,32 +480,32 @@ def test_observable_must_be_scalar():
         ("x1", "x1**2"), ("x1",)
     )
     with pytest.raises(ConfigError):
-        verify_simple(analytic_x(cells=64), func)
+        verify_simple(analytic_driver(cells=64), func)
 
 
 def test_general_requires_shared_symbols():
-    x = analytic_x(cells=64)
+    driver = analytic_driver(cells=64)
     fields = VectorFieldFamily.from_expressions([("y1",)], ("y1",))
     with pytest.raises(ConfigError):
-        verify_general(x, fields, sfunc("z1**2", ("z1",)), [1.0])
+        verify_general(driver, fields, sfunc("z1**2", ("z1",)), [1.0])
 
 
 def test_wrong_arity_fails_before_the_extension(monkeypatch):
     built = []
     extend = ito_verify.bracket_extension
     monkeypatch.setattr(
-        ito_verify, "bracket_extension", lambda x: built.append(x) or extend(x)
+        ito_verify, "bracket_extension", lambda d: built.append(d) or extend(d)
     )
-    x = analytic_x(cells=64)
+    driver = analytic_driver(cells=64)
     with pytest.raises(ConfigError, match="F takes 2 variables"):
-        verify_simple(x, sfunc("x1*x2", ("x1", "x2")))
+        verify_simple(driver, sfunc("x1*x2", ("x1", "x2")))
     assert built == []
-    verify_simple(x, sfunc("x1**2"), rungs=2)  # the counter counts
-    assert built == [x]
+    verify_simple(driver, sfunc("x1**2"), rungs=2)  # the counter counts
+    assert built == [driver]
 
 
 def test_report_dict_shape():
-    rep = verify_simple(analytic_x(cells=64), sfunc("x1**2"), rungs=4)
+    rep = verify_simple(analytic_driver(cells=64), sfunc("x1**2"), rungs=4)
     d = rep.to_dict()
     assert set(d) == {
         "name", "theorem", "truncation", "alpha", "lhs", "strides",

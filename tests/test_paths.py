@@ -330,8 +330,9 @@ def analytic_driver(N=2, cells=64, substeps=4, lam=-0.5):
 
 
 def test_bracket_extension_restricts_bitwise():
-    x = lift(trig_driver(intensity=True))
-    xhat = bracket_extension(x)
+    driver = trig_driver(intensity=True)
+    x = lift(driver)
+    xhat = bracket_extension(driver)
     cols = [x.algebra.basis.index[f] for f in x.algebra.basis.forests]
     hat_cols = [xhat.algebra.basis.index[f] for f in x.algebra.basis.forests]
     for l, level in enumerate(x.levels):
@@ -340,7 +341,7 @@ def test_bracket_extension_restricts_bitwise():
 
 def test_bracket_component_value_and_additivity():
     # with λ = -t/2 on [•1]1 the bracket increment is exactly +dt/2
-    xhat = bracket_extension(lift(analytic_driver()))
+    xhat = bracket_extension(analytic_driver())
     b = single((1, 1))
     idx = xhat.algebra.basis.index[b]
     assert xhat.eval_nodes(0, xhat.cells)[idx] == pytest.approx(0.5, abs=1e-12)
@@ -370,7 +371,7 @@ def test_third_order_compensator_path_additive():
         N=3,
         alpha=0.30,
     )
-    xhat = bracket_extension(lift(spec))
+    xhat = bracket_extension(spec)
     p = ScalarExtensionPath(xhat, tilde_series(1, 2, 1))
     assert abs(p.increment(0, xhat.cells)) > 1e-2  # non-degenerate specimen
     rng = np.random.default_rng(5)
@@ -380,7 +381,7 @@ def test_third_order_compensator_path_additive():
 
 
 def test_third_order_compensator_vanishes_for_canonical_driver():
-    xhat = bracket_extension(lift(analytic_driver(N=3)))
+    xhat = bracket_extension(analytic_driver(N=3))
     p = ScalarExtensionPath(xhat, tilde_series(1, 1, 1))
     assert abs(p.increment(0, xhat.cells)) < 1e-13
 
@@ -404,7 +405,7 @@ def test_mixed_compensator_known_defect():
     # so splitting [0,1] at the midpoint leaves 1/3 - 2·(1/24) = 1/4; the
     # corrected series vanishes on a geometric driver and splits without
     # defect
-    xhat = bracket_extension(lift(analytic_driver(N=3, lam=0.0)))
+    xhat = bracket_extension(analytic_driver(N=3, lam=0.0))
     half = xhat.cells // 2
     old = ScalarExtensionPath(xhat, pre_fix_cbar_series(1, 1, 1))
     assert old.increment(0, xhat.cells) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -421,7 +422,7 @@ def test_scalar_extension_path_consistency():
     spec = trig_driver(N=3, cells=64, intensity=True)
     weight3 = (parse_forest("[•1•2]1"), PolySignal((0.0, 0.2, 0.1)))
     spec = dataclasses.replace(spec, intensities=spec.intensities + (weight3,))
-    xhat = bracket_extension(lift(spec))
+    xhat = bracket_extension(spec)
     # block sums reproduce the whole increment only for additive series:
     # the tilde and the mixed path are, the pre-fix mixed series visibly not
     for series in (tilde_series(1, 2, 1), cbar_series(2, 1, 1)):
@@ -435,7 +436,7 @@ def test_scalar_extension_path_consistency():
 
 
 # ---------------------------------------------------------------------------
-# One Magnus pipeline: the lift samples once, the extension reuses it
+# One Magnus pipeline: each lift samples each signal once
 # ---------------------------------------------------------------------------
 
 
@@ -468,7 +469,7 @@ class CountingSignal:
         return counted
 
 
-def test_lift_and_extension_sample_each_signal_once():
+def test_each_lift_samples_each_distinct_signal_once():
     trig = TrigSignal(((0.9, 2.0, 0.1), (0.3, 7.0, 0.8)))
     spectral = SpectralSignal(hurst=0.78, modes=33, seed=11, amplitude=0.35)
 
@@ -484,23 +485,22 @@ def test_lift_and_extension_sample_each_signal_once():
             alpha=0.30,
         )
 
-    counted = (CountingSignal(trig), CountingSignal(spectral))
-    x = lift(spec(*counted))
-    xhat = bracket_extension(x)
     n = 32 * 4
-    trig_calls, spectral_calls = counted
-    assert trig_calls.grid_calls == []
-    assert trig_calls.value_sizes == [n + 1]
-    assert trig_calls.rate_sizes == [n, n]
-    # period = T = 1: the FFT length q = 128 exceeds 2·33, so the spectral
-    # signal samples the whole grid in its one grid call
-    assert spectral_calls.grid_calls == [(1.0, n)]
-    assert spectral_calls.value_sizes == []
-    assert spectral_calls.rate_sizes == []
-    plain = lift(spec(trig, spectral))
-    assert np.array_equal(x.base_values, plain.base_values)
-    for a, b in zip(xhat.levels, bracket_extension(plain).levels):
-        assert np.array_equal(a, b)
+    for build in (lift, bracket_extension):
+        trig_calls, spectral_calls = CountingSignal(trig), CountingSignal(spectral)
+        path = build(spec(trig_calls, spectral_calls))
+        assert trig_calls.grid_calls == []
+        assert trig_calls.value_sizes == [n + 1]
+        assert trig_calls.rate_sizes == [n, n]
+        # period = T = 1: the FFT length q = 128 exceeds 2·33, so the
+        # spectral signal samples the whole grid in its one grid call
+        assert spectral_calls.grid_calls == [(1.0, n)]
+        assert spectral_calls.value_sizes == []
+        assert spectral_calls.rate_sizes == []
+        plain = build(spec(trig, spectral))
+        assert np.array_equal(path.base_values, plain.base_values)
+        for a, b in zip(path.levels, plain.levels):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
@@ -538,9 +538,9 @@ def test_fft_samples_match_the_outer_product(T, period, steps, modes, fft):
     driver = DriverSpec(
         d=1, base=(sig,), T=T, cells=steps // 4, substeps=4, N=2, alpha=0.45
     )
-    samples, base_values = _sample_substeps(driver)
+    _h, columns, base_values = _sample_substeps(driver)
     v, r1, r2 = grid if fft else want  # the FFT's samples, or bitwise the product
-    _f, inc, rate1, rate2 = samples.columns[0]
+    _f, inc, rate1, rate2 = columns[0]
     assert np.array_equal(inc, v[1:] - v[:-1])
     assert np.array_equal(rate1, r1) and np.array_equal(rate2, r2)
     assert np.array_equal(base_values[0], v[::4])
@@ -612,7 +612,7 @@ def test_blocked_lift_matches_one_shot(cells, substeps):
         alpha=0.30,
     )
     x = lift(driver)
-    h, columns = x.samples.h, x.samples.columns
+    h, columns, _values = _sample_substeps(driver)
     levels = _one_shot_levels(driver, x.algebra, h, columns)
     assert len(x.levels) == len(levels)
     for got, want in zip(x.levels, levels):
@@ -622,7 +622,7 @@ def test_blocked_lift_matches_one_shot(cells, substeps):
     brackets = [(single((2, 1)), -inc, -inc / h, -inc / h)]
     ext_alg = get_algebra(bracket_alphabet(2), 3)
     ext_levels = _one_shot_levels(driver, ext_alg, h, columns + brackets)
-    xhat = bracket_extension(x)
+    xhat = bracket_extension(driver)
     assert len(xhat.levels) == len(ext_levels)
     for got, want in zip(xhat.levels, ext_levels):
         assert np.array_equal(got, want)
@@ -654,11 +654,11 @@ def test_bracket_increments_are_negated_intensity_increments(d, N, trees):
         N=N,
         alpha=0.45 if N == 2 else 0.30,
     )
-    samples, _values = _sample_substeps(driver)
+    h, columns, _values = _sample_substeps(driver)
     algebra = get_algebra(base_alphabet(d), N)
-    sub = _substep_chars(algebra, samples.h, samples.columns)
+    sub = _substep_chars(algebra, h, columns)
     idx = algebra.basis.index
-    increments = {f: inc for f, inc, *_ in samples.columns}
+    increments = {f: inc for f, inc, *_ in columns}
     with_intensity = 0
     for i in range(1, d + 1):
         for j in range(1, d + 1):
@@ -690,21 +690,15 @@ def test_lift_peak_memory_is_block_sized():
     assert peak < 1.35 * full_width, peak / 2**20
 
 
-def test_bracket_extension_needs_the_lift_driver(tmp_path):
-    lift(trig_driver(cells=32)).dump(str(tmp_path))
-    with pytest.raises(ValueError, match="needs a lift that kept its driver"):
-        bracket_extension(RoughPath.load(str(tmp_path)))
-
-
 # ---------------------------------------------------------------------------
 # Persistence, determinism, validation
 # ---------------------------------------------------------------------------
 
 
 def test_dump_load_round_trip(tmp_path):
-    x = lift(trig_driver(cells=32, intensity=True))
+    driver = trig_driver(cells=32, intensity=True)
     # the extension's metadata holds bracket letters such as (12)
-    for path, sub in ((x, "base"), (bracket_extension(x), "bracket")):
+    for path, sub in ((lift(driver), "base"), (bracket_extension(driver), "bracket")):
         path.dump(str(tmp_path / sub))
         y = RoughPath.load(str(tmp_path / sub))
         assert np.array_equal(path.grid, y.grid)
