@@ -42,9 +42,7 @@ from .calculus import (
     ConvergenceReport,
     DivergenceError,
     VectorFieldFamily,
-    rough_integral,
     solve_rde,
-    young_integral,
 )
 from .ito_verify import ItoReport, verify_general, verify_simple
 
@@ -80,9 +78,7 @@ __all__ = [
     "ConvergenceReport",
     "DivergenceError",
     "VectorFieldFamily",
-    "rough_integral",
     "solve_rde",
-    "young_integral",
     "ItoReport",
     "verify_general",
     "verify_simple",

@@ -1,4 +1,4 @@
-"""Rough integrals, Young integrals, and the tree-indexed Euler scheme.
+"""The tree-indexed Euler scheme, and the tests' reference integrators.
 
 The compensated Riemann sum of a controlled integrand ``Z`` against letter
 ``l`` of a lift ``X`` adds, on each mesh cell ``[u, v]``, every term
@@ -6,7 +6,8 @@ The compensated Riemann sum of a controlled integrand ``Z`` against letter
 truncation.  Against a base letter this compensates with all available
 coefficients; against a bracket letter the weight budget shrinks by two, so
 at truncation 2 the sum is a plain left-point sum and at truncation 3 it
-carries single-letter compensators.
+carries single-letter compensators.  The library sums them as pairings
+(:func:`~planarough.ito_verify.pair`); these two are the tests' reference.
 
 Differential equations driven by a lift are solved by the step-``N`` scheme
 

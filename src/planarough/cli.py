@@ -12,7 +12,8 @@ Commands:
 * ``lift``          — build the lift of the configured driver and probe the
   Chen and character identities at random nodes.
 * ``integrate``     — compensated rough integral of ``F(driver)`` against one
-  base letter, with a mesh-refinement convergence report.
+  base letter, the one-letter rough term of the ``ito`` pairing on the base
+  lift, with a mesh-refinement convergence report.
 * ``rde``           — solve the configured differential equation, dump the
   solution, optionally compare against a closed-form oracle.
 * ``ito``           — verify the configured change-of-variable identity.
@@ -47,14 +48,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .calculus import (
-    ConvergenceReport,
-    DivergenceError,
-    VectorFieldFamily,
-    rough_integral,
-    solve_rde,
-)
-from .controlled import SmoothFunctionWithDerivatives, compose_FX
+from .calculus import ConvergenceReport, DivergenceError, VectorFieldFamily, solve_rde
+from .controlled import SmoothFunctionWithDerivatives, driver_path, jets
 from .forest_core import (
     EMPTY,
     MAX_WEIGHT,
@@ -63,7 +58,7 @@ from .forest_core import (
     parse_forest,
 )
 from .hopf_mkw import TruncatedBasis, coproduct_table, run_selftest
-from .ito_verify import verify_general, verify_simple
+from .ito_verify import pair, rough_functional, verify_general, verify_simple
 from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
@@ -334,9 +329,10 @@ def _cmd_integrate(exp: dict, out_dir: str) -> dict:
     driver = driver_from(_require(exp, "driver", "experiment"))
     letter = _integer(sec.get("letter", 1), "integrate letter", 1, driver.d)
     x = lift(driver)
-    z = compose_FX(x, func, x.N - 1)
+    z = driver_path(x)
+    functional = rough_functional(z, jets(func, z, x.N - 1), [letter])
     strides, scales = MeshLadder.rungs_of(x, rungs)
-    values = [float(rough_integral(z, x, letter, s).sum()) for s in strides]
+    values = [pair(x, functional, s) for s in strides]
     report = ConvergenceReport.from_values(
         quantity=f"integral of F against letter {letter}",
         strides=strides,

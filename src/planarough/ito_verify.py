@@ -33,9 +33,9 @@ character ``X̂_{u,v}``: a rough sum against letter ``l`` adds
 ``⟨τ, Z_u⟩·⟨X̂_{u,v}, [τ]_l⟩`` over its integrand's coefficients τ, a Young
 sum ``g(u)·⟨X̂_{u,v}, series⟩``.  So :func:`_terms` makes each term a node
 functional Φ on the columns it touches, whose total on the stride-``s`` mesh
-is ``Σ_k ⟨X̂_{t_k, t_k+s}, Φ(t_k)⟩``: the rough ones from one ``compose_FY``
-call per order, the letters stacked as outputs, the Young ones from one
-product of the integrands with the stacked series of ``X̃`` or ``c̄X``.
+is :func:`pair`'s ``Σ_k ⟨X̂_{t_k, t_k+s}, Φ(t_k)⟩``: the rough ones from one
+``compose_FY`` call per order, the letters stacked as outputs, the Young ones
+from one product of the integrands with the stacked series of ``X̃`` or ``c̄X``.
 
 Each report records per-term totals on every rung, the identity residual, and
 the empirical convergence order of the residual, with verdicts against a
@@ -62,6 +62,7 @@ from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
     DriverSpec,
+    RoughPath,
     bracket_extension,
     cbar_series,
     tilde_series,
@@ -87,8 +88,15 @@ class ItoReport(MeshLadder):
     passed: bool
 
 
-def _rough(z: ControlledPath, jets_k: list, letters) -> list:
-    """The functional of ``Σ_l ∫ Z^l dX̂^l`` as ``(column, Φ)`` pairs: column
+def pair(x: RoughPath, functional: list, stride: int) -> float:
+    """``Σ_k ⟨X_{t_k, t_k+s}, Φ(t_k)⟩`` on ``x``'s stride-``s`` mesh for the
+    ``(column, Φ)`` pairs of ``functional``, summed per column, then over them."""
+    chars = x.stride_chars(stride)
+    return sum(float(chars[:, c] @ phi[:-1:stride]) for c, phi in functional)
+
+
+def rough_functional(z: ControlledPath, jets_k: list, letters) -> list:
+    """The functional of ``Σ_l ∫ Z^l dX^l`` as ``(column, Φ)`` pairs: column
     ``[τ]_l`` carries ``⟨τ, Z^l⟩``.  The integrands of ``letters``, stacked
     in ``jets_k`` after the node axis, compose as one path's outputs."""
     jets_k = [t.reshape(len(t), len(letters), -1) for t in jets_k]
@@ -115,9 +123,9 @@ def _terms(z: ControlledPath, jets_of: dict, mixed):
     m-th derivatives, axes ``(node, l1…lk, b1…bm)`` for m up to ``N − k``;
     ``mixed`` is the ``c̄X`` integrand, axes ``(node, i, j, k)``, or None."""
     letters = range(1, z.x.base_values.shape[0] + 1)
-    yield "rough_first_order", _rough(z, jets_of[1], letters)
+    yield "rough_first_order", rough_functional(z, jets_of[1], letters)
     pairs = list(itertools.product(letters, repeat=2))
-    yield "bracket_second_order", _rough(z, jets_of[2], pairs)
+    yield "bracket_second_order", rough_functional(z, jets_of[2], pairs)
     if z.x.N == 3:
         yield "tilde_third_order", _young(z, jets_of[3][0], tilde_series)
         if mixed is not None:
@@ -132,10 +140,7 @@ def _verify(name, theorem, values, z, jets_of, mixed, rungs, tolerance) -> ItoRe
     strides, scales = MeshLadder.rungs_of(xhat, rungs)
     terms = {}
     for term, functional in _terms(z, jets_of, mixed):
-        terms[term] = [
-            sum(float(xhat.stride_chars(s)[:, c] @ phi[:-1:s]) for c, phi in functional)
-            for s in strides
-        ]
+        terms[term] = [pair(xhat, functional, s) for s in strides]
         del functional  # one term's functional alive at a time
     rhs = [sum(terms[k][r] for k in terms) for r in range(len(strides))]
     ladder = MeshLadder.fit(strides, scales, rhs, lhs)

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from reference import ScalarExtensionPath, bracket_series
 from test_paths import (
     CANONICAL_AT_ONE,
     canonical_driver,
@@ -35,10 +36,8 @@ from planarough.ito_verify import verify_simple
 from planarough.rough_path import (
     DriverSpec,
     PolySignal,
-    ScalarExtensionPath,
     TrigSignal,
     bracket_extension,
-    bracket_series,
     cbar_series,
     character_residuals,
     chen_residuals,

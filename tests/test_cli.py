@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from planarough import cli, rough_path
+from planarough.calculus import rough_integral
 from planarough.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -21,6 +22,7 @@ from planarough.cli import (
     load_experiments,
     main,
 )
+from planarough.controlled import compose_FX
 from planarough.forest_core import bracket_alphabet
 from planarough.hopf_mkw import run_selftest
 from planarough.rough_path import ConfigError
@@ -955,7 +957,7 @@ FROZEN_REPORTS = {
         "integrate",
         {"driver": PIN_DRIVER, "integrate": {"F": PIN_F, "letter": 2, "rungs": 4}},
         "integrate_report.json",
-        "b5a240e2ac78080ec9e8232ade9d236ab04fecc802abb80924cddcfcc384565f",
+        "e7d33b8f88a85b6b176284e1b810e8da090dd138efdb2f804e01b4defe393fc4",
     ),
     "simple-d2n3": (
         "ito",
@@ -1020,8 +1022,9 @@ def test_report_bytes_are_frozen(tmp_path, name):
     ``F(Y)`` along the driver.
 
     The d=2, N=3 identities run all four kinds of term and the pair and
-    triple summation orders, and the integral runs ``compose_FX`` up to
-    words of length two; a change of these bytes is a change of output.
+    triple summation orders, and the integral composes ``F`` along the
+    driver up to words of length two; a change of these bytes is a change
+    of output.
     The lift was recorded before its probes were batched: its Chen and
     character maxima sum in another order since, yet read the same bytes.
     The ``-blocks`` and ``-wide`` grids were recorded while the lift still
@@ -1074,12 +1077,43 @@ def test_report_bytes_are_frozen(tmp_path, name):
     another order.  Terms, ``rhs`` and residuals moved by at most 1.4e-16
     and slopes by at most 4.6e-8 (``general-d2n3-blocks``); ``lhs``, every
     verdict and the other digests kept their bytes.
+
+    ``integrate-d2n3`` was re-recorded when ``integrate`` began to total its
+    rungs through the verifier's pairing, which sums per forest column and
+    then over the columns, where ``rough_integral`` added every forest into
+    one array per cell first: its values and residuals moved by at most
+    1.4e-17 and its slope by 8.1e-13; its verdict kept its bytes.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
     data = (tmp_path / "o" / name / report).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "driver, F, letter",
+    [
+        pytest.param(PIN_DRIVER, PIN_F, 1, id="d2n3-letter1"),
+        pytest.param(PIN_DRIVER, PIN_F, 2, id="d2n3-letter2"),
+        pytest.param(
+            analytic_ito_experiment()["driver"], INTEGRATE["F"], 1, id="d1n2-analytic"
+        ),
+    ],
+)
+def test_integrate_matches_the_reference_integrator(tmp_path, driver, F, letter):
+    """``integrate`` totals each rung as the verifier's pairing; on every rung
+    that equals the compensated sum of ``rough_integral`` over
+    ``compose_FX``, which it ran before, up to the order of the sum."""
+    sec = {"F": F, "letter": letter, "rungs": 4}
+    cfg = write_config(tmp_path, "c.json", {"name": "i", "driver": driver, "integrate": sec})
+    assert main(["integrate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+    rep = read_json(tmp_path, "o", "i", "integrate_report.json")
+    x = rough_path.lift(cli.driver_from(driver))
+    z = compose_FX(x, cli.func_from(F), x.N - 1)
+    want = [float(rough_integral(z, x, letter, s).sum()) for s in rep["strides"]]
+    assert len(want) == 4
+    assert rep["values"] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_benchmark_trace_still_attaches(tmp_path):

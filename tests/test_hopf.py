@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import bracket_series
 from test_paths import pre_fix_cbar_series
 
 from planarough.forest_core import (
@@ -47,7 +48,7 @@ from planarough.hopf_mkw import (
     shuffle,
     shuffle_morphism_defect,
 )
-from planarough.rough_path import bracket_series, cbar_series, tilde_series
+from planarough.rough_path import cbar_series, tilde_series
 
 MAX_WEIGHT = 3
 

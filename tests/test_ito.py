@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 import sympy
 
+from reference import ScalarExtensionPath
+
 from planarough import ito_verify, taylor
 from planarough.calculus import (
     VectorFieldFamily,
@@ -31,7 +33,6 @@ from planarough.rough_path import (
     ConfigError,
     DriverSpec,
     PolySignal,
-    ScalarExtensionPath,
     TrigSignal,
     bracket_extension,
     cbar_series,

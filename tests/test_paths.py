@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from reference import ScalarExtensionPath
+
 from planarough.forest_core import (
     EMPTY,
     all_forests,
@@ -32,7 +34,6 @@ from planarough.rough_path import (
     DriverSpec,
     PolySignal,
     RoughPath,
-    ScalarExtensionPath,
     SpectralSignal,
     TrigSignal,
     _sample_substeps,
