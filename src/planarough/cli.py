@@ -10,14 +10,15 @@ Commands:
   :func:`planarough.hopf_mkw.run_selftest` (no config needed; an optional
   ``hopf`` section overrides alphabet size and weight).
 * ``lift``          — build the lift of the configured driver and probe the
-  Chen and character identities at random nodes.
+  Chen and character identities at random nodes; with ``"dump": true`` also
+  write the lift (:func:`write_lift`).
 * ``integrate``     — compensated rough integral of ``F(driver)`` against one
   base letter, the one-letter rough term of the ``ito`` pairing on the base
   lift, with a mesh-refinement convergence report.
 * ``rde``           — solve the configured differential equation, dump the
   solution, optionally compare against a closed-form oracle.
 * ``ito``           — verify the configured change-of-variable identity.
-* ``dump``          — write basis/coproduct/product tables as CSV.
+* ``dump``          — write the basis or coproduct table of an alphabet as CSV.
 
 The config file holds one experiment object or ``{"experiments": [...]}``;
 each experiment needs a ``name`` and the section for the chosen command.
@@ -30,9 +31,9 @@ on, raising :class:`~planarough.rough_path.ConfigError`.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 a solution
 diverged, 3 an I/O failure, 64 a malformed config or command line (an
-unknown command, a flag without its value, ``--jobs`` below 1), 70 an
-internal error (an uncaught exception, in this process or in a ``--jobs``
-worker, reported as one ``internal error:`` line on stderr).
+unknown command, a flag without its value, an empty ``--out``, ``--jobs``
+below 1), 70 an internal error (an uncaught exception, in this process or
+in a ``--jobs`` worker, reported as one ``internal error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -55,15 +56,17 @@ from .forest_core import (
     MAX_WEIGHT,
     base_alphabet,
     bracket_alphabet,
+    letter_key,
     parse_forest,
 )
-from .hopf_mkw import TruncatedBasis, coproduct_table, run_selftest
+from .hopf_mkw import TruncatedBasis, run_selftest
 from .ito_verify import pair, rough_functional, verify_general, verify_simple
 from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
     DriverSpec,
     PolySignal,
+    RoughPath,
     SpectralSignal,
     TrigSignal,
     character_residuals,
@@ -231,8 +234,11 @@ def load_experiments(path: str) -> list:
         if not isinstance(exp, dict):
             raise ConfigError("each experiment must be an object")
         name = _require(exp, "name", "experiment")
-        bad = not isinstance(name, str) or not name or name.startswith(".")
-        if bad or any(c in name for c in "/\\\0"):
+        try:  # a directory name: non-empty, unhidden, one the file system encodes
+            ok = isinstance(name, str) and os.fsencode(name) and name[0] != "."
+        except UnicodeEncodeError:
+            ok = False
+        if not ok or any(c in name for c in "/\\\0"):
             raise ConfigError(f"bad experiment name {name!r}")
         if name in names:
             raise ConfigError(f"duplicate experiment name {name!r}")
@@ -258,6 +264,31 @@ def write_csv(path: str, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(str(c) for c in row) + "\n")
+
+
+def write_lift(x: RoughPath, out_dir: str) -> None:
+    """Write the nonzero components of each cell character of ``x`` to
+    ``lift.csv`` and its letters, grid and base samples to
+    ``lift.meta.json``."""
+    forests = x.algebra.basis.forests
+    nodes = [repr(t) for t in x.grid.tolist()]
+    rows = (
+        (nodes[k], nodes[k + 1], f.key, repr(v))
+        for k, row in enumerate(x.levels[0].tolist())
+        for f, v in zip(forests, row)
+        if v != 0.0
+    )
+    write_csv(os.path.join(out_dir, "lift.csv"), "t_left,t_right,forest,value", rows)
+    meta = {
+        "letters": [letter_key(l) for l in x.algebra.basis.letters],
+        "max_weight": x.algebra.basis.max_weight,
+        "alpha": x.alpha,
+        "T": x.T,
+        "cells": x.cells,
+        "grid": x.grid.tolist(),
+        "base_values": x.base_values.tolist(),
+    }
+    write_json(os.path.join(out_dir, "lift.meta.json"), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +342,7 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
     }
     write_json(os.path.join(out_dir, "lift_report.json"), report)
     if dump:
-        x.dump(out_dir)
+        write_lift(x, out_dir)
     return {"passed": passed, "report": "lift_report.json"}
 
 
@@ -409,6 +440,8 @@ def _cmd_ito(exp: dict, out_dir: str) -> dict:
 def _cmd_dump(exp: dict, out_dir: str) -> dict:
     sec = _object(exp.get("dump", {}), "dump section")
     what = sec.get("what", "coproduct")
+    if what not in ("basis", "coproduct"):
+        raise ConfigError(f"unknown dump target {what!r}")
     alphabet = sec.get("alphabet", "base")
     d = _integer(sec.get("d", 2), "dump d", 1, 9)
     mw = _integer(sec.get("max_weight", 3), "dump max_weight", 0, MAX_WEIGHT)
@@ -420,32 +453,18 @@ def _cmd_dump(exp: dict, out_dir: str) -> dict:
         raise ConfigError(f"unknown alphabet {alphabet!r}")
     basis = TruncatedBasis(letters, mw)
     if what == "basis":
-        rows = (
-            (k, f.key, f.degree, f.weight) for k, f in enumerate(basis.forests)
-        )
-        write_csv(os.path.join(out_dir, "basis.csv"), "index,forest,degree,weight", rows)
-        out = "basis.csv"
-    elif what == "coproduct":
-        write_csv(
-            os.path.join(out_dir, "coproduct.csv"),
-            "forest,left,right,coefficient",
-            coproduct_table(basis),
-        )
-        out = "coproduct.csv"
-    elif what == "star":
-        write_csv(
-            os.path.join(out_dir, "star.csv"),
-            "left,right,result,coefficient",
-            ((l, r, src, c) for src, l, r, c in coproduct_table(basis)),
-        )
-        out = "star.csv"
-    elif what == "lift":
-        x = lift(driver_from(_require(exp, "driver", "experiment")))
-        x.dump(out_dir)
-        out = "lift.csv"
+        header = "index,forest,degree,weight"
+        rows = ((k, f.key, f.degree, f.weight) for k, f in enumerate(basis.forests))
     else:
-        raise ConfigError(f"unknown dump target {what!r}")
-    return {"passed": True, "report": out}
+        header = "forest,left,right,coefficient"
+        keys = [f.key for f in basis.forests]
+        rows = (
+            (keys[k], keys[li], keys[ri], c)
+            for k, cuts in enumerate(basis.cut_rows)
+            for li, ri, c in cuts
+        )
+    write_csv(os.path.join(out_dir, f"{what}.csv"), header, rows)
+    return {"passed": True, "report": f"{what}.csv"}
 
 
 _COMMANDS = {
@@ -491,6 +510,13 @@ def _jobs(text: str) -> int:
     return jobs
 
 
+def _out(text: str) -> str:
+    """``--out``: a directory; the empty path names none."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
+    return text
+
+
 def _parse_args(argv):
     parser = _Parser(
         prog="planarough",
@@ -500,7 +526,7 @@ def _parse_args(argv):
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment file")
-        p.add_argument("--out", default="out", help="output directory root")
+        p.add_argument("--out", type=_out, default="out", help="output directory root")
         p.add_argument("--jobs", type=_jobs, default=1, help="parallel experiments")
     return parser.parse_args(argv)
 

@@ -378,19 +378,6 @@ class FloatAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Table dumps
-# ---------------------------------------------------------------------------
-
-
-def coproduct_table(basis: TruncatedBasis):
-    """Rows ``(forest_key, left_key, right_key, coefficient)``."""
-    for k, rows in enumerate(basis.cut_rows):
-        src = basis.forests[k].key
-        for li, ri, c in rows:
-            yield (src, basis.forests[li].key, basis.forests[ri].key, c)
-
-
-# ---------------------------------------------------------------------------
 # Exact self-checks
 # ---------------------------------------------------------------------------
 #

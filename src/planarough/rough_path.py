@@ -30,9 +30,7 @@ step are block-sized, not path-sized.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,8 +43,6 @@ from .forest_core import (
     base_alphabet,
     bracket_alphabet,
     concat,
-    letter_key,
-    parse_forest,
     single,
 )
 from .hopf_mkw import FloatAlgebra, TruncatedBasis, shuffle
@@ -413,7 +409,8 @@ class RoughPath:
     ``levels[l]`` holds the characters of the ``cells >> l`` aligned blocks of
     ``2**l`` consecutive cells, so every stride of the dyadic mesh ladder is a
     plain array lookup and arbitrary node intervals compose from O(log) rows.
-    A computed path keeps its ``driver``; a loaded one has none.
+    A computed path keeps its ``driver``; one rebuilt from its cell
+    characters alone has none.
     """
 
     algebra: FloatAlgebra
@@ -494,65 +491,6 @@ class RoughPath:
             scales.append(self.T * (1 << l) / self.cells)
             maxima.append(float(np.max(np.abs(self.levels[l][:, col]))))
         return fit_loglog(scales, maxima)
-
-    # -- persistence ------------------------------------------------------
-
-    def dump(self, out_dir: str):
-        """Write per-cell components to ``lift.csv`` plus a JSON metadata
-        sidecar ``lift.meta.json``."""
-        os.makedirs(out_dir, exist_ok=True)
-        csv_path = os.path.join(out_dir, "lift.csv")
-        meta_path = os.path.join(out_dir, "lift.meta.json")
-        forests = self.algebra.basis.forests
-        with open(csv_path, "w") as fh:
-            fh.write("t_left,t_right,forest,value\n")
-            cells = self.levels[0]
-            for k in range(cells.shape[0]):
-                tl, tr = repr(float(self.grid[k])), repr(float(self.grid[k + 1]))
-                row = cells[k]
-                for i, f in enumerate(forests):
-                    if row[i] != 0.0:
-                        fh.write(f"{tl},{tr},{f.key},{float(row[i])!r}\n")
-        meta = {
-            "letters": [letter_key(l) for l in self.algebra.basis.letters],
-            "max_weight": self.algebra.basis.max_weight,
-            "alpha": self.alpha,
-            "T": self.T,
-            "cells": int(self.cells),
-            "grid": [float(t) for t in self.grid],
-            "base_values": [[float(v) for v in row] for row in self.base_values],
-        }
-        with open(meta_path, "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        return csv_path, meta_path
-
-    @classmethod
-    def load(cls, out_dir: str) -> "RoughPath":
-        """Read back the lift that :meth:`dump` wrote to ``out_dir``."""
-        with open(os.path.join(out_dir, "lift.meta.json")) as fh:
-            meta = json.load(fh)
-        letters = tuple(parse_forest(f"•{t}").trees[0].letter for t in meta["letters"])
-        algebra = get_algebra(letters, meta["max_weight"])
-        cells = meta["cells"]
-        chars = np.zeros((cells, algebra.dim))
-        chars[:, 0] = 1.0
-        grid = np.array(meta["grid"])
-        with open(os.path.join(out_dir, "lift.csv")) as fh:
-            header = fh.readline()
-            if header.strip() != "t_left,t_right,forest,value":
-                raise ValueError("unrecognized lift CSV header")
-            for line in fh:
-                tl, _tr, key, val = line.rstrip("\n").split(",")
-                k = int(round(float(tl) / meta["T"] * cells))
-                chars[k, algebra.basis.index[parse_forest(key)]] = float(val)
-        return cls(
-            algebra=algebra,
-            grid=grid,
-            levels=_pyramid(algebra, chars),
-            base_values=np.array(meta["base_values"]),
-            alpha=meta["alpha"],
-        )
 
 
 def _path(driver, algebra, h, columns, base_values) -> RoughPath:

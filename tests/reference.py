@@ -1,17 +1,21 @@
 """Reference code that only the tests use: the scalar extension paths of a
-bracket extension and the series a bracket letter abbreviates.
+bracket extension, the series a bracket letter abbreviates, and the reader
+of the lift that ``planarough lift`` writes with ``"dump": true``.
 
 The acceptance criteria, ``test_paths``, ``test_ito`` and ``test_hopf``
 measure the library against these; the library itself pairs the extension's
-cell characters with node functionals (:func:`planarough.ito_verify.pair`).
+cell characters with node functionals (:func:`planarough.ito_verify.pair`)
+and only writes lifts (:func:`planarough.cli.write_lift`).
 """
 
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from planarough.forest_core import b_plus, concat, single
-from planarough.rough_path import RoughPath
+from planarough.forest_core import b_plus, concat, parse_forest, single
+from planarough.rough_path import RoughPath, _pyramid, get_algebra
 
 
 def bracket_series(i: int, j: int) -> dict:
@@ -48,3 +52,31 @@ class ScalarExtensionPath:
 
     def additivity_defect(self, a: int, u: int, b: int) -> float:
         return self.increment(a, b) - self.increment(a, u) - self.increment(u, b)
+
+
+def load_lift(out_dir: str) -> RoughPath:
+    """Read back the lift that :func:`planarough.cli.write_lift` wrote to
+    ``out_dir``."""
+    with open(os.path.join(out_dir, "lift.meta.json"), encoding="utf-8") as fh:
+        meta = json.load(fh)
+    letters = tuple(parse_forest(f"•{t}").trees[0].letter for t in meta["letters"])
+    algebra = get_algebra(letters, meta["max_weight"])
+    cells = meta["cells"]
+    chars = np.zeros((cells, algebra.dim))
+    chars[:, 0] = 1.0
+    grid = np.array(meta["grid"])
+    with open(os.path.join(out_dir, "lift.csv"), encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.strip() != "t_left,t_right,forest,value":
+            raise ValueError("unrecognized lift CSV header")
+        for line in fh:
+            tl, _tr, key, val = line.rstrip("\n").split(",")
+            k = int(round(float(tl) / meta["T"] * cells))
+            chars[k, algebra.basis.index[parse_forest(key)]] = float(val)
+    return RoughPath(
+        algebra=algebra,
+        grid=grid,
+        levels=_pyramid(algebra, chars),
+        base_values=np.array(meta["base_values"]),
+        alpha=meta["alpha"],
+    )

@@ -256,7 +256,7 @@ def test_lift_command_probes(tmp_path):
 
 def test_dump_tables_are_transpose_consistent(tmp_path):
     base = {"name": "t", "dump": {"alphabet": "bracket", "d": 1, "max_weight": 3}}
-    for what in ("basis", "coproduct", "star"):
+    for what in ("basis", "coproduct"):
         doc = json.loads(json.dumps(base))
         doc["dump"]["what"] = what
         doc["name"] = what
@@ -267,15 +267,8 @@ def test_dump_tables_are_transpose_consistent(tmp_path):
     assert basis_lines[0] == "index,forest,degree,weight"
     assert len(basis_lines) == 1 + 14  # bracket alphabet census at d=1
 
-    def rows(name, fname):
-        lines = (tmp_path / "out" / name / fname).read_text().splitlines()
-        return lines[0], {tuple(l.split(",")) for l in lines[1:]}
-
-    chead, cop = rows("coproduct", "coproduct.csv")
-    shead, star = rows("star", "star.csv")
-    assert chead == "forest,left,right,coefficient"
-    assert shead == "left,right,result,coefficient"
-    assert {(l, r, f, c) for f, l, r, c in cop} == star
+    cop = (tmp_path / "out" / "coproduct" / "coproduct.csv").read_text("utf-8")
+    assert cop.splitlines()[0] == "forest,left,right,coefficient"
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +332,12 @@ def test_exit_diverged_on_overflow(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
+def run_fresh(code: str, **environ) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter from the repository root with its
-    ``src`` on ``PYTHONPATH``, so no module this process loaded is there."""
+    ``src`` on ``PYTHONPATH``, so no module this process loaded is there;
+    ``environ`` sets further environment variables."""
     root = os.path.join(os.path.dirname(__file__), "..")
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p
     )
@@ -351,6 +345,37 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
         [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
         text=True, timeout=120,
     )
+
+
+def run_cli_ascii(argv) -> subprocess.CompletedProcess:
+    """Run ``planarough argv`` in a new interpreter under an ASCII locale:
+    the C locale, with neither locale coercion nor UTF-8 mode."""
+    code = f"import sys; from planarough.cli import main; sys.exit(main({argv!a}))"
+    return run_fresh(code, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+
+
+def test_lift_dump_is_utf8_under_an_ascii_locale(tmp_path):
+    # the forest keys hold •, which ASCII cannot encode; the lift files are
+    # UTF-8 under any locale, the bytes of an in-process run
+    exp = analytic_ito_experiment("dumped")
+    exp.pop("ito")
+    exp["driver"]["cells"] = 32
+    exp["lift"] = {"probes": 8, "dump": True}
+    cfg = write_config(tmp_path, "c.json", exp)
+    proc = run_cli_ascii(["lift", "--config", cfg, "--out", str(tmp_path / "ascii")])
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert main(["lift", "--config", cfg, "--out", str(tmp_path / "here")]) == EXIT_OK
+    for fn in ("lift.csv", "lift.meta.json"):
+        ascii_bytes = (tmp_path / "ascii" / "dumped" / fn).read_bytes()
+        assert ascii_bytes == (tmp_path / "here" / "dumped" / fn).read_bytes()
+
+
+def test_exit_config_on_a_name_the_locale_cannot_encode(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"name": "té"})
+    proc = run_cli_ascii(["dump", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "config error: bad experiment name" in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_general_ito_leaves_numpy_test_modules_unloaded(tmp_path):
@@ -441,6 +466,10 @@ def test_exit_config_on_bad_expression(tmp_path):
         ("dump", {"dump": {"d": "x"}}),
         ("hopf-selftest", {"hopf": {"max_weight": 5}}),
         ("hopf-selftest", {"hopf": {"d": 5}}),
+        # targets since dropped: the lift is written by ``lift``, the
+        # ★ table is the coproduct table with its columns reordered
+        ("dump", {"dump": {"what": "lift"}}),
+        ("dump", {"dump": {"what": "star"}}),
     ],
 )
 def test_exit_config_on_bad_table_size(tmp_path, capsys, command, doc):
@@ -861,6 +890,7 @@ def test_exit_io_on_missing_config(tmp_path, capsys):
         ["dump", "--jobs", "x"],
         ["dump", "--jobs", "0"],
         ["dump", "--jobs", "-3"],
+        ["dump", "--out", ""],
     ],
 )
 def test_usage_errors_exit_config(capsys, argv):
@@ -1157,6 +1187,7 @@ def test_load_experiments_validation(tmp_path):
         {"experiments": [{"name": "a/b"}]},
         {"experiments": [{"name": ".hidden"}]},
         {"experiments": [{"name": ""}]},
+        {"experiments": [{"name": "a\ud800"}]},
         {"experiments": [{"nope": 1}]},
         {"experiments": [{"name": 5}]},
         {"experiments": 5},

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from reference import ScalarExtensionPath
+from reference import ScalarExtensionPath, load_lift
 
+from planarough.cli import write_lift
 from planarough.forest_core import (
     EMPTY,
     all_forests,
@@ -33,7 +34,6 @@ from planarough.rough_path import (
     ConfigError,
     DriverSpec,
     PolySignal,
-    RoughPath,
     SpectralSignal,
     TrigSignal,
     _sample_substeps,
@@ -700,8 +700,8 @@ def test_dump_load_round_trip(tmp_path):
     driver = trig_driver(cells=32, intensity=True)
     # the extension's metadata holds bracket letters such as (12)
     for path, sub in ((lift(driver), "base"), (bracket_extension(driver), "bracket")):
-        path.dump(str(tmp_path / sub))
-        y = RoughPath.load(str(tmp_path / sub))
+        write_lift(path, str(tmp_path / sub))
+        y = load_lift(str(tmp_path / sub))
         assert np.array_equal(path.grid, y.grid)
         assert np.array_equal(path.base_values, y.base_values)
         assert len(path.levels) == len(y.levels)
