@@ -101,17 +101,23 @@ def elementary_differentials(trees, d: int):
     slots = np.array([rows[f] for f in trees], dtype=np.intp)
 
     def f_taus(ft):
+        # node axis last and contiguous, so each einsum's inner loop runs
+        # over the nodes: axes (b…, a, i, node) for the tensors (node, i, a, b…)
+        lead = ft[0].shape[:-2]
+        ft = [t.reshape((-1,) + t.shape[len(lead) :]).T.copy() for t in ft]
         f = ft[0]
-        lead = f.shape[:-2] + (-1, f.shape[-1])
+        flat = (f.shape[0], -1, f.shape[-1])
         shapes = [f]
         if len(ft) > 1:
-            f_ji = np.einsum("...iab,...jb->...ija", ft[1], f)  # [•j]i
-            shapes.append(f_ji.reshape(lead))
+            f_ji = np.einsum("bair,bjr->aijr", ft[1], f)  # [•j]i
+            shapes.append(f_ji.reshape(flat))
         if len(ft) > 2:
-            f_kji = np.einsum("...iab,...jkb->...ijka", ft[1], f_ji)  # [[•k]j]i
-            f_k_ji = np.einsum("...iabc,...kb,...jc->...ikja", ft[2], f, f)  # [•k•j]i
-            shapes += [f_kji.reshape(lead), f_k_ji.reshape(lead)]
-        return np.concatenate(shapes, axis=-2).take(slots, axis=-2)
+            f_kji = np.einsum("bair,bjkr->aijkr", ft[1], f_ji)  # [[•k]j]i
+            f_k_ji = np.einsum("cbair,bkr,cjr->aikjr", ft[2], f, f)  # [•k•j]i
+            shapes += [f_kji.reshape(flat), f_k_ji.reshape(flat)]
+        # one gather, then one copy back to (node, tree, a), C-contiguous
+        out = np.concatenate(shapes, axis=1).take(slots, axis=1).T.copy()
+        return out.reshape(lead + out.shape[1:])
 
     return f_taus
 

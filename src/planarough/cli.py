@@ -234,8 +234,12 @@ def load_experiments(path: str) -> list:
         if not isinstance(exp, dict):
             raise ConfigError("each experiment must be an object")
         name = _require(exp, "name", "experiment")
-        try:  # a directory name: non-empty, unhidden, one the file system encodes
+        # a directory name: non-empty, unhidden, one that the file system and
+        # the verdict lines on stdout encode
+        stdout = getattr(sys.stdout, "encoding", None) or "utf-8"
+        try:
             ok = isinstance(name, str) and os.fsencode(name) and name[0] != "."
+            ok = ok and name.encode(stdout)
         except UnicodeEncodeError:
             ok = False
         if not ok or any(c in name for c in "/\\\0"):

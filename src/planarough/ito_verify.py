@@ -178,35 +178,62 @@ def _scalar_jets(func: SmoothFunctionWithDerivatives, z: ControlledPath) -> list
     ]
 
 
+def _einsum_in_order(spec: str, *ops) -> np.ndarray:
+    """``np.einsum(spec, *ops)`` with the terms of its sums added one at a
+    time from zero, the summed letters in row-major order.  That is einsum's
+    own order over a batch of nodes on the node-last layout, but a lone node
+    (its axis of length 1 dropped) sums a contraction to a scalar in SIMD
+    lanes or partial sums, so a plain einsum gives a node other bits alone
+    than in a batch."""
+    ins, out = spec.split("->")
+    ins = ins.split(",")
+    summed = "".join(dict.fromkeys(c for s in ins for c in s if c not in out))
+    size = {c: op.shape[k] for s, op in zip(ins, ops) for k, c in enumerate(s)}
+    free = ",".join(s.translate({ord(c): None for c in summed}) for s in ins)
+    total = 0.0
+    for index in itertools.product(*(range(size[c]) for c in summed)):
+        at = dict(zip(summed, index))
+        picked = [op[tuple(at.get(c, slice(None)) for c in s)] for s, op in zip(ins, ops)]
+        total = total + np.einsum(f"{free}->{out}", *picked)
+    return total
+
+
 def _general_jets(DF: list, ft: list):
     """``(jets_of, mixed)`` for :func:`_terms` by the product rule, from
     ``D^mF`` and the fields' ``D^m f`` at the states, for example
     ``D²(DF:f_i):(v, w) = D³F:(f_i, v, w) + D²F:(Df_i:v, w)
     + D²F:(Df_i:w, v) + DF:(D²f_i:(v, w))``."""
-    e = np.einsum
+    # node axis last and contiguous, so each einsum's inner loop runs over
+    # the nodes; the jets move it back to the front
+    e = _einsum_in_order
+    DF, ft = ([np.moveaxis(t, 0, -1).copy() for t in ts] for ts in (DF, ft))
     f, Df = ft[0], ft[1]
+
+    def front(ts):
+        return [np.moveaxis(t, -1, 0) for t in ts]
+
     first = [
-        e("...a,...ia->...i", DF[1], f),
-        e("...ab,...ia->...ib", DF[2], f) + e("...a,...iab->...ib", DF[1], Df),
+        e("ar,iar->ir", DF[1], f),
+        e("abr,iar->ibr", DF[2], f) + e("ar,iabr->ibr", DF[1], Df),
     ]
-    second = [e("...ab,...ia,...jb->...ij", DF[2], f, f)]
+    second = [e("abr,iar,jbr->ijr", DF[2], f, f)]
     if len(DF) < 4:
-        return {1: first, 2: second}, None
+        return {1: front(first), 2: front(second)}, None
     D3F, D2f = DF[3], ft[2]
     first.append(
-        e("...abc,...ia->...ibc", D3F, f)
-        + e("...ac,...iab->...ibc", DF[2], Df)
-        + e("...ab,...iac->...ibc", DF[2], Df)
-        + e("...a,...iabc->...ibc", DF[1], D2f)
+        e("abcr,iar->ibcr", D3F, f)
+        + e("acr,iabr->ibcr", DF[2], Df)
+        + e("abr,iacr->ibcr", DF[2], Df)
+        + e("ar,iabcr->ibcr", DF[1], D2f)
     )
     second.append(
-        e("...abc,...ia,...jb->...ijc", D3F, f, f)
-        + e("...ab,...iac,...jb->...ijc", DF[2], Df, f)
-        + e("...ab,...ia,...jbc->...ijc", DF[2], f, Df)
+        e("abcr,iar,jbr->ijcr", D3F, f, f)
+        + e("abr,iacr,jbr->ijcr", DF[2], Df, f)
+        + e("abr,iar,jbcr->ijcr", DF[2], f, Df)
     )
-    third = [e("...abc,...ia,...jb,...kc->...ijk", D3F, f, f, f)]
-    mixed = e("...ab,...ia,...jbc,...kc->...ijk", DF[2], f, Df, f)
-    return {1: first, 2: second, 3: third}, mixed
+    third = [e("abcr,iar,jbr,kcr->ijkr", D3F, f, f, f)]
+    mixed = e("abr,iar,jbcr,kcr->ijkr", DF[2], f, Df, f)
+    return {1: front(first), 2: front(second), 3: front(third)}, np.moveaxis(mixed, -1, 0)
 
 
 def verify_simple(

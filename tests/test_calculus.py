@@ -23,6 +23,7 @@ from planarough.forest_core import (
     parse_forest,
     single,
 )
+from planarough.ito_verify import _general_jets
 from planarough.rough_path import (
     DriverSpec,
     PolySignal,
@@ -120,31 +121,50 @@ def reference_f_tau(exprs, symbols, t):
     return out
 
 
-def test_elementary_differentials_match_sympy_reference():
-    # every tree of weight ≤ 3 at d = 2, against the symbolic recursion
-    exprs = [
+SYMPY_FAMILIES = {
+    2: [
         ("1 + 0.2*y2**2 + sin(y1)*y2", "0.3*y1*y2"),
         ("cos(y2) - y1**3/4", "1 - y2/4 + y1**2"),
-    ]
-    fields = VectorFieldFamily.from_expressions(exprs, ("y1", "y2"))
-    symbols = sympy.symbols("y1 y2", real=True)
-    local = dict(zip(("y1", "y2"), symbols))
-    exprs = [[sympy.sympify(e, locals=local) for e in f] for f in exprs]
+    ],
+    # three states: every contraction sums three terms per state axis
+    3: [
+        ("sin(y2)*y3 + 0.5", "0.3*y1*y3", "cos(y1) - y2**2/4"),
+        ("exp(-y3/2)", "1 - y1*y2/4", "0.2*y3**2 + sin(y2)"),
+    ],
+}
+
+
+def test_elementary_differentials_match_sympy_reference():
+    # every tree of weight ≤ 3 at d = 2, against the symbolic recursion, on
+    # two states and on three
     trees = [f for f in all_forests(base_alphabet(2), 3) if len(f.trees) == 1]
     assert len(trees) == 2 + 4 + 8 + 8
-    u = np.random.default_rng(9).uniform(-1.5, 1.5, (7, 2))
-    got = elementary_differentials(trees, 2)(fields.tensors(u, 2))
-    for col, f in enumerate(trees):
-        ref = reference_f_tau(exprs, symbols, f.trees[0])
-        want = np.stack(
-            [
-                np.broadcast_to(sympy.lambdify(symbols, e)(u[:, 0], u[:, 1]), len(u))
-                for e in ref
-            ],
-            axis=-1,
-        )
-        scale = np.abs(want).max()
-        assert np.allclose(got[:, col], want, rtol=1e-12, atol=1e-12 * scale), f.key
+    f_taus = elementary_differentials(trees, 2)
+    rng = np.random.default_rng(9)
+    for n, exprs in SYMPY_FAMILIES.items():
+        names = tuple(f"y{a + 1}" for a in range(n))
+        fields = VectorFieldFamily.from_expressions(exprs, names)
+        symbols = sympy.symbols(names, real=True)
+        local = dict(zip(names, symbols))
+        exprs = [[sympy.sympify(e, locals=local) for e in f] for f in exprs]
+        u = rng.uniform(-1.5, 1.5, (15, n))
+        ft = fields.tensors(u, 2)
+        got = f_taus(ft)
+        for col, f in enumerate(trees):
+            ref = reference_f_tau(exprs, symbols, f.trees[0])
+            want = np.stack(
+                [
+                    np.broadcast_to(sympy.lambdify(symbols, e)(*u.T), len(u))
+                    for e in ref
+                ],
+                axis=-1,
+            )
+            scale = np.abs(want).max()
+            assert np.allclose(got[:, col], want, rtol=1e-12, atol=1e-12 * scale), f.key
+        # any leading axes: the nodes on a (3, 5) grid read the flat call's bits
+        grid = f_taus([t.reshape((3, 5) + t.shape[1:]) for t in ft])
+        assert grid.shape == (3, 5) + got.shape[1:] and grid.flags.c_contiguous
+        assert np.array_equal(grid.reshape(got.shape).view(np.int64), got.view(np.int64))
 
 
 def test_vector_field_family_validation():
@@ -336,6 +356,15 @@ SWEEP_CASES = {
     ),
     "constant": lambda: (d2_x(TRIG_POLY, N=2), fields_of(("0.25", "1"), ("-0.5", "0.75")), [1.0, 2.0]),
     "rough-d2": lambda: (d2_x(ROUGH), fields_of(*D2N3_FIELDS), [0.2, -0.4]),
+    # three states: each f_τ contraction sums over a state axis of length 3
+    "d2-three-states": lambda: (
+        d2_x(TRIG_POLY),
+        fields_of(
+            ("sin(y2)", "0.5*cos(y3)", "0.3*y1*y2"),
+            ("exp(-y1*y3)/2", "0.2*sin(y1 + y2)", "cos(y2) - y3/4"),
+        ),
+        [0.2, -0.4, 0.1],
+    ),
 }
 
 
@@ -372,6 +401,33 @@ def test_sweep_evaluates_windows_not_cells(monkeypatch):
     x, fields, xi = SWEEP_CASES["constant"]()
     solve_rde(x, fields, xi)
     assert len(calls) <= 9 and calls[-1] == len(x.grid)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_state_contractions_are_batch_invariant(d, n, N):
+    # the sweep needs a node to read the same bits alone as in any batch;
+    # f_τ and the general jets run their inner loops over the nodes, so every
+    # row of a batch of any size must read its bits when evaluated alone.
+    # The batches tile a pool of 37 rows, so each row sits at many offsets.
+    rng = np.random.default_rng(100 * d + 10 * n + N)
+    pool = 37
+    ft = [rng.standard_normal((pool, d) + (n,) * (m + 1)) for m in range(N)]
+    DF = [rng.standard_normal((pool,) + (n,) * m) for m in range(N + 1)]
+    trees = [f for f in all_forests(base_alphabet(d), N) if len(f.trees) == 1]
+    f_taus = elementary_differentials(trees, d)
+
+    def outputs(rows):
+        jets_of, mixed = _general_jets([t[rows] for t in DF], [t[rows] for t in ft])
+        outs = [f_taus([t[rows] for t in ft])] + [t for k in jets_of for t in jets_of[k]]
+        return outs + ([] if mixed is None else [mixed])
+
+    alone = [np.concatenate(a) for a in zip(*(outputs([r]) for r in range(pool)))]
+    for size in (1, 3, 7, 15, 17, 300, 4097):
+        rows = (7 * np.arange(size) + size) % pool
+        for got, want in zip(outputs(rows), alone, strict=True):
+            assert np.array_equal(got.view(np.int64), want[rows].view(np.int64)), size
 
 
 @pytest.mark.parametrize("expr, xi", [("y1**2", 5.0), ("exp(y1)", 0.5)])

@@ -347,11 +347,16 @@ def run_fresh(code: str, **environ) -> subprocess.CompletedProcess:
     )
 
 
+def run_cli_fresh(argv, **environ) -> subprocess.CompletedProcess:
+    """Run ``planarough argv`` in a new interpreter (see :func:`run_fresh`)."""
+    code = f"import sys; from planarough.cli import main; sys.exit(main({argv!a}))"
+    return run_fresh(code, **environ)
+
+
 def run_cli_ascii(argv) -> subprocess.CompletedProcess:
     """Run ``planarough argv`` in a new interpreter under an ASCII locale:
     the C locale, with neither locale coercion nor UTF-8 mode."""
-    code = f"import sys; from planarough.cli import main; sys.exit(main({argv!a}))"
-    return run_fresh(code, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    return run_cli_fresh(argv, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
 
 
 def test_lift_dump_is_utf8_under_an_ascii_locale(tmp_path):
@@ -373,6 +378,17 @@ def test_lift_dump_is_utf8_under_an_ascii_locale(tmp_path):
 def test_exit_config_on_a_name_the_locale_cannot_encode(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"name": "té"})
     proc = run_cli_ascii(["dump", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "config error: bad experiment name" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_exit_config_on_a_name_stdout_cannot_encode(tmp_path):
+    # the file system takes "té", but the verdict line naming it cannot be
+    # printed to an ASCII stdout: rejected before anything is written
+    cfg = write_config(tmp_path, "c.json", {"name": "té"})
+    argv = ["dump", "--config", cfg, "--out", str(tmp_path / "o")]
+    proc = run_cli_fresh(argv, PYTHONIOENCODING="ascii")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "config error: bad experiment name" in proc.stderr
     assert not (tmp_path / "o").exists()

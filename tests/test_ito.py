@@ -387,16 +387,30 @@ def test_term_pairings_match_the_integrators(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_general_jets_match_sympy_reference():
-    # every integrand of the general identity at d = 2, N = 3 and each of its
-    # derivatives that compose_FY takes, against sympy differentiating the
-    # composed expressions (so the product rule is sympy's, not the library's)
-    variables = ("y1", "y2")
-    f_exprs = [
-        ("1 + 0.2*y2**2 + sin(y1)*y2", "0.3*y1*y2"),
-        ("cos(y2) - y1**3/4", "1 - y2/4 + y1**2"),
-    ]
-    F_expr = "sin(y1)*y2 + y1**3/3 + 0.3*y1*y2**2"
+GENERAL_JET_FAMILIES = [
+    (
+        [
+            ("1 + 0.2*y2**2 + sin(y1)*y2", "0.3*y1*y2"),
+            ("cos(y2) - y1**3/4", "1 - y2/4 + y1**2"),
+        ],
+        "sin(y1)*y2 + y1**3/3 + 0.3*y1*y2**2",
+    ),
+    # three states: every sum over a state axis adds three terms
+    (
+        [
+            ("sin(y2)*y3 + 0.5", "0.3*y1*y3", "cos(y1) - y2**2/4"),
+            ("exp(-y3/2)", "1 - y1*y2/4", "0.2*y3**2 + sin(y2)"),
+        ],
+        "sin(y1)*y3 + y2**3/3 + 0.3*y1*y2*y3",
+    ),
+]
+
+
+def general_jets_against_sympy(f_exprs, F_expr):
+    """Every jet and the ``c̄X`` integrand of two fields on ``n`` states,
+    against sympy differentiating the composed expressions."""
+    n = len(f_exprs[0])
+    variables = tuple(f"y{a + 1}" for a in range(n))
     fields = VectorFieldFamily.from_expressions(f_exprs, variables)
     func = sfunc(F_expr, variables)
     y = sympy.symbols(variables, real=True)
@@ -405,14 +419,14 @@ def test_general_jets_match_sympy_reference():
     f = [[sympy.sympify(e, locals=local) for e in row] for row in f_exprs]
 
     def D(e, l):  # De:f_l
-        return sum(e.diff(y[a]) * f[l - 1][a] for a in range(2))
+        return sum(e.diff(y[a]) * f[l - 1][a] for a in range(n))
 
-    u = np.random.default_rng(10).uniform(-1.2, 1.2, (6, 2))
-    DF = [func.tensor(u, m).reshape((len(u),) + (2,) * m) for m in range(4)]
+    u = np.random.default_rng(10).uniform(-1.2, 1.2, (6, n))
+    DF = [func.tensor(u, m).reshape((len(u),) + (n,) * m) for m in range(4)]
     jets_of, mixed = ito_verify._general_jets(DF, fields.tensors(u, 2))
 
     def check(got, expr, what):
-        want = np.broadcast_to(sympy.lambdify(y, expr)(u[:, 0], u[:, 1]), len(u))
+        want = np.broadcast_to(sympy.lambdify(y, expr)(*u.T), len(u))
         scale = np.abs(want).max()
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale), what
 
@@ -422,23 +436,32 @@ def test_general_jets_match_sympy_reference():
             g = sum(
                 F.diff(*(y[a] for a in multi))
                 * sympy.Mul(*(f[l - 1][a] for l, a in zip(ls, multi)))
-                for multi in itertools.product(range(2), repeat=k)
+                for multi in itertools.product(range(n), repeat=k)
             )
             for m, t in enumerate(jets_of[k]):
-                for bs in itertools.product(range(2), repeat=m):
+                for bs in itertools.product(range(n), repeat=m):
                     expr = g.diff(*(y[b] for b in bs)) if bs else g
                     at = (slice(None),) + tuple(l - 1 for l in ls) + bs
                     check(t[at], expr, (ls, bs))
     assert [len(jets_of[k]) for k in (1, 2, 3)] == [3, 2, 1]
     for i, j, k in itertools.product((1, 2), repeat=3):
         # D²F:(f_i, Df_j:f_k), with Df_j:f_k a fixed direction
-        dfjk = [D(f[j - 1][b], k) for b in range(2)]
+        dfjk = [D(f[j - 1][b], k) for b in range(n)]
         expr = sum(
             F.diff(y[a], y[b]) * f[i - 1][a] * dfjk[b]
-            for a in range(2)
-            for b in range(2)
+            for a in range(n)
+            for b in range(n)
         )
         check(mixed[:, i - 1, j - 1, k - 1], expr, (i, j, k))
+
+
+def test_general_jets_match_sympy_reference():
+    # every integrand of the general identity at d = 2, N = 3 and each of its
+    # derivatives that compose_FY takes, against sympy differentiating the
+    # composed expressions (so the product rule is sympy's, not the library's),
+    # on two states and on three
+    for f_exprs, F_expr in GENERAL_JET_FAMILIES:
+        general_jets_against_sympy(f_exprs, F_expr)
 
 
 @pytest.mark.parametrize("N", [2, 3])
