@@ -192,11 +192,12 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
     advance.  Guesses beyond the exact nodes may overflow unreported.
 
     The scheme reads the base-letter trees only, so ``x`` may be a bracket
-    extension.  The returned path carries the solution at the empty forest
-    and the elementary differentials ``f_τ(Y_t)`` on trees up to weight
-    ``N − 1`` (multi-tree forests carry zero).  Raises :class:`ConfigError` unless
-    there is one field per driver letter and one entry of ``xi`` per state,
-    and :class:`DivergenceError` at the first node whose norm exceeds 1e6.
+    extension.  The returned path, of order ``N``, carries the solution at
+    the empty forest and the elementary differentials ``f_τ(Y_t)`` that the
+    step reads, on trees up to weight ``N`` (multi-tree forests carry
+    zero).  Raises :class:`ConfigError` unless there is one field per driver
+    letter and one entry of ``xi`` per state, and :class:`DivergenceError`
+    at the first node whose norm exceeds 1e6.
     """
     if fields.d != x.base_values.shape[0]:
         raise ConfigError(
@@ -236,9 +237,9 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
     coeffs = {EMPTY: y}
     values = f_taus(fields.tensors(y, x.N - 1))
     for f, arr in zip(trees, np.moveaxis(values, -2, 0)):
-        if f.weight <= x.N - 1 and np.any(arr):
+        if np.any(arr):
             coeffs[f] = arr
-    return ControlledPath(x=x, order=x.N - 1, coeffs=coeffs, n_out=fields.n)
+    return ControlledPath(x=x, order=x.N, coeffs=coeffs, n_out=fields.n)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .calculus import ConvergenceReport, DivergenceError, VectorFieldFamily, solve_rde
-from .controlled import SmoothFunctionWithDerivatives, driver_path, jets
+from .controlled import SmoothFunctionWithDerivatives, compose_FX
 from .forest_core import (
     EMPTY,
     MAX_WEIGHT,
@@ -60,7 +60,7 @@ from .forest_core import (
     parse_forest,
 )
 from .hopf_mkw import TruncatedBasis, run_selftest
-from .ito_verify import pair, rough_functional, verify_general, verify_simple
+from .ito_verify import pair, require_scalar, rough_sums, verify_general, verify_simple
 from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
@@ -353,8 +353,7 @@ def _cmd_lift(exp: dict, out_dir: str) -> dict:
 def _cmd_integrate(exp: dict, out_dir: str) -> dict:
     sec = _object(_require(exp, "integrate", "experiment"), "integrate section")
     func = func_from(_require(sec, "F", "integrate"))
-    if func.n_out != 1:
-        raise ConfigError("integrate needs a scalar F")
+    require_scalar(func)
     rungs = _integer(sec.get("rungs", 6), "integrate rungs", 1)
     tolerance = _number(sec.get("tolerance", 1e-6), "integrate tolerance")
     threshold = _number(sec.get("threshold", 0.0), "integrate threshold")
@@ -363,10 +362,9 @@ def _cmd_integrate(exp: dict, out_dir: str) -> dict:
         reference = _number(sec["reference"], "integrate reference")
     driver = driver_from(_require(exp, "driver", "experiment"))
     letter = _integer(sec.get("letter", 1), "integrate letter", 1, driver.d)
+    strides, scales = MeshLadder.rungs_of(driver, rungs)
     x = lift(driver)
-    z = driver_path(x)
-    functional = rough_functional(z, jets(func, z, x.N - 1), [letter])
-    strides, scales = MeshLadder.rungs_of(x, rungs)
+    functional = rough_sums(compose_FX(x, func, x.N - 1), [(EMPTY, letter)])
     values = [pair(x, functional, s) for s in strides]
     report = ConvergenceReport.from_values(
         quantity=f"integral of F against letter {letter}",

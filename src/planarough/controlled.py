@@ -107,11 +107,17 @@ class SmoothFunctionWithDerivatives:
 def contract_tensor(t, directions) -> np.ndarray:
     """``D^m F(u):(v1, …, vm)`` from the flat tensor ``t`` that
     :meth:`SmoothFunctionWithDerivatives.tensor` returned at ``u``, so one
-    evaluation serves many direction tuples; broadcasts over leading axes."""
+    evaluation serves many direction tuples; broadcasts over leading axes.
+    Each contraction adds ``t[..., k]·v[..., k]`` over the state axis as
+    whole arrays, k in order, so it also runs exactly on object arrays of
+    Fractions."""
     for v in reversed(directions):
-        v = np.asarray(v)
+        v = np.asarray(v)[..., None, None, :]
         t = t.reshape(t.shape[:-1] + (-1, v.shape[-1]))
-        t = (t * v[..., None, None, :]).sum(axis=-1)
+        acc = t[..., 0] * v[..., 0]
+        for k in range(1, v.shape[-1]):
+            acc = acc + t[..., k] * v[..., k]
+        t = acc
     return t[..., 0]
 
 

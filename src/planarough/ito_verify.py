@@ -16,26 +16,30 @@ evaluated on a ladder of dyadic coarsenings of the lift grid:
                           ``Σ_{ijk} ∫ D³F:(f_i,f_j,f_k)(Y) dX̃^{(ijk)}`` and
                           ``Σ_{ijk} ∫ D²F:(f_i, Df_j:f_k)(Y) dc̄X^{(ijk)}``.
 
-Every integrand and its derivatives up to order ``N − 1`` (its *jets*) are
-numeric contractions of ``F``'s tensors (orders ``0..N``) and the fields'
-(orders ``0..N−1``) by the product rule, for example
-``D(DF:f_i):v = D²F:(f_i, v) + DF:(Df_i:v)``.  The simple statement is the
-general one for ``f_i = e_i``, whose solution is the driver itself: ``F(X)``
-is ``F(Y)`` along :func:`~planarough.controlled.driver_path`, the jets are
-slices of ``F``'s tensors, and the mixed compensator term vanishes because
-``Df_j = 0``.
+Every integrand is a coefficient of the one composition ``W = F(Y)``
+(:func:`~planarough.controlled.compose_FY` at order ``N``), and so are its
+own controlled coefficients: the integrand of letter ``i`` is ``⟨•i, W⟩``,
+that of ``(ij)`` is ``⟨•i•j, W⟩``, and the Young integrands are
+``⟨•i•j•k, W⟩`` and ``⟨•i[•k]j, W⟩``, for example
+``⟨•i[•k]j, W⟩ = D²F:(f_i, f_{[•k]j})``.  :func:`read` takes the
+coefficients ``⟨τ, ⟨σ, W⟩⟩`` off ``W`` through the coproduct (Curry,
+Ebrahimi-Fard, Manchon and Munthe-Kaas, JDE 2020), so no product rule is
+written out.  The simple statement is the general one for ``f_i = e_i``,
+whose solution is the driver itself: ``Y`` is
+:func:`~planarough.controlled.driver_path`, ``W`` carries ``F``'s tensors on
+the words, and the mixed compensator term vanishes because ``Df_j = 0``.
 
 Each verifier lifts its driver once, to the bracket extension ``X̂``
 (Hairer–Kelly 2015), whose basis holds the base forests too and whose base
-columns are the lift ``X`` bit for bit; the states, the jets and every sum
-run on ``X̂`` alone.  On a mesh cell ``[u, v]`` every sum is linear in the
+columns are the lift ``X`` bit for bit; the states, ``W`` and every sum run
+on ``X̂`` alone.  On a mesh cell ``[u, v]`` every sum is linear in the
 character ``X̂_{u,v}``: a rough sum against letter ``l`` adds
 ``⟨τ, Z_u⟩·⟨X̂_{u,v}, [τ]_l⟩`` over its integrand's coefficients τ, a Young
 sum ``g(u)·⟨X̂_{u,v}, series⟩``.  So :func:`_terms` makes each term a node
 functional Φ on the columns it touches, whose total on the stride-``s`` mesh
-is :func:`pair`'s ``Σ_k ⟨X̂_{t_k, t_k+s}, Φ(t_k)⟩``: the rough ones from one
-``compose_FY`` call per order, the letters stacked as outputs, the Young ones
-from one product of the integrands with the stacked series of ``X̃`` or ``c̄X``.
+is :func:`pair`'s ``Σ_k ⟨X̂_{t_k, t_k+s}, Φ(t_k)⟩``: the rough ones by
+:func:`rough_sums`, the Young ones from one product of the integrands with
+the stacked series of ``X̃`` or ``c̄X``.
 
 Each report records per-term totals on every rung, the identity residual, and
 the empirical convergence order of the residual, with verdicts against a
@@ -57,7 +61,7 @@ from .controlled import (
     driver_path,
     jets,
 )
-from .forest_core import EMPTY, b_plus
+from .forest_core import EMPTY, PlanarForest, b_plus, concat, forest, single, tree
 from .rates import MeshLadder
 from .rough_path import (
     ConfigError,
@@ -95,51 +99,78 @@ def pair(x: RoughPath, functional: list, stride: int) -> float:
     return sum(float(chars[:, c] @ phi[:-1:stride]) for c, phi in functional)
 
 
-def rough_functional(z: ControlledPath, jets_k: list, letters) -> list:
-    """The functional of ``Σ_l ∫ Z^l dX^l`` as ``(column, Φ)`` pairs: column
-    ``[τ]_l`` carries ``⟨τ, Z^l⟩``.  The integrands of ``letters``, stacked
-    in ``jets_k`` after the node axis, compose as one path's outputs."""
-    jets_k = [t.reshape(len(t), len(letters), -1) for t in jets_k]
-    idx = z.x.algebra.basis.index
+def read(w: ControlledPath, sigmas: list) -> dict:
+    """The coefficients ``⟨τ, ⟨σ, W⟩⟩`` of the integrands ``⟨σ, W⟩`` of a
+    scalar ``W``, keyed by τ's basis index and σ's position in ``sigmas``,
+    in that order: ``Σ_ω c·⟨ω, W⟩`` over the coproduct terms ``c·(τ, σ)``
+    of each ω (Curry–Ebrahimi-Fard–Manchon–Munthe-Kaas, JDE 2020)."""
+    basis = w.x.algebra.basis
+    slot = {basis.index[s]: k for k, s in enumerate(sigmas)}
+    out = {}
+    for omega, arr in w.coeffs.items():
+        for tau, sigma, c in basis.cut_rows[basis.index[omega]]:
+            k = slot.get(sigma)
+            if k is not None:
+                term = c * arr[:, 0]
+                out[tau, k] = out[tau, k] + term if (tau, k) in out else term
+    return dict(sorted(out.items()))
+
+
+def rough_sums(w: ControlledPath, grafts: list) -> list:
+    """The functional of ``Σ ∫ ⟨σ, W⟩ dX^l`` over the ``(σ, l)`` of
+    ``grafts`` as ``(column, Φ)`` pairs: column ``[τ]_l`` carries
+    ``⟨τ, ⟨σ, W⟩⟩``."""
+    basis = w.x.algebra.basis
     return [
-        (idx[b_plus(tau, l)], coeff[:, o])
-        for tau, coeff in compose_FY(z, jets_k, len(jets_k) - 1).coeffs.items()
-        for o, l in enumerate(letters)
+        (basis.index[b_plus(basis.forests[tau], grafts[k][1])], phi)
+        for (tau, k), phi in read(w, [s for s, _ in grafts]).items()
     ]
 
 
-def _young(z: ControlledPath, g: np.ndarray, series) -> list:
-    """The functional of ``Σ_{ijk} ∫ g_{ijk} d⟨X̂, series(i, j, k)⟩`` for
-    ``g`` with axes ``(node, i, j, k)``, as ``(column, Φ)`` pairs."""
-    triples = itertools.product(range(1, g.shape[1] + 1), repeat=3)
-    rows = np.stack([z.x.algebra.basis.vector(series(*ijk)) for ijk in triples])
+def _young(w: ControlledPath, sigma, series) -> list:
+    """The functional of ``Σ_{ijk} ∫ ⟨σ(i, j, k), W⟩ d⟨X̂, series(i, j, k)⟩``
+    as ``(column, Φ)`` pairs; the integrands are the coefficients at ``e``."""
+    basis = w.x.algebra.basis
+    triples = list(itertools.product(range(1, w.x.base_values.shape[0] + 1), repeat=3))
+    g = read(w, [sigma(*ijk) for ijk in triples])
+    zero = np.zeros(len(w.x.grid))
+    g = np.stack([g.get((basis.index[EMPTY], k), zero) for k in range(len(triples))], 1)
+    rows = np.stack([basis.vector(series(*ijk)) for ijk in triples])
     cols = np.flatnonzero(rows.any(axis=0))
-    return list(zip(cols, (g.reshape(len(g), -1) @ rows[:, cols]).T))
+    return list(zip(cols, (g @ rows[:, cols]).T))
 
 
-def _terms(z: ControlledPath, jets_of: dict, mixed):
-    """Yield ``(name, functional)`` per term of the identity for states ``z``.
-    Entry m of ``jets_of[k]`` holds the integrands of k letters and their
-    m-th derivatives, axes ``(node, l1…lk, b1…bm)`` for m up to ``N − k``;
-    ``mixed`` is the ``c̄X`` integrand, axes ``(node, i, j, k)``, or None."""
-    letters = range(1, z.x.base_values.shape[0] + 1)
-    yield "rough_first_order", rough_functional(z, jets_of[1], letters)
-    pairs = list(itertools.product(letters, repeat=2))
-    yield "bracket_second_order", rough_functional(z, jets_of[2], pairs)
-    if z.x.N == 3:
-        yield "tilde_third_order", _young(z, jets_of[3][0], tilde_series)
-        if mixed is not None:
-            yield "cbar_mixed_order", _young(z, mixed, cbar_series)
+def word(*letters) -> PlanarForest:
+    """``•l1 … •lk``."""
+    return forest([tree(l) for l in letters])
 
 
-def _verify(name, theorem, values, z, jets_of, mixed, rungs, tolerance) -> ItoReport:
+def mixed_word(i, j, k) -> PlanarForest:
+    """``•i [•k]j``, whose coefficient in ``F(Y)`` is ``D²F:(f_i, Df_j:f_k)``."""
+    return concat(single(i), b_plus(single(k), j))
+
+
+def _terms(w: ControlledPath, mixed: bool):
+    """Yield ``(name, functional)`` per term of the identity for ``W = F(Y)``;
+    ``mixed`` adds the ``c̄X`` term."""
+    letters = range(1, w.x.base_values.shape[0] + 1)
+    yield "rough_first_order", rough_sums(w, [(word(l), l) for l in letters])
+    pairs = itertools.product(letters, repeat=2)
+    yield "bracket_second_order", rough_sums(w, [(word(*ij), ij) for ij in pairs])
+    if w.x.N == 3:
+        yield "tilde_third_order", _young(w, word, tilde_series)
+        if mixed:
+            yield "cbar_mixed_order", _young(w, mixed_word, cbar_series)
+
+
+def _verify(name, theorem, y, func, strides, scales, tolerance) -> ItoReport:
     """Evaluate every term on every rung and judge the identity
-    ``F(z_T) − F(z_0) = Σ terms`` for ``F``'s ``values`` at the nodes."""
-    xhat = z.x
-    lhs = float(values[-1] - values[0])
-    strides, scales = MeshLadder.rungs_of(xhat, rungs)
+    ``F(y_T) − F(y_0) = Σ terms`` for the states ``y``."""
+    xhat = y.x
+    w = compose_FY(y, jets(func, y, xhat.N), xhat.N)
+    lhs = float(w.coeffs[EMPTY][-1, 0] - w.coeffs[EMPTY][0, 0])
     terms = {}
-    for term, functional in _terms(z, jets_of, mixed):
+    for term, functional in _terms(w, theorem == "general"):
         terms[term] = [pair(xhat, functional, s) for s in strides]
         del functional  # one term's functional alive at a time
     rhs = [sum(terms[k][r] for k in terms) for r in range(len(strides))]
@@ -165,75 +196,11 @@ def _verify(name, theorem, values, z, jets_of, mixed, rungs, tolerance) -> ItoRe
     )
 
 
-def _scalar(func: SmoothFunctionWithDerivatives) -> None:
+def require_scalar(func: SmoothFunctionWithDerivatives) -> None:
+    """:class:`ConfigError` unless ``F`` is scalar-valued, as every term
+    reads a scalar ``F(Y)``."""
     if func.n_out != 1:
         raise ConfigError("the observable F must be scalar-valued")
-
-
-def _scalar_jets(func: SmoothFunctionWithDerivatives, z: ControlledPath) -> list:
-    """``D^mF`` at ``z``'s states for m = 0..N, axes ``(node, a1…am)``."""
-    return [
-        t.reshape((len(t),) + (z.n_out,) * m)
-        for m, t in enumerate(jets(func, z, z.x.N))
-    ]
-
-
-def _einsum_in_order(spec: str, *ops) -> np.ndarray:
-    """``np.einsum(spec, *ops)`` with the terms of its sums added one at a
-    time from zero, the summed letters in row-major order.  That is einsum's
-    own order over a batch of nodes on the node-last layout, but a lone node
-    (its axis of length 1 dropped) sums a contraction to a scalar in SIMD
-    lanes or partial sums, so a plain einsum gives a node other bits alone
-    than in a batch."""
-    ins, out = spec.split("->")
-    ins = ins.split(",")
-    summed = "".join(dict.fromkeys(c for s in ins for c in s if c not in out))
-    size = {c: op.shape[k] for s, op in zip(ins, ops) for k, c in enumerate(s)}
-    free = ",".join(s.translate({ord(c): None for c in summed}) for s in ins)
-    total = 0.0
-    for index in itertools.product(*(range(size[c]) for c in summed)):
-        at = dict(zip(summed, index))
-        picked = [op[tuple(at.get(c, slice(None)) for c in s)] for s, op in zip(ins, ops)]
-        total = total + np.einsum(f"{free}->{out}", *picked)
-    return total
-
-
-def _general_jets(DF: list, ft: list):
-    """``(jets_of, mixed)`` for :func:`_terms` by the product rule, from
-    ``D^mF`` and the fields' ``D^m f`` at the states, for example
-    ``D²(DF:f_i):(v, w) = D³F:(f_i, v, w) + D²F:(Df_i:v, w)
-    + D²F:(Df_i:w, v) + DF:(D²f_i:(v, w))``."""
-    # node axis last and contiguous, so each einsum's inner loop runs over
-    # the nodes; the jets move it back to the front
-    e = _einsum_in_order
-    DF, ft = ([np.moveaxis(t, 0, -1).copy() for t in ts] for ts in (DF, ft))
-    f, Df = ft[0], ft[1]
-
-    def front(ts):
-        return [np.moveaxis(t, -1, 0) for t in ts]
-
-    first = [
-        e("ar,iar->ir", DF[1], f),
-        e("abr,iar->ibr", DF[2], f) + e("ar,iabr->ibr", DF[1], Df),
-    ]
-    second = [e("abr,iar,jbr->ijr", DF[2], f, f)]
-    if len(DF) < 4:
-        return {1: front(first), 2: front(second)}, None
-    D3F, D2f = DF[3], ft[2]
-    first.append(
-        e("abcr,iar->ibcr", D3F, f)
-        + e("acr,iabr->ibcr", DF[2], Df)
-        + e("abr,iacr->ibcr", DF[2], Df)
-        + e("ar,iabcr->ibcr", DF[1], D2f)
-    )
-    second.append(
-        e("abcr,iar,jbr->ijcr", D3F, f, f)
-        + e("abr,iacr,jbr->ijcr", DF[2], Df, f)
-        + e("abr,iar,jbcr->ijcr", DF[2], f, Df)
-    )
-    third = [e("abcr,iar,jbr,kcr->ijkr", D3F, f, f, f)]
-    mixed = e("abr,iar,jbcr,kcr->ijkr", DF[2], f, Df, f)
-    return {1: front(first), 2: front(second), 3: front(third)}, np.moveaxis(mixed, -1, 0)
 
 
 def verify_simple(
@@ -245,14 +212,12 @@ def verify_simple(
 ) -> ItoReport:
     """Check the change-of-variable identity for ``F(driver)`` on the
     driver's bracket extension."""
-    _scalar(func)
+    require_scalar(func)
     if func.n_in != driver.d:
         raise ConfigError(f"F takes {func.n_in} variables, the driver has {driver.d}")
-    z = driver_path(bracket_extension(driver))
-    DF = _scalar_jets(func, z)
-    # f_i = e_i: the integrand of letters l1…lk is F's tensor at (l1…lk, …)
-    jets_of = {k: DF[k:] for k in range(1, driver.N + 1)}
-    return _verify(name, "simple", DF[0], z, jets_of, None, rungs, tolerance)
+    strides, scales = MeshLadder.rungs_of(driver, rungs)
+    y = driver_path(bracket_extension(driver))
+    return _verify(name, "simple", y, func, strides, scales, tolerance)
 
 
 def verify_general(
@@ -266,10 +231,9 @@ def verify_general(
 ) -> ItoReport:
     """Check the change-of-variable identity for ``F(Y)`` along the solution
     of ``dY = Σ f_i(Y) dX^i``, solved on the driver's bracket extension."""
-    _scalar(func)
+    require_scalar(func)
     if func.variables != fields.stacked.variables:
         raise ConfigError("F and the fields must use the same variables")
+    strides, scales = MeshLadder.rungs_of(driver, rungs)
     y = solve_rde(bracket_extension(driver), fields, xi)
-    DF = _scalar_jets(func, y)
-    jets_of, mixed = _general_jets(DF, fields.tensors(y.coeffs[EMPTY], driver.N - 1))
-    return _verify(name, "general", DF[0], y, jets_of, mixed, rungs, tolerance)
+    return _verify(name, "general", y, func, strides, scales, tolerance)

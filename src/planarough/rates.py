@@ -10,6 +10,8 @@ the fit, and when fewer than two informative points remain the fit returns
 strides a refinement study uses, their mesh sizes, the residual fit along
 them, and the one report serialiser, :meth:`MeshLadder.to_dict`, which
 writes every field of a report and a ``+inf`` slope as ``None`` plus a flag.
+:class:`ConfigError`, which every module raises for a bad input, lives here
+because this module imports no other.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """A driver or experiment configuration violates its contract."""
+
 
 #: Residuals at or below this are considered float roundoff, not signal.
 RESIDUAL_FLOOR = 1e-10
@@ -62,11 +69,18 @@ class MeshLadder:
 
     @staticmethod
     def rungs_of(x, rungs: int) -> tuple:
-        """Strides and mesh sizes of up to ``rungs`` rungs on the grid of ``x``.
+        """Strides and mesh sizes of up to ``rungs`` rungs on the grid of
+        ``x``, a driver or its lift.
 
-        The request is clamped to the dyadic levels the lift ``x`` holds.
+        The request is clamped to the grid's dyadic levels; a ladder of fewer
+        than two rungs fits no slope, so it is a :class:`ConfigError`.
         """
-        used = min(rungs, len(x.levels))
+        used = min(rungs, x.cells.bit_length())
+        if used < 2:
+            raise ConfigError(
+                f"a mesh ladder needs two rungs or more, got {used} "
+                f"({rungs} requested on {x.cells} cells)"
+            )
         strides = [1 << (used - 1 - r) for r in range(used)]
         return strides, [x.T * s / x.cells for s in strides]
 

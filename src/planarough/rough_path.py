@@ -46,14 +46,10 @@ from .forest_core import (
     single,
 )
 from .hopf_mkw import FloatAlgebra, TruncatedBasis, shuffle
-from .rates import fit_loglog
+from .rates import ConfigError, fit_loglog
 
 _SQRT3 = math.sqrt(3.0)
 _GAUSS = (0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0)
-
-
-class ConfigError(ValueError):
-    """A driver or experiment configuration violates its contract."""
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ from planarough.calculus import (
     solve_rde,
     young_integral,
 )
-from planarough.controlled import SmoothFunctionWithDerivatives, compose_FX
+from planarough.controlled import (
+    SmoothFunctionWithDerivatives,
+    compose_FX,
+    contract_tensor,
+)
 from planarough.forest_core import (
     EMPTY,
     all_forests,
@@ -23,7 +27,6 @@ from planarough.forest_core import (
     parse_forest,
     single,
 )
-from planarough.ito_verify import _general_jets
 from planarough.rough_path import (
     DriverSpec,
     PolySignal,
@@ -271,7 +274,7 @@ def test_solve_rde_exponential():
     assert np.max(np.abs(got - want)) < 1e-5
     # first-order coefficient carries f(Y)
     assert np.allclose(y.coeffs[single(1)][:, 0], got, atol=1e-12)
-    assert y.order == x.N - 1
+    assert y.order == x.N
 
 
 def test_solve_rde_rotation():
@@ -408,20 +411,22 @@ def test_sweep_evaluates_windows_not_cells(monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_state_contractions_are_batch_invariant(d, n, N):
     # the sweep needs a node to read the same bits alone as in any batch;
-    # f_τ and the general jets run their inner loops over the nodes, so every
-    # row of a batch of any size must read its bits when evaluated alone.
-    # The batches tile a pool of 37 rows, so each row sits at many offsets.
+    # f_τ runs its inner loops over the nodes, and contract_tensor, which
+    # composes F(Y), adds whole arrays, so every row of a batch of any size
+    # must read its bits when evaluated alone: f_τ, and the contractions of
+    # d outputs' tensors of orders 0..N with as many directions.  The
+    # batches tile a pool of 37 rows, so each row sits at many offsets.
     rng = np.random.default_rng(100 * d + 10 * n + N)
     pool = 37
     ft = [rng.standard_normal((pool, d) + (n,) * (m + 1)) for m in range(N)]
-    DF = [rng.standard_normal((pool,) + (n,) * m) for m in range(N + 1)]
+    DF = [rng.standard_normal((pool, d, n**m)) for m in range(N + 1)]
+    vs = rng.standard_normal((N, pool, n))
     trees = [f for f in all_forests(base_alphabet(d), N) if len(f.trees) == 1]
     f_taus = elementary_differentials(trees, d)
 
     def outputs(rows):
-        jets_of, mixed = _general_jets([t[rows] for t in DF], [t[rows] for t in ft])
-        outs = [f_taus([t[rows] for t in ft])] + [t for k in jets_of for t in jets_of[k]]
-        return outs + ([] if mixed is None else [mixed])
+        contractions = [contract_tensor(t[rows], vs[:m, rows]) for m, t in enumerate(DF)]
+        return [f_taus([t[rows] for t in ft])] + contractions
 
     alone = [np.concatenate(a) for a in zip(*(outputs([r]) for r in range(pool)))]
     for size in (1, 3, 7, 15, 17, 300, 4097):

@@ -728,6 +728,14 @@ class Raw(str):
             {**GENERAL, "fields": {"exprs": [["y1"]], "vars": ["y1"]}},
             id="ito-general-F-and-fields-vars",
         ),
+        # a ladder of one rung fits no slope, requested or clamped to the
+        # grid's levels; it once passed with the converged sentinel
+        pytest.param("ito", ("ito", "rungs"), 1, id="ito-one-rung"),
+        pytest.param("ito", ("ito",), {**GENERAL, "rungs": 1}, id="ito-general-one-rung"),
+        pytest.param(
+            "integrate", ("integrate",), {**INTEGRATE, "rungs": 1}, id="integrate-one-rung"
+        ),
+        pytest.param("ito", ("driver", "cells"), 1, id="ito-one-cell"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -997,7 +1005,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": PIN_DRIVER_N2, "ito": PIN_GENERAL},
         "ito_report.json",
-        "ced941843fa75704d4ee0afccc418e33cb7d5c9b8d33bb89d144863cf4deef0d",
+        "b3cb573cad217047b5e87af01ef183f52c5378d49ad43d36f2a9b3e97197d640",
     ),
     "integrate-d2n3": (
         "integrate",
@@ -1018,7 +1026,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": PIN_DRIVER, "ito": PIN_GENERAL},
         "ito_report.json",
-        "83f47a06dc6d4cfb9b6841679fafdde5cfc0c7d25e9058acee77d04b2c027863",
+        "9d2c3394fc9f05297f0cb41950929053567a0048b685ceb32c31c6cbb35def09",
     ),
     "hopf-d2w3": (
         "hopf-selftest",
@@ -1046,7 +1054,7 @@ FROZEN_REPORTS = {
         "ito",
         {"driver": {**PIN_DRIVER, "cells": 1024, "substeps": 4}, "ito": PIN_GENERAL},
         "ito_report.json",
-        "7ba8af9d29efc9b5456467fb9f3de1e928e5e6f65a649427f9e005bfcf7dfcda",
+        "69d15b733cf9bcf54e00d087e4cfd5b286362e7d3e08b4eb0266f0897b10693e",
     ),
     "lift-d2n3-wide": (
         "lift",
@@ -1129,6 +1137,17 @@ def test_report_bytes_are_frozen(tmp_path, name):
     then over the columns, where ``rough_integral`` added every forest into
     one array per cell first: its values and residuals moved by at most
     1.4e-17 and its slope by 8.1e-13; its verdict kept its bytes.
+
+    ``general-d2n2``, ``general-d2n3`` and ``general-d2n3-blocks`` were
+    re-recorded when every integrand began to be read off the one
+    composition ``F(Y)`` through the coproduct, where a product rule had
+    derived each integrand's jets: an integrand's coefficient now sums the
+    coefficients of ``F(Y)`` at several forests, in another order.  One
+    ``bracket_second_order`` total moved by one ulp (6.9e-18) in each,
+    ``rhs`` and residuals by at most 2.8e-17, ``cbar_mixed_order`` totals,
+    which vanish in exact arithmetic, by at most 2.7e-20, and slopes by at
+    most 1.2e-11 (``general-d2n3``); ``lhs``, every verdict and every other
+    digest kept their bytes.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})

@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from planarough.controlled import (
     _splittings,
     compose_FX,
     compose_FY,
+    contract_tensor,
     driver_path,
     jets,
 )
@@ -235,6 +237,31 @@ def test_dm_linear_in_each_direction(a):
     lhs = func.dm(u, (a * v, w))
     rhs = a * func.dm(u, (v, w))
     assert np.allclose(lhs, rhs, atol=1e-10 * (1 + abs(a)))
+
+
+def test_contract_tensor_is_exact_on_fractions():
+    # an exact oracle contracts rational tensors: on object arrays of
+    # Fractions every D^m t:(v1, …, vm) must equal the sum written out,
+    # Σ t[a1…am]·v1[a1]…vm[am], with the first direction on the first axis
+    rng = np.random.default_rng(11)
+    n, outs, nodes = 3, 2, 4
+
+    def rational(shape):
+        flat = [Fraction(int(p), int(q)) for p, q in rng.integers(1, 9, (np.prod(shape), 2))]
+        return np.array(flat, dtype=object).reshape(shape)
+
+    for m in range(4):
+        t = rational((nodes, outs, n**m))
+        vs = [rational((nodes, n)) for _ in range(m)]
+        got = contract_tensor(t, vs)
+        assert got.shape == (nodes, outs)
+        for r, o in itertools.product(range(nodes), range(outs)):
+            want = sum(
+                t[r, o, np.ravel_multi_index(multi, (n,) * m) if m else 0]
+                * np.prod([v[r, a] for v, a in zip(vs, multi)], dtype=object)
+                for multi in itertools.product(range(n), repeat=m)
+            )
+            assert type(got[r, o]) is Fraction and got[r, o] == want, (m, r, o)
 
 
 def test_one_point_matches_many_points():

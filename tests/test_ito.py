@@ -22,12 +22,18 @@ from reference import ScalarExtensionPath
 from planarough import ito_verify, taylor
 from planarough.calculus import (
     VectorFieldFamily,
+    elementary_differentials,
     rough_integral,
     solve_rde,
     young_integral,
 )
-from planarough.controlled import SmoothFunctionWithDerivatives, compose_FY
-from planarough.forest_core import EMPTY, parse_forest
+from planarough.controlled import (
+    ControlledPath,
+    SmoothFunctionWithDerivatives,
+    compose_FY,
+    jets,
+)
+from planarough.forest_core import EMPTY, forest, parse_forest
 from planarough.ito_verify import verify_general, verify_simple
 from planarough.rough_path import (
     ConfigError,
@@ -310,15 +316,72 @@ def test_flat_geometry_is_planar_invariant():
         assert np.allclose(rep.residuals, first.residuals, rtol=0, atol=1e-12)
 
 
+class SympyCalculus:
+    """``F`` and the fields ``f_l`` on ``n`` states as sympy expressions:
+    elementary differentials, integrands and their derivatives composed by
+    sympy, the tests' independent reference for what the verifier reads off
+    ``F(Y)``."""
+
+    def __init__(self, f_exprs, F_expr):
+        self.variables = tuple(f"y{a + 1}" for a in range(len(f_exprs[0])))
+        self.y = sympy.symbols(self.variables, real=True)
+        local = dict(zip(self.variables, self.y))
+        self.F = sympy.sympify(F_expr, locals=local)
+        self.f = [[sympy.sympify(e, locals=local) for e in row] for row in f_exprs]
+
+    def D(self, g, directions):
+        """``D^m g:(v1, …, vm)`` for directions given as expression lists."""
+        if not directions:
+            return g
+        return sum(
+            g.diff(*(self.y[a] for a in multi))
+            * sympy.Mul(*(v[a] for v, a in zip(directions, multi)))
+            for multi in itertools.product(range(len(self.y)), repeat=len(directions))
+        )
+
+    def f_tau(self, t):
+        """``f_{[τ1…τm]i} = D^m f_i:(f_τ1, …, f_τm)``."""
+        kids = [self.f_tau(k) for k in t.children]
+        return [self.D(c, kids) for c in self.f[t.letter - 1]]
+
+    def integrand(self, sigma):
+        """``G_σ = D^kF:(f_σ1, …, f_σk)`` for the trees ``σ1 … σk`` of σ."""
+        return self.D(self.F, [self.f_tau(t) for t in sigma.trees])
+
+    def coefficient(self, sigma, tau):
+        """``⟨τ, G_σ(Y)⟩ = D^m G_σ:(f_τ1, …, f_τm)``."""
+        return self.D(self.integrand(sigma), [self.f_tau(t) for t in tau.trees])
+
+
+def word(*letters):
+    """``•l1 … •lk``."""
+    return parse_forest("".join(f"•{l}" for l in letters))
+
+
+def mixed_word(i, j, k):
+    """``•i [•k]j``, the word of the ``c̄X`` integrand ``D²F:(f_i, Df_j:f_k)``."""
+    return parse_forest(f"•{i}[•{k}]{j}")
+
+
+def preorder(f):
+    """The letters of a forest in preorder: ``(i, j, k)`` for ``•i[•k]j``."""
+    return [l for t in f.trees for l in (t.letter, *preorder(forest(t.children)))]
+
+
+D2N3_FIELDS = [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")]
+D2N3_F = "sin(y1) + 0.3*y1*y2"
+
+
 def test_term_pairings_match_the_integrators(monkeypatch):
     # every term is one pairing of X̂'s cell characters with a node
-    # functional; on every rung of a d = 2, N = 3 general experiment it must
-    # equal the library's integrators: Σ_l rough_integral of a per-letter
-    # compose_FY, against X for letters i and X̂ for bracket letters (i, j),
-    # and Σ young_integral against the scalar extension paths.  The [•2•1]1
-    # intensity makes c̄X non-trivial, and the [•1]2 intensity only X̂^(21);
-    # each integrand is weighted by its letters so that no term is symmetric
-    # in them, and a pairing at the column of (j, i) for (i, j) fails.
+    # functional read off F(Y); on every rung of a d = 2, N = 3 general
+    # experiment it must equal the library's integrators: Σ_l rough_integral
+    # of compose_FY of the integrand G_σ (composed by sympy, compiled by the
+    # library), against X for letters i and X̂ for bracket letters (i, j),
+    # and Σ young_integral of G_σ against the scalar extension paths.  The
+    # [•2•1]1 intensity makes c̄X non-trivial, and the [•1]2 intensity only
+    # X̂^(21); each integrand is weighted by its letters so that no term is
+    # symmetric in them, and a pairing at the column of (j, i) for (i, j) fails.
     driver = DriverSpec(
         d=2,
         base=(
@@ -334,36 +397,37 @@ def test_term_pairings_match_the_integrators(monkeypatch):
         N=3,
         alpha=0.30,
     )
-    fields = VectorFieldFamily.from_expressions(
-        [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
-    )
-    func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
-    general_jets = ito_verify._general_jets
+    fields = VectorFieldFamily.from_expressions(D2N3_FIELDS, ("y1", "y2"))
+    func = sfunc(D2N3_F, ("y1", "y2"))
+    w = {k: np.arange(1.0, 2**k + 1).reshape((2,) * k) for k in (1, 2, 3)}
 
-    def weighted(DF, ft):
-        jets_of, mixed = general_jets(DF, ft)
-        w = {k: np.arange(1.0, 2**k + 1).reshape((2,) * k) for k in (1, 2, 3)}
-        for k, ts in jets_of.items():
-            jets_of[k] = [t * w[k].reshape((2,) * k + (1,) * m) for m, t in enumerate(ts)]
-        return jets_of, mixed * w[3]
+    def weight(sigma):
+        letters = np.array(preorder(sigma)) - 1
+        return w[len(letters)][tuple(letters)]
 
-    monkeypatch.setattr(ito_verify, "_general_jets", weighted)
+    read = ito_verify.read
+
+    def weighted(W, sigmas):
+        return {key: phi * weight(sigmas[key[1]]) for key, phi in read(W, sigmas).items()}
+
+    monkeypatch.setattr(ito_verify, "read", weighted)
     rep = verify_general(driver, fields, func, [0.1, -0.2], rungs=4)
     x, xhat = lift(driver), bracket_extension(driver)
     y = solve_rde(x, fields, [0.1, -0.2])
-    DF = ito_verify._scalar_jets(func, y)
-    jets_of, mixed = weighted(DF, fields.tensors(y.coeffs[EMPTY], 2))
-    nodes = len(x.grid)
+    sym = SympyCalculus(D2N3_FIELDS, D2N3_F)
 
-    def rough(k, path, letter, stride):
-        at = (slice(None),) + tuple(np.atleast_1d(letter) - 1)
-        z = compose_FY(y, [t[at].reshape(nodes, 1, -1) for t in jets_of[k]], 3 - k)
-        return rough_integral(z, path, letter, stride).sum()
+    def G(sigma):  # the library compiles sympy's integrand
+        return sfunc(str(sym.integrand(sigma)), sym.variables)
 
-    def young(g, series, stride):
+    def rough(sigma, path, letter, stride):
+        order = 3 - len(sigma.trees)
+        z = compose_FY(y, jets(G(sigma), y, order), order)
+        return weight(sigma) * rough_integral(z, path, letter, stride).sum()
+
+    def young(word, series, stride):
         return sum(
             young_integral(
-                g[(slice(None),) + tuple(np.subtract(ijk, 1))][::stride],
+                weight(word(*ijk)) * G(word(*ijk)).value(y.coeffs[EMPTY])[::stride, 0],
                 ScalarExtensionPath(xhat, series(*ijk)).cell_increments(stride),
             ).sum()
             for ijk in itertools.product((1, 2), repeat=3)
@@ -371,10 +435,10 @@ def test_term_pairings_match_the_integrators(monkeypatch):
 
     pairs = list(itertools.product((1, 2), repeat=2))
     want = {
-        "rough_first_order": lambda s: sum(rough(1, x, i, s) for i in (1, 2)),
-        "bracket_second_order": lambda s: sum(rough(2, xhat, ij, s) for ij in pairs),
-        "tilde_third_order": lambda s: young(jets_of[3][0], tilde_series, s),
-        "cbar_mixed_order": lambda s: young(mixed, cbar_series, s),
+        "rough_first_order": lambda s: sum(rough(word(i), x, i, s) for i in (1, 2)),
+        "bracket_second_order": lambda s: sum(rough(word(*ij), xhat, ij, s) for ij in pairs),
+        "tilde_third_order": lambda s: young(word, tilde_series, s),
+        "cbar_mixed_order": lambda s: young(mixed_word, cbar_series, s),
     }
     assert rep.strides == [8, 4, 2, 1] and list(rep.terms) == list(want)
     for name, total in want.items():
@@ -383,7 +447,7 @@ def test_term_pairings_match_the_integrators(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Numeric jets and the compile budget
+# Integrand coefficients and the compile budget
 # ---------------------------------------------------------------------------
 
 
@@ -407,59 +471,63 @@ GENERAL_JET_FAMILIES = [
 
 
 def general_jets_against_sympy(f_exprs, F_expr):
-    """Every jet and the ``c̄X`` integrand of two fields on ``n`` states,
-    against sympy differentiating the composed expressions."""
-    n = len(f_exprs[0])
-    variables = tuple(f"y{a + 1}" for a in range(n))
-    fields = VectorFieldFamily.from_expressions(f_exprs, variables)
-    func = sfunc(F_expr, variables)
-    y = sympy.symbols(variables, real=True)
-    local = dict(zip(variables, y))
-    F = sympy.sympify(F_expr, locals=local)
-    f = [[sympy.sympify(e, locals=local) for e in row] for row in f_exprs]
-
-    def D(e, l):  # De:f_l
-        return sum(e.diff(y[a]) * f[l - 1][a] for a in range(n))
-
-    u = np.random.default_rng(10).uniform(-1.2, 1.2, (6, n))
-    DF = [func.tensor(u, m).reshape((len(u),) + (n,) * m) for m in range(4)]
-    jets_of, mixed = ito_verify._general_jets(DF, fields.tensors(u, 2))
+    """Every coefficient ``⟨τ, Z^σ⟩`` that the general verifier pairs at
+    d = 2, N = 3, for two fields on ``n`` states at random states, against
+    sympy's ``D^m G_σ:(f_τ1, …, f_τm)``.  ``Y`` carries the library's
+    ``f_τ`` at the states, as ``solve_rde`` returns them, and the verifier
+    reads ``Z^σ`` off the one composition ``F(Y)``."""
+    sym = SympyCalculus(f_exprs, F_expr)
+    fields = VectorFieldFamily.from_expressions(f_exprs, sym.variables)
+    func = sfunc(F_expr, sym.variables)
+    xhat = bracket_extension(trig_driver(N=3, cells=8, substeps=1))
+    basis = xhat.algebra.basis
+    u = np.random.default_rng(10).uniform(-1.2, 1.2, (len(xhat.grid), len(sym.y)))
+    trees = [f for f in basis.forests if len(f.trees) == 1 and f.weight == f.degree]
+    values = elementary_differentials(trees, 2)(fields.tensors(u, 2))
+    coeffs = {EMPTY: u} | dict(zip(trees, np.moveaxis(values, -2, 0)))
+    y = ControlledPath(x=xhat, order=3, coeffs=coeffs, n_out=len(sym.y))
+    W = compose_FY(y, jets(func, y, 3), 3)
 
     def check(got, expr, what):
-        want = np.broadcast_to(sympy.lambdify(y, expr)(*u.T), len(u))
+        want = np.broadcast_to(sympy.lambdify(sym.y, expr)(*u.T), len(u))
         scale = np.abs(want).max()
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale), what
 
-    for k in (1, 2, 3):
-        for ls in itertools.product((1, 2), repeat=k):
-            # the integrand D^kF:(f_l1, …, f_lk) as one expression in y
-            g = sum(
-                F.diff(*(y[a] for a in multi))
-                * sympy.Mul(*(f[l - 1][a] for l, a in zip(ls, multi)))
-                for multi in itertools.product(range(n), repeat=k)
-            )
-            for m, t in enumerate(jets_of[k]):
-                for bs in itertools.product(range(n), repeat=m):
-                    expr = g.diff(*(y[b] for b in bs)) if bs else g
-                    at = (slice(None),) + tuple(l - 1 for l in ls) + bs
-                    check(t[at], expr, (ls, bs))
-    assert [len(jets_of[k]) for k in (1, 2, 3)] == [3, 2, 1]
-    for i, j, k in itertools.product((1, 2), repeat=3):
-        # D²F:(f_i, Df_j:f_k), with Df_j:f_k a fixed direction
-        dfjk = [D(f[j - 1][b], k) for b in range(n)]
-        expr = sum(
-            F.diff(y[a], y[b]) * f[i - 1][a] * dfjk[b]
-            for a in range(n)
-            for b in range(n)
-        )
-        check(mixed[:, i - 1, j - 1, k - 1], expr, (i, j, k))
+    # the rough integrands of the letters i and (i, j), then the Young ones:
+    # D³F:(f_i, f_j, f_k) and the c̄X integrand D²F:(f_i, Df_j:f_k)
+    triples = list(itertools.product((1, 2), repeat=3))
+    sigmas = [word(l) for l in (1, 2)]
+    sigmas += [word(*ij) for ij in itertools.product((1, 2), repeat=2)]
+    sigmas += [word(*ijk) for ijk in triples]
+    sigmas += [mixed_word(*ijk) for ijk in triples]
+    read = ito_verify.read(W, sigmas)
+    base = [f for f in basis.forests if all(type(t.letter) is int for t in f.trees)]
+    checked = 0
+    for k, sigma in enumerate(sigmas):
+        for tau in base:
+            if tau.weight + sigma.weight <= 3:
+                got = read.get((basis.index[tau], k), np.zeros(len(u)))
+                check(got, sym.coefficient(sigma, tau), (sigma.key, tau.key))
+                checked += 1
+    assert checked == 2 * 11 + 4 * 3 + 16
+    # the verifier's own Young integrands are these, and the c̄X one is
+    # D²F:(f_i, Df_j:f_k) with Df_j:f_k a fixed direction
+    f, n = sym.f, len(sym.y)
+    for k, ijk in enumerate(triples):
+        assert ito_verify.word(*ijk) is sigmas[6 + k]
+        assert ito_verify.mixed_word(*ijk) is sigmas[14 + k]
+        i, j, l = ijk
+        dfjk = [sym.D(f[j - 1][b], [f[l - 1]]) for b in range(n)]
+        expr = sym.D(sym.F, [f[i - 1], dfjk])
+        check(read[basis.index[EMPTY], 14 + k], expr, ijk)
 
 
 def test_general_jets_match_sympy_reference():
-    # every integrand of the general identity at d = 2, N = 3 and each of its
-    # derivatives that compose_FY takes, against sympy differentiating the
-    # composed expressions (so the product rule is sympy's, not the library's),
-    # on two states and on three
+    # every integrand of the general identity at d = 2, N = 3 and each of
+    # its controlled coefficients that the verifier pairs, read off F(Y),
+    # against sympy composing and differentiating the expressions (so the
+    # coproduct rule is checked against sympy's chain rule), on two states
+    # and on three
     for f_exprs, F_expr in GENERAL_JET_FAMILIES:
         general_jets_against_sympy(f_exprs, F_expr)
 
@@ -468,9 +536,8 @@ def test_general_jets_match_sympy_reference():
 def test_compile_budget(monkeypatch, N):
     # one parse per user expression, on construction (F and the four stacked
     # field components); verifying parses nothing: every derivative order is
-    # a Taylor evaluation and every integrand a numeric contraction.  The
-    # rough terms compose the integrands of all letters at once: one
-    # compose_FY call per order, two per verification
+    # a Taylor evaluation and every integrand a numeric contraction.  Every
+    # term reads its integrands off one composition F(Y) at order N
     calls, composed = [], []
     parse, compose = taylor.parse_expression, ito_verify.compose_FY
     monkeypatch.setattr(
@@ -486,12 +553,12 @@ def test_compile_budget(monkeypatch, N):
     func = sfunc("sin(y1) + 0.3*y1*y2", ("y1", "y2"))
     assert len(calls) == 5
     verify_general(driver, fields, func, [0.1, -0.2], rungs=2)
-    assert composed == [N - 1, N - 2]
+    assert composed == [N]
     func = sfunc("sin(x1)*x2 + x2**3/3", ("x1", "x2"))
     assert len(calls) == 6
     verify_simple(driver, func, rungs=2)
     assert len(calls) == 6
-    assert composed == [N - 1, N - 2] * 2
+    assert composed == [N, N]
 
 
 # ---------------------------------------------------------------------------
