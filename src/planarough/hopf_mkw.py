@@ -306,6 +306,14 @@ class FloatAlgebra:
     at its ``(left, right)`` index pair in a dense ``(pairs, dim)`` matrix
     ``C``, so ``star`` is the gather-multiply ``A_L·B_R`` and one matrix
     product with ``C``, ``_CHUNK_ROWS`` rows at a time.
+
+    ``exp`` uses the grading: ``Ω^{★(k−1)}`` vanishes below weight ``k − 1``
+    and ``Ω`` has no unit term, so the k-th power is ``Ω^{★(k−1)} ★ Ω`` over
+    the pairs whose left factor weighs at least ``k − 1`` and onto the
+    columns of weight at least ``k`` (one slice, as the basis is sorted by
+    weight), with no unit terms.  The dropped pairs meet an exact zero and
+    the kept ones stay in table order, so the bits are those of ``star``.
+    ``commutator`` takes its factors on the ``support`` columns only.
     """
 
     def __init__(self, basis: TruncatedBasis):
@@ -318,6 +326,17 @@ class FloatAlgebra:
         self._left, self._right = pairs
         self._coeffs = np.zeros((pairs.shape[1], self.dim))
         self._coeffs[slot, k] = c
+        # per power k = 2..N: (k, left, right, coeffs, first column of weight
+        # k), left as a position in the previous power's columns from lo on
+        weights = np.array([f.weight for f in basis.forests])
+        self._powers = []
+        lo = 0  # the first power, Ω, is dim-wide
+        for k in range(2, basis.max_weight + 1):
+            keep = weights[self._left] >= k - 1
+            hi = int(np.searchsorted(weights, k))
+            C = np.ascontiguousarray(self._coeffs[keep, hi:])
+            self._powers.append((k, self._left[keep] - lo, self._right[keep], C, hi))
+            lo = hi
 
     def unit(self, shape=()) -> np.ndarray:
         g = np.zeros(tuple(shape) + (self.dim,))
@@ -325,10 +344,11 @@ class FloatAlgebra:
         return g
 
     def _chunks(self, A: np.ndarray, B: np.ndarray):
-        """A new output for the broadcast ``A``, ``B``, and their row chunks."""
+        """A new ``dim``-wide output for the broadcast ``A``, ``B``, and their
+        row chunks."""
         A, B = np.broadcast_arrays(A, B)
-        out = np.empty(A.shape)
-        rows = [x.reshape(-1, self.dim) for x in (A, B, out)]
+        out = np.empty(A.shape[:-1] + (self.dim,))
+        rows = [x.reshape(-1, x.shape[-1]) for x in (A, B, out)]
         starts = range(0, len(rows[2]), _CHUNK_ROWS)
         return out, ([x[s : s + _CHUNK_ROWS] for x in rows] for s in starts)
 
@@ -343,27 +363,38 @@ class FloatAlgebra:
         return out
 
     def commutator(self, A: np.ndarray, B: np.ndarray, support) -> np.ndarray:
-        """``A ★ B − B ★ A`` for batches that vanish off ``support``: the unit
-        terms cancel, and only pairs inside ``support`` can meet two nonzero
-        factors, so this is ``(A_L·B_R − B_L·A_R) @ C`` over those pairs."""
-        inside = np.zeros(self.dim, dtype=bool)
-        inside[support] = True
-        keep = inside[self._left] & inside[self._right]
-        L, R, C = self._left[keep], self._right[keep], self._coeffs[keep]
+        """``A ★ B − B ★ A`` for batches that vanish off ``support``, given on
+        those columns only (shape ``(..., len(support))``); the result is
+        ``dim``-wide.  The unit terms cancel, and only pairs inside
+        ``support`` can meet two nonzero factors, so this is
+        ``(A_L·B_R − B_L·A_R) @ C`` over those pairs."""
+        at = np.full(self.dim, -1)
+        at[support] = np.arange(len(support))
+        keep = (at[self._left] >= 0) & (at[self._right] >= 0)
+        L, R, C = at[self._left[keep]], at[self._right[keep]], self._coeffs[keep]
         out, chunks = self._chunks(A, B)
         for a, b, o in chunks:
             np.matmul(a[:, L] * b[:, R] - b[:, L] * a[:, R], C, out=o)
         return out
 
     def exp(self, O: np.ndarray) -> np.ndarray:
-        """★-exponential of batched infinitesimal vectors (index 0 must be 0)."""
+        """★-exponential of batched infinitesimal vectors, graded by power.
+
+        A nonzero empty-forest coefficient is an error, since the powers
+        leave out the unit terms; a NaN there (an overflowed Ω) passes into
+        ``g[..., 0]``, as any non-finite entry of Ω passes into ``g``.
+        """
+        if (np.abs(O[..., 0]) > 0).any():
+            raise ValueError("exp needs a vanishing empty-forest coefficient")
         g = self.unit(O.shape[:-1])
         g += O
-        term = O
-        for k in range(2, self.basis.max_weight + 1):
-            term = self.star(term, O)
-            term /= k
-            g += term
+        rows, out = O.reshape(-1, self.dim), g.reshape(-1, self.dim)
+        for s in range(0, len(rows), _CHUNK_ROWS):
+            o = term = rows[s : s + _CHUNK_ROWS]
+            for k, L, R, C, start in self._powers:
+                term = np.matmul(term[:, L] * o[:, R], C)
+                term /= k
+                out[s : s + _CHUNK_ROWS, start:] += term
         return g
 
     def star_reduce(self, chars: np.ndarray) -> np.ndarray:

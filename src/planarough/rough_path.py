@@ -335,17 +335,15 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
 
     Ω is the exact increment plus the two-point Gauss commutator correction
     ``h²·√3/12·[a₁, a₂]``; the rates ``a₁, a₂`` live on the sampled columns
-    only, so the commutator runs the structure constants inside them.  Each
-    temporary is dropped once used, so at most four arrays of Ω's shape are
-    alive at a time; :func:`_cell_blocks` calls this one block at a time.
+    only, so they are stacked as ``(len(h), columns)`` arrays and the
+    commutator runs the structure constants inside them.  Each temporary
+    is dropped once used, so at most two arrays of Ω's shape are alive at
+    a time (Ω with the correction, then Ω with ``exp(Ω)``);
+    :func:`_cell_blocks` calls this one block at a time.
     """
     index = algebra.basis.index
     support = [index[f] for f, *_ in columns]
-    a1 = np.zeros((len(h), algebra.dim))
-    a2 = np.zeros_like(a1)
-    for f, _inc, r1, r2 in columns:
-        a1[:, index[f]] = r1
-        a2[:, index[f]] = r2
+    a1, a2 = (np.stack([col[k] for col in columns], axis=-1) for k in (2, 3))
     correction = algebra.commutator(a1, a2, support)
     del a1, a2
     correction *= ((h * h) * (_SQRT3 / 12.0))[:, None]

@@ -1,6 +1,7 @@
 """Reference code that only the tests use: the scalar extension paths of a
-bracket extension, the series a bracket letter abbreviates, and the reader
-of the lift that ``planarough lift`` writes with ``"dump": true``.
+bracket extension, the series a bracket letter abbreviates, the ★-exponential
+by full products, and the reader of the lift that ``planarough lift`` writes
+with ``"dump": true``.
 
 The acceptance criteria, ``test_paths``, ``test_ito`` and ``test_hopf``
 measure the library against these; the library itself pairs the extension's
@@ -21,6 +22,19 @@ from planarough.rough_path import RoughPath, _pyramid, get_algebra
 def bracket_series(i: int, j: int) -> dict:
     """The level-two combination a bracket letter abbreviates."""
     return {concat(single(j), single(i)): 1, b_plus(single(j), i): -1}
+
+
+def exp_by_star(algebra, omega: np.ndarray) -> np.ndarray:
+    """``exp★(Ω)`` by full ★ products, ``term = term ★ Ω / k``: the series
+    that ``FloatAlgebra.exp`` sums over its graded pair tables."""
+    g = algebra.unit(omega.shape[:-1])
+    g += omega
+    term = omega
+    for k in range(2, algebra.basis.max_weight + 1):
+        term = algebra.star(term, omega)
+        term /= k
+        g += term
+    return g
 
 
 @dataclass(eq=False)

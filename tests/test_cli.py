@@ -732,19 +732,20 @@ class Raw(str):
         # grid's levels; it once passed with the converged sentinel
         pytest.param("ito", ("ito", "rungs"), 1, id="ito-one-rung"),
         pytest.param("ito", ("ito",), {**GENERAL, "rungs": 1}, id="ito-general-one-rung"),
-        pytest.param(
-            "integrate", ("integrate",), {**INTEGRATE, "rungs": 1}, id="integrate-one-rung"
-        ),
+        pytest.param("integrate", ("integrate", "rungs"), 1, id="integrate-one-rung"),
         pytest.param("ito", ("driver", "cells"), 1, id="ito-one-cell"),
+        pytest.param("integrate", ("driver", "cells"), 1, id="integrate-one-cell"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
     # a numpy RuntimeWarning raises here, so a bad value that warns on its
-    # way to the config error exits 70 and fails
+    # way to the config error exits 70 and fails; every command's section is
+    # there, so no case exits on a missing one
     exp = analytic_ito_experiment("bad")
     exp["driver"]["cells"] = 64
     exp["lift"] = {}
+    exp["integrate"] = {**INTEGRATE}
     node = exp
     for key in path[:-1]:
         node = node[key]
@@ -758,6 +759,7 @@ def test_exit_config_on_bad_value(tmp_path, capsys, command, path, value):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not err[0].startswith("config error: missing key"), err
 
 
 def test_expressions_are_never_executed(tmp_path, capsys):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bracket_series
+from reference import bracket_series, exp_by_star
 from test_paths import pre_fix_cbar_series
 
 from planarough.forest_core import (
@@ -339,8 +339,7 @@ def test_star_rows_read_the_same_bits_in_any_batch(letters, support_keys):
     support = [alg.basis.index[parse_forest(k)] for k in support_keys]
     rng = np.random.default_rng(3)
     a, b = 0.5 * rng.standard_normal((2, 2048, alg.dim))
-    rates = np.zeros_like(a), np.zeros_like(b)
-    rates[0][:, support], rates[1][:, support] = a[:, support], b[:, support]
+    rates = a[:, support], b[:, support]
     omega = a.copy()
     omega[:, 0] = 0.0
     ops = {
@@ -375,13 +374,61 @@ def test_restricted_commutator_matches_full(letters, support_keys):
     alg = FloatAlgebra(TruncatedBasis(letters, MAX_WEIGHT))
     support = [alg.basis.index[parse_forest(k)] for k in support_keys]
     rng = np.random.default_rng(2)
+    a_on, b_on = rng.standard_normal((2, 64, len(support)))
     a = np.zeros((64, alg.dim))
     b = np.zeros_like(a)
-    a[:, support] = rng.standard_normal((64, len(support)))
-    b[:, support] = rng.standard_normal((64, len(support)))
+    a[:, support], b[:, support] = a_on, b_on
     full = alg.star(a, b) - alg.star(b, a)
     assert np.count_nonzero(full) > 0
-    assert np.array_equal(alg.commutator(a, b, support), full)
+    assert np.array_equal(alg.commutator(a_on, b_on, support), full)
+
+
+@pytest.mark.parametrize(
+    "letters, max_weight",
+    [
+        (base_alphabet(1), 3),
+        (base_alphabet(3), 3),
+        (bracket_alphabet(2), 3),
+        (bracket_alphabet(3), MAX_WEIGHT),
+        (bracket_alphabet(1), 2),
+    ],
+    ids=["base-d1n3", "base-d3n3", "bracket-d2n3", "bracket-d3-max", "bracket-d1n2"],
+)
+def test_graded_exp_reads_the_bits_of_full_products(letters, max_weight):
+    # the graded powers drop only pairs and columns that meet an exact zero
+    # and keep the table's order, so they add the same terms as full ★s
+    import numpy as np
+
+    alg = FloatAlgebra(TruncatedBasis(letters, max_weight))
+    rng = np.random.default_rng(4)
+    omega = 0.5 * rng.standard_normal((2048, alg.dim))
+    omega[:, 0] = 0.0
+    omega[::7, 1:] *= 1e-9  # rows of a lift's short substeps
+    for n in (1, 3, 512, 513, 2048):
+        assert np.array_equal(alg.exp(omega[:n]), exp_by_star(alg, omega[:n])), n
+    for row in (0, 2, 511, 512, 2047):
+        assert np.array_equal(alg.exp(omega[row]), exp_by_star(alg, omega[row])), row
+    stacked = omega[:6].reshape(2, 3, alg.dim)
+    assert np.array_equal(alg.exp(stacked), exp_by_star(alg, stacked))
+    want = exp_by_star(alg, omega)
+    alg.star = None  # exp runs its own pair tables, not star
+    assert np.array_equal(alg.exp(omega), want)
+
+
+def test_exp_rejects_a_unit_component():
+    # the graded powers leave the unit terms out, so a nonzero coefficient
+    # of the empty forest would be dropped without a word
+    import numpy as np
+
+    alg = FloatAlgebra(TruncatedBasis(base_alphabet(2), 3))
+    omega = np.zeros((3, alg.dim))
+    omega[:, 1] = 1.0
+    alg.exp(omega)
+    omega[1, 0] = 1e-300
+    with pytest.raises(ValueError, match="empty-forest"):
+        alg.exp(omega)
+    with pytest.raises(ValueError, match="empty-forest"):
+        alg.exp(omega[1])
 
 
 # ---------------------------------------------------------------------------

@@ -678,7 +678,10 @@ def test_lift_peak_memory_is_block_sized():
     # a full-width lift of 512 x 16 substeps peaked at 41.4 MiB, building
     # every (substeps, dim) array at once; blocks peaked at 14.5 MiB while
     # the previous block's substep characters stayed alive, 12.0 MiB since,
-    # and 11.7 MiB since the lift stopped building bracket columns
+    # and 11.7 MiB since the lift stopped building bracket columns; 7.9 MiB
+    # since exp runs its graded powers 512 rows at a time and the commutator
+    # takes its rates on the sampled columns only (12.8 MiB just before, on
+    # the same interpreter)
     driver = d3_driver(cells=512, substeps=16)
     lift(d3_driver(cells=2, substeps=2))  # warm the algebra tables
     tracemalloc.start()
