@@ -45,7 +45,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -548,7 +547,10 @@ def main(argv=None) -> int:
         runs = [(args.command, exp, args.out) for exp in experiments]
         with contextlib.ExitStack() as stack:
             if args.jobs > 1 and len(runs) > 1:
+                # imported here, so a serial run never loads multiprocessing;
                 # the fork start method starts every worker on the first submit
+                from concurrent.futures import ProcessPoolExecutor
+
                 workers = min(args.jobs, len(runs))
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 calls = [pool.submit(run_experiment, *run).result for run in runs]

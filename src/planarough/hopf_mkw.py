@@ -294,8 +294,14 @@ def pairing(a: dict, b: dict):
 # Vectorised layer
 # ---------------------------------------------------------------------------
 
-# Rows per matrix product, so the pair products stay about the output's size.
-_CHUNK_ROWS = 512
+# Elements (rows·dim) per matrix product, so the gathered pair products stay
+# about the output's size: 256 rows at dim 157, 512 at 87, 8192 at dim 5.
+_CHUNK = 45_000
+
+
+def budget_rows(budget: int, dim: int) -> int:
+    """The largest power of two ``rows`` with ``rows·dim ≤ budget``, at least 1."""
+    return 1 << (max(1, budget // dim).bit_length() - 1)
 
 
 class FloatAlgebra:
@@ -305,7 +311,9 @@ class FloatAlgebra:
     ``A·B₀ + A₀·B`` (``A₀B₀`` at ``e``).  Every other structure constant sits
     at its ``(left, right)`` index pair in a dense ``(pairs, dim)`` matrix
     ``C``, so ``star`` is the gather-multiply ``A_L·B_R`` and one matrix
-    product with ``C``, ``_CHUNK_ROWS`` rows at a time.
+    product with ``C``, ``chunk_rows`` rows at a time: the largest power of
+    two whose rows hold at most ``_CHUNK`` elements, so a small algebra runs
+    few calls and a large one keeps its pair products small.
 
     ``exp`` uses the grading: ``Ω^{★(k−1)}`` vanishes below weight ``k − 1``
     and ``Ω`` has no unit term, so the k-th power is ``Ω^{★(k−1)} ★ Ω`` over
@@ -319,6 +327,7 @@ class FloatAlgebra:
     def __init__(self, basis: TruncatedBasis):
         self.basis = basis
         self.dim = basis.dim
+        self.chunk_rows = budget_rows(_CHUNK, self.dim)
         rows = enumerate(basis.cut_rows)
         terms = [(l, r, k, c) for k, cuts in rows for l, r, c in cuts if l and r]
         left, right, k, c = np.array(terms, dtype=np.intp).reshape(-1, 4).T
@@ -349,8 +358,9 @@ class FloatAlgebra:
         A, B = np.broadcast_arrays(A, B)
         out = np.empty(A.shape[:-1] + (self.dim,))
         rows = [x.reshape(-1, x.shape[-1]) for x in (A, B, out)]
-        starts = range(0, len(rows[2]), _CHUNK_ROWS)
-        return out, ([x[s : s + _CHUNK_ROWS] for x in rows] for s in starts)
+        n = self.chunk_rows
+        starts = range(0, len(rows[2]), n)
+        return out, ([x[s : s + n] for x in rows] for s in starts)
 
     def star(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Product of batches of dual vectors; leading axes broadcast."""
@@ -389,12 +399,13 @@ class FloatAlgebra:
         g = self.unit(O.shape[:-1])
         g += O
         rows, out = O.reshape(-1, self.dim), g.reshape(-1, self.dim)
-        for s in range(0, len(rows), _CHUNK_ROWS):
-            o = term = rows[s : s + _CHUNK_ROWS]
+        n = self.chunk_rows
+        for s in range(0, len(rows), n):
+            o = term = rows[s : s + n]
             for k, L, R, C, start in self._powers:
                 term = np.matmul(term[:, L] * o[:, R], C)
                 term /= k
-                out[s : s + _CHUNK_ROWS, start:] += term
+                out[s : s + n, start:] += term
         return g
 
     def star_reduce(self, chars: np.ndarray) -> np.ndarray:

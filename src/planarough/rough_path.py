@@ -45,7 +45,7 @@ from .forest_core import (
     concat,
     single,
 )
-from .hopf_mkw import FloatAlgebra, TruncatedBasis, shuffle
+from .hopf_mkw import FloatAlgebra, TruncatedBasis, budget_rows, shuffle
 from .rates import ConfigError, fit_loglog
 
 _SQRT3 = math.sqrt(3.0)
@@ -355,15 +355,16 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
     return algebra.exp(omega)
 
 
-# Substep rows per Magnus block.  On perfbench's lift-d3n3 (dim 157, two
-# lifts of 16,384 substeps; 2 cores, one BLAS thread, median of 6 CLI runs)
-# blocks of 1024 / 2048 / 4096 rows took 0.95 / 0.90 / 0.96 s against 1.24 s
-# for one full-width block, with the per-output ★ loop of that time; the
-# pair-table ★ lifts in about the same time at all three sizes.  A block
-# holds a power-of-two number of cells, at least two, so whole blocks tile
-# the dyadic cells; a ★ row reads the same bits in any batch, so the
-# characters stay bit for bit those of a full-width block.
-_BLOCK_ROWS = 2048
+# Elements (rows·dim) per Magnus block: a block's substep rows are the largest
+# power of two within it, 32768 at dim 5, 2048 at dim 87 and 1024 at dim 157.
+# Rows fixed at 2048 ran a dim-5 lift in blocks of 80 KB, each paying the
+# per-call cost of its ★, exp and commutator; budgets of 327,680 here and
+# 81,920 per ★ chunk raised ito-suite's peak RSS by 4.5% and its wall time by
+# 3.5% (BENCH_26.json).  A block holds a power-of-two number of cells, at
+# least two, so whole blocks tile the dyadic cells; a ★ row reads the same
+# bits in any batch, so the characters stay bit for bit those of a
+# full-width block.
+_BLOCK = 180_000
 
 
 def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, columns):
@@ -375,7 +376,8 @@ def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, colum
     substep characters never leave this generator and are dropped before the
     next block is built.
     """
-    cells = min(driver.cells, max(2, _BLOCK_ROWS // driver.substeps))
+    block_rows = budget_rows(_BLOCK, algebra.dim)
+    cells = min(driver.cells, max(2, block_rows // driver.substeps))
     rows = cells * driver.substeps
     for start in range(0, len(h), rows):
         block = slice(start, start + rows)

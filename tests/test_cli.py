@@ -179,13 +179,30 @@ def test_jobs_pool_starts_no_idle_workers(
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # main imports the pool only for --jobs > 1, from concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     exps = [{"name": f"e{k}", "dump": {"d": 1}} for k in range(experiments)]
     cfg = write_config(tmp_path, "c.json", {"experiments": exps})
     argv = ["dump", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", str(jobs)]
     assert main(argv) == EXIT_OK
     assert sizes == workers
     assert len(read_json(tmp_path, "o", "summary.json")["experiments"]) == experiments
+
+
+def test_serial_run_loads_no_process_pool(tmp_path):
+    # a --jobs 1 run, and every set-up probe, imports planarough.cli; the
+    # pool and multiprocessing are imported only when --jobs > 1 uses them
+    exps = [{"name": f"e{k}", "dump": {"d": 1}} for k in range(2)]
+    cfg = write_config(tmp_path, "c.json", {"experiments": exps})
+    argv = ["dump", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "1"]
+    pool = ("concurrent.futures.process", "multiprocessing")
+    code = (
+        "import sys; from planarough.cli import main; rc = main(%a); "
+        "print(rc, [m for m in %a if m in sys.modules])" % (argv, pool)
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_integrate_command(tmp_path):

@@ -322,23 +322,26 @@ def test_float_algebra_matches_exact_star():
 
 
 @pytest.mark.parametrize(
-    "letters, support_keys",
+    "letters, max_weight, support_keys",
     [
-        (base_alphabet(3), ["•1", "•2", "•3", "[•1]2", "[•3•2]1"]),
-        (bracket_alphabet(2), ["•1", "•2", "[•1]2", "•(12)", "•(21)"]),
+        (base_alphabet(3), MAX_WEIGHT, ["•1", "•2", "•3", "[•1]2", "[•3•2]1"]),
+        (bracket_alphabet(2), MAX_WEIGHT, ["•1", "•2", "[•1]2", "•(12)", "•(21)"]),
+        (bracket_alphabet(1), 2, ["•1", "[•1]1", "•(11)"]),
     ],
-    ids=["base-d3n3", "bracket-d2n3"],
+    ids=["base-d3n3", "bracket-d2n3", "bracket-d1n2"],
 )
-def test_star_rows_read_the_same_bits_in_any_batch(letters, support_keys):
+def test_star_rows_read_the_same_bits_in_any_batch(letters, max_weight, support_keys):
     # the lift's blocks, its last block, the pyramid and eval_many stack
     # rows in counts that vary, so a row must read the same bits alone as
-    # in any batch, on both sides of a matrix-product chunk boundary
+    # in any batch, on both sides of a matrix-product chunk boundary, whose
+    # place follows the algebra's size
     import numpy as np
 
-    alg = FloatAlgebra(TruncatedBasis(letters, MAX_WEIGHT))
+    alg = FloatAlgebra(TruncatedBasis(letters, max_weight))
+    chunk = alg.chunk_rows
     support = [alg.basis.index[parse_forest(k)] for k in support_keys]
     rng = np.random.default_rng(3)
-    a, b = 0.5 * rng.standard_normal((2, 2048, alg.dim))
+    a, b = 0.5 * rng.standard_normal((2, 2 * chunk + 1, alg.dim))
     rates = a[:, support], b[:, support]
     omega = a.copy()
     omega[:, 0] = 0.0
@@ -350,9 +353,9 @@ def test_star_rows_read_the_same_bits_in_any_batch(letters, support_keys):
     }
     for name, (op, args) in ops.items():
         full = op(*args)
-        for n in (1, 3, 512, 513, 2048):
+        for n in (1, 3, chunk - 1, chunk, chunk + 1):
             assert np.array_equal(op(*(x[:n] for x in args)), full[:n]), (name, n)
-        for row in (0, 2, 511, 512, 2047):
+        for row in (0, 2, chunk - 1, chunk, 2 * chunk):
             assert np.array_equal(op(*(x[row] for x in args)), full[row]), (name, row)
 
 
@@ -400,13 +403,14 @@ def test_graded_exp_reads_the_bits_of_full_products(letters, max_weight):
     import numpy as np
 
     alg = FloatAlgebra(TruncatedBasis(letters, max_weight))
+    chunk = alg.chunk_rows
     rng = np.random.default_rng(4)
-    omega = 0.5 * rng.standard_normal((2048, alg.dim))
+    omega = 0.5 * rng.standard_normal((2 * chunk + 1, alg.dim))
     omega[:, 0] = 0.0
     omega[::7, 1:] *= 1e-9  # rows of a lift's short substeps
-    for n in (1, 3, 512, 513, 2048):
+    for n in (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         assert np.array_equal(alg.exp(omega[:n]), exp_by_star(alg, omega[:n])), n
-    for row in (0, 2, 511, 512, 2047):
+    for row in (0, 2, chunk - 1, chunk, 2 * chunk):
         assert np.array_equal(alg.exp(omega[row]), exp_by_star(alg, omega[row])), row
     stacked = omega[:6].reshape(2, 3, alg.dim)
     assert np.array_equal(alg.exp(stacked), exp_by_star(alg, stacked))

@@ -593,20 +593,26 @@ def _one_shot_levels(driver, algebra, h, columns):
     return levels
 
 
-@pytest.mark.parametrize("cells, substeps", [(512, 16), (4, 4096), (2, 2)])
-def test_blocked_lift_matches_one_shot(cells, substeps):
-    # the lift builds its substeps a block of cells at a time: 512 x 16 is
-    # four blocks, 4 x 4096 two blocks of two cells, 2 x 2 less than one
+@pytest.mark.parametrize(
+    "d, cells, substeps",
+    [(2, 512, 16), (2, 4, 4096), (2, 2, 2), (1, 64, 512)],
+    ids=["512-16", "4-4096", "2-2", "d1-64-512"],
+)
+def test_blocked_lift_matches_one_shot(d, cells, substeps):
+    # the lift builds its substeps a block of cells at a time, with rows
+    # sized by the algebra: at d = 2 (dim 51, blocks of 2048 rows) 512 x 16
+    # is four blocks, 4 x 4096 two blocks of two cells, 2 x 2 less than one;
+    # at d = 1 (dim 9, 16,384 rows) 64 x 512 is two blocks
     driver = DriverSpec(
-        d=2,
+        d=d,
         base=(
             SpectralSignal(hurst=0.8, modes=32, seed=5, amplitude=0.3),
             TrigSignal(((0.6, 3.0, 2.9), (0.25, 7.0, 2.3))),
-        ),
+        )[:d],
         intensities=(
-            (parse_forest("[•1]2"), PolySignal((0.0, 0.17, 0.11))),
+            (parse_forest(f"[•1]{d}"), PolySignal((0.0, 0.17, 0.11))),
             (parse_forest("[•2•1]1"), TrigSignal(((0.12, 4.0, 2.7),))),
-        ),
+        )[:d],
         cells=cells,
         substeps=substeps,
         N=3,
@@ -618,10 +624,10 @@ def test_blocked_lift_matches_one_shot(cells, substeps):
     assert len(x.levels) == len(levels)
     for got, want in zip(x.levels, levels):
         assert np.array_equal(got, want)
-    # the intensity on [•1]2 gives the letter (21); (11), (12), (22) have none
-    (inc,) = [inc for f, inc, *_ in columns if f == parse_forest("[•1]2")]
-    brackets = [(single((2, 1)), -inc, -inc / h, -inc / h)]
-    ext_alg = get_algebra(bracket_alphabet(2), 3)
+    # the intensity on [•1]d gives the letter (d1); the other letters have none
+    (inc,) = [inc for f, inc, *_ in columns if f == parse_forest(f"[•1]{d}")]
+    brackets = [(single((d, 1)), -inc, -inc / h, -inc / h)]
+    ext_alg = get_algebra(bracket_alphabet(d), 3)
     ext_levels = _one_shot_levels(driver, ext_alg, h, columns + brackets)
     xhat = bracket_extension(driver)
     assert len(xhat.levels) == len(ext_levels)
@@ -681,7 +687,8 @@ def test_lift_peak_memory_is_block_sized():
     # and 11.7 MiB since the lift stopped building bracket columns; 7.9 MiB
     # since exp runs its graded powers 512 rows at a time and the commutator
     # takes its rates on the sampled columns only (12.8 MiB just before, on
-    # the same interpreter)
+    # the same interpreter); 4.8 MiB since blocks and chunks are sized by
+    # elements, 1024 and 256 rows at this dim 157
     driver = d3_driver(cells=512, substeps=16)
     lift(d3_driver(cells=2, substeps=2))  # warm the algebra tables
     tracemalloc.start()
