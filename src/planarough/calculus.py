@@ -14,8 +14,8 @@ Differential equations driven by a lift are solved by the step-``N`` scheme
     Y_{k+1} = Y_k + Σ_{trees τ, weight ≤ N}  f_τ(Y_k) · ⟨X_{cell k}, τ⟩ ,
 
 with the elementary differentials ``f_{•_i} = f_i`` and
-``f_{[τ1…τm]_i} = D^m f_i : (f_{τ1}, …, f_{τm})``, numeric contractions
-(:func:`elementary_differentials`) of the fields' derivative tensors.
+``f_{[τ1…τm]_i} = D^m f_i : (f_{τ1}, …, f_{τm})``, ``F(Y)``'s composition
+rule on the fields' derivative tensors (:func:`elementary_differentials`).
 The recursion is sequential, but :func:`solve_rde` evaluates it a window of
 cells at a time: each sweep evaluates the steps at the latest guess of every
 node of the window and sums them in order, and the nodes that reproduce
@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forest_core import EMPTY, b_plus, concat, letter_weight, single
+from .forest_core import EMPTY, MAX_WEIGHT, b_plus, letter_weight, single
 from .controlled import ControlledPath, SmoothFunctionWithDerivatives
+from .controlled import contract_words, word_program
 from .rates import MeshLadder
 from .rough_path import ConfigError, RoughPath
 
@@ -81,42 +82,36 @@ class VectorFieldFamily:
 
 
 def elementary_differentials(trees, d: int):
-    """The numeric map from the fields' tensors to ``f_τ`` for ``trees``.
-
-    It takes :meth:`VectorFieldFamily.tensors` up to the heaviest tree's
-    weight minus one, at any leading axes, and stacks the ``f_τ`` on axis −2
-    in the order of ``trees``: one contraction per shape, then one gather.
-    ``ValueError`` for a forest that is no tree of weight ≤ 3 over ``1..d``.
-    """
-    # the rows of the shapes •i, [•j]i, [[•k]j]i, [•k•j]i, row-major in letters
-    r = range(1, d + 1)
-    rows = [single(i) for i in r]
-    rows += [b_plus(single(j), i) for i in r for j in r]
-    rows += [b_plus(b_plus(single(k), j), i) for i in r for j in r for k in r]
-    rows += [b_plus(concat(single(k), single(j)), i) for i in r for k in r for j in r]
-    rows = {f: row for row, f in enumerate(rows)}
-    for f in trees:
-        if f not in rows:
-            raise ValueError(f"{f.key} is no tree of weight ≤ 3 over letters 1..{d}")
+    """The numeric map from the fields' tensors of orders 0..m, at any
+    leading axes, to ``f_τ`` for ``trees`` (of weight ≤ m + 1), stacked on
+    axis −2: ``f_[ω]i = ⟨ω, f_i(Y)⟩`` for ``Y`` carrying the ``f_τ`` on
+    trees and zero on other forests, one weight of words ω at a time.
+    ``ValueError`` for a forest that is no tree of weight ≤ ``MAX_WEIGHT``
+    over ``1..d``."""
+    # keys of weight w + 1: the trees [ω]i, ω slowest, as contract_words lays them out
+    keys, program = {1: [single(i) for i in range(1, d + 1)]}, []
+    for w in range(1, MAX_WEIGHT):
+        program.append(word_program(keys, w))
+        keys[w + 1] = [b_plus(f, i) for _, fs in program[-1] for f in fs for i in range(1, d + 1)]
+    rows = {f: row for row, f in enumerate(f for fs in keys.values() for f in fs)}
+    if bad := [f.key for f in trees if f not in rows]:
+        raise ValueError(f"{bad[0]} is no tree of weight ≤ {MAX_WEIGHT} over letters 1..{d}")
     slots = np.array([rows[f] for f in trees], dtype=np.intp)
 
     def f_taus(ft):
-        # node axis last and contiguous, so each einsum's inner loop runs
-        # over the nodes: axes (b…, a, i, node) for the tensors (node, i, a, b…)
-        lead = ft[0].shape[:-2]
-        ft = [t.reshape((-1,) + t.shape[len(lead) :]).T.copy() for t in ft]
-        f = ft[0]
-        flat = (f.shape[0], -1, f.shape[-1])
-        shapes = [f]
-        if len(ft) > 1:
-            f_ji = np.einsum("bair,bjr->aijr", ft[1], f)  # [•j]i
-            shapes.append(f_ji.reshape(flat))
-        if len(ft) > 2:
-            f_kji = np.einsum("bair,bjkr->aijkr", ft[1], f_ji)  # [[•k]j]i
-            f_k_ji = np.einsum("cbair,bkr,cjr->aikjr", ft[2], f, f)  # [•k•j]i
-            shapes += [f_kji.reshape(flat), f_k_ji.reshape(flat)]
-        # one gather, then one copy back to (node, tree, a), C-contiguous
-        out = np.concatenate(shapes, axis=1).take(slots, axis=1).T.copy()
+        lead, n = ft[0].shape[:-2], ft[0].shape[-1]
+        nodes = ft[0].size // (d * n)
+        # node axis last and contiguous: axes (i, a, b1…bm flat, node)
+        ft = [t.reshape(nodes, d * n, -1).transpose(1, 2, 0).copy() for t in ft]
+        blocks = [ft[0].reshape(d, n, nodes)]  # the f_τ of weight 1, 2, …
+        pieces = blocks[:]
+        for comps in program[: len(ft) - 1]:
+            outs = [contract_words(ft[len(ws)], [blocks[v - 1] for v in ws]) for ws, _ in comps]
+            pieces += [out.reshape(-1, n, nodes) for out in outs]
+            if len(blocks) < len(ft) - 1:
+                blocks.append(np.concatenate(pieces[-len(outs) :]))
+        # one gather, then one copy to (node, tree, a), C-contiguous
+        out = np.concatenate(pieces).take(slots, axis=0).transpose(2, 0, 1).copy()
         return out.reshape(lead + out.shape[1:])
 
     return f_taus
@@ -234,11 +229,8 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
             done += advance
             width = min(1024, max(16, 8 * advance))
 
-    coeffs = {EMPTY: y}
-    values = f_taus(fields.tensors(y, x.N - 1))
-    for f, arr in zip(trees, np.moveaxis(values, -2, 0)):
-        if np.any(arr):
-            coeffs[f] = arr
+    values = np.moveaxis(f_taus(fields.tensors(y, x.N - 1)), -2, 0)
+    coeffs = {EMPTY: y} | {f: arr for f, arr in zip(trees, values) if np.any(arr)}
     return ControlledPath(x=x, order=x.N, coeffs=coeffs, n_out=fields.n)
 
 

@@ -9,9 +9,9 @@ transported expansion
 
 has remainders of order ``(N − weight(τ)) · α`` in ``t − s``.  This module
 provides the function objects used everywhere (values plus derivative
-tensors of a user expression), the one numeric contraction
-``D^mF:(v1, …, vm)``, the controlled composition ``F(Y)`` of derivative
-tensors at a controlled path's states (its *jets*), and the transport
+tensors of a user expression), the controlled composition ``F(Y)`` of
+derivative tensors at a controlled path's states (its *jets*) as one word
+program with one contraction kernel ``D^mF:(v1, …, vm)``, and the transport
 remainder with its empirical rate fit.  ``F(X)`` is the same composition
 along :func:`driver_path`, the driver controlled by its own lift.
 
@@ -22,6 +22,7 @@ the first expression it parses; nothing is evaluated as Python.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,18 +108,12 @@ class SmoothFunctionWithDerivatives:
 def contract_tensor(t, directions) -> np.ndarray:
     """``D^m F(u):(v1, …, vm)`` from the flat tensor ``t`` that
     :meth:`SmoothFunctionWithDerivatives.tensor` returned at ``u``, so one
-    evaluation serves many direction tuples; broadcasts over leading axes.
-    Each contraction adds ``t[..., k]·v[..., k]`` over the state axis as
-    whole arrays, k in order, so it also runs exactly on object arrays of
-    Fractions."""
-    for v in reversed(directions):
-        v = np.asarray(v)[..., None, None, :]
-        t = t.reshape(t.shape[:-1] + (-1, v.shape[-1]))
-        acc = t[..., 0] * v[..., 0]
-        for k in range(1, v.shape[-1]):
-            acc = acc + t[..., k] * v[..., k]
-        t = acc
-    return t[..., 0]
+    evaluation serves many direction tuples, each with ``u``'s leading axes:
+    one word of :func:`contract_words` with the points as its nodes."""
+    lead, (n_out, width) = t.shape[:-2], t.shape[-2:]
+    t = t.reshape(-1, n_out * width).T.reshape(n_out, width, -1)
+    vs = [np.asarray(v).reshape(-1, np.shape(v)[-1]).T[None] for v in directions]
+    return contract_words(t, vs)[0].T.reshape(lead + (n_out,))
 
 
 def jets(func: SmoothFunctionWithDerivatives, y, order: int) -> list:
@@ -222,18 +217,36 @@ def compose_FX(
     return compose_FY(y, jets(func, y, order), order)
 
 
-def _splittings(trees):
-    """Ways to split a tree word into consecutive nonempty blocks."""
-    n = len(trees)
-    for mask in range(1 << (n - 1)) if n else ():
-        blocks = []
-        start = 0
-        for gap in range(n - 1):
-            if mask >> gap & 1:
-                blocks.append(trees[start : gap + 1])
-                start = gap + 1
-        blocks.append(trees[start:])
-        yield blocks
+def word_program(keys: dict, w: int) -> list:
+    """One ``(weights, words)`` per composition ``(w1, …, wm)`` of ``w``, in
+    the order of its cuts read as a binary number (bit ``p − 1`` for a cut
+    at weight ``p``), whose weights all carry ``keys`` (weight → forests):
+    the forests that ``keys[w1] × … × keys[wm]`` concatenate to, row-major."""
+    program = []
+    for mask in range(1 << (w - 1)):
+        cuts = [p for p in range(1, w) if mask >> (p - 1) & 1]
+        weights = tuple(b - a for a, b in zip([0, *cuts], [*cuts, w]))
+        if all(keys.get(v) for v in weights):
+            words = itertools.product(*(keys[v] for v in weights))
+            program.append((weights, [forest([t for f in fs for t in f.trees]) for fs in words]))
+    return program
+
+
+def contract_words(t, blocks) -> np.ndarray:
+    """``D^mF:(v1, …, vm)`` for every word of one composition at once, from
+    ``t = D^mF`` node-last, ``(n_out, n**m, nodes)``, and one block per weight,
+    its keys' coefficients ``(K_j, n, nodes)``: ``(K_1⋯K_m, n_out, nodes)``,
+    words row-major.  The first derivative index pairs with the leftmost
+    block.  Each contraction adds ``t[…, k]·v[…, k]`` over k in order as whole
+    arrays: a node reads the same bits in any batch; Fractions stay exact."""
+    n_out, nodes = t.shape[0], t.shape[-1]
+    for v in reversed(blocks):
+        t = t.reshape(-1, v.shape[1], nodes)
+        out = t[:, 0] * v[:, None, 0]
+        for k in range(1, v.shape[1]):
+            out += t[:, k] * v[:, None, k]
+        t = out
+    return t.reshape(-1, n_out, nodes)
 
 
 def compose_FY(y: ControlledPath, jets: list, order: int) -> ControlledPath:
@@ -241,28 +254,23 @@ def compose_FY(y: ControlledPath, jets: list, order: int) -> ControlledPath:
 
     ``jets[m]`` is ``D^m F`` at ``y``'s states, flat with shape
     ``(nodes, n_out, n**m)``, for m up to ``order`` (see :func:`jets`).  The
-    coefficient at a forest τ sums, over every way of splitting τ's tree
-    word into consecutive nonempty blocks ``τ1 … τm``, the contraction
-    ``D^m F(Y):(⟨τ1, Y⟩, …, ⟨τm, Y⟩)``.
+    coefficient at a forest ω sums, over every way of splitting ω's tree
+    word into consecutive nonempty blocks ``ω1 … ωm`` that ``Y`` carries,
+    ``D^m F(Y):(⟨ω1, Y⟩, …, ⟨ωm, Y⟩)``: :func:`contract_words` of each
+    composition of :func:`word_program`, added in its order.
     """
     if order > min(y.order, len(jets) - 1):
         raise ValueError(f"no order-{order} composition at {y.order}, {len(jets)} jets")
-    coeffs = {EMPTY: contract_tensor(jets[0], ())}
-    basis = y.x.algebra.basis
-    for f in basis.forests:
-        if not 1 <= f.weight <= order:
-            continue
-        acc = None
-        for blocks in _splittings(f.trees):
-            vs = []
-            for block in blocks:
-                arr = y.coeffs.get(forest(block))
-                if arr is None:
-                    break
-                vs.append(arr)
-            else:
-                term = contract_tensor(jets[len(vs)], vs)
-                acc = term if acc is None else acc + term
-        if acc is not None and np.any(acc):
-            coeffs[f] = acc
-    return ControlledPath(x=y.x, order=order, coeffs=coeffs, n_out=jets[0].shape[-2])
+    keys = {w: [f for f in y.coeffs if f.weight == w] for w in range(1, order + 1)}
+    blocks = {w: np.array([y.coeffs[f].T for f in fs]) for w, fs in keys.items()}
+    n_out = jets[0].shape[-2]
+    tensors = [t.transpose(1, 2, 0).copy() for t in jets[: order + 1]]
+    acc = {}
+    for w in range(1, order + 1):
+        for weights, words in word_program(keys, w):
+            out = contract_words(tensors[len(weights)], [blocks[v] for v in weights])
+            for f, arr in zip(words, np.ascontiguousarray(out.transpose(0, 2, 1))):
+                acc[f] = acc[f] + arr if f in acc else arr
+    index = y.x.algebra.basis.index
+    coeffs = {f: acc[f] for f in sorted(acc, key=index.get) if np.any(acc[f])}
+    return ControlledPath(y.x, order, {EMPTY: jets[0][..., 0]} | coeffs, n_out)

@@ -1,7 +1,8 @@
 """Reference code that only the tests use: the scalar extension paths of a
 bracket extension, the series a bracket letter abbreviates, the ★-exponential
-by full products, and the reader of the lift that ``planarough lift`` writes
-with ``"dump": true``.
+by full products, the reader of the lift that ``planarough lift`` writes
+with ``"dump": true``, and the composition ``F(Y)`` and the contraction
+``D^mF:(v1, …, vm)`` written out by their definitions.
 
 The acceptance criteria, ``test_paths``, ``test_ito`` and ``test_hopf``
 measure the library against these; the library itself pairs the extension's
@@ -9,13 +10,15 @@ cell characters with node functionals (:func:`planarough.ito_verify.pair`)
 and only writes lifts (:func:`planarough.cli.write_lift`).
 """
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from planarough.forest_core import b_plus, concat, parse_forest, single
+from planarough.forest_core import b_plus, concat, forest, parse_forest, single
 from planarough.rough_path import RoughPath, _pyramid, get_algebra
 
 
@@ -94,3 +97,53 @@ def load_lift(out_dir: str) -> RoughPath:
         base_values=np.array(meta["base_values"]),
         alpha=meta["alpha"],
     )
+
+
+def rational(rng, shape):
+    """Random Fractions ``p/q``, ``|p| ≤ 8`` and ``1 ≤ q ≤ 8``, as an object array."""
+    size = int(np.prod(shape))
+    pq = zip(rng.integers(-8, 9, size), rng.integers(1, 9, size))
+    return np.array([Fraction(int(p), int(q)) for p, q in pq], dtype=object).reshape(shape)
+
+
+def reference_contraction(t, vs):
+    """``D^m t:(v1, …, vm)`` written out, ``Σ t[a1…am]·v1[a1]⋯vm[am]`` over
+    every multi-index, the first index on the first direction; ``t`` is
+    ``(nodes, n_out, n**m)`` and each ``v`` is ``(nodes, n)``."""
+    n, acc = (vs[0].shape[-1] if vs else 1), 0
+    for multi in itertools.product(range(n), repeat=len(vs)):
+        term = t[:, :, np.ravel_multi_index(multi, (n,) * len(vs)) if vs else 0]
+        for v, a in zip(vs, multi):
+            term = term * v[:, a, None]
+        acc = acc + term
+    return acc
+
+
+def recursive_f_tau(t, ft):
+    """``f_τ`` of the tree ``t`` at the nodes by the defining recursion
+    ``f_[τ1…τm]i = D^m f_i:(f_τ1, …, f_τm)``; ``ft[m]`` holds the fields'
+    m-th derivative tensors, axes ``(node, i, a, b1, …, bm)``."""
+    dfi = ft[len(t.children)][:, t.letter - 1]
+    kids = [recursive_f_tau(c, ft) for c in t.children]
+    return reference_contraction(dfi.reshape(dfi.shape[:2] + (-1,)), kids)
+
+
+def reference_splittings(trees):
+    """Every way to cut a tree word into consecutive nonempty blocks."""
+    yield (forest(trees),)
+    for cut in range(1, len(trees)):
+        for rest in reference_splittings(trees[cut:]):
+            yield (forest(trees[:cut]),) + rest
+
+
+def reference_FY(y, jets, order):
+    """``⟨ω, F(Y)⟩`` of every forest of weight 1..order, by the definition:
+    the sum over the splittings of ω whose blocks ``Y`` carries."""
+    out = {}
+    for f in y.x.algebra.basis.forests:
+        if 1 <= f.weight <= order:
+            for blocks in reference_splittings(f.trees):
+                if all(b in y.coeffs for b in blocks):
+                    term = reference_contraction(jets[len(blocks)], [y.coeffs[b] for b in blocks])
+                    out[f] = out[f] + term if f in out else term
+    return out

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import sympy
+from reference import recursive_f_tau, reference_FY
 
 from planarough.calculus import (
     ConvergenceReport,
@@ -16,9 +17,12 @@ from planarough.calculus import (
     young_integral,
 )
 from planarough.controlled import (
+    ControlledPath,
     SmoothFunctionWithDerivatives,
     compose_FX,
+    compose_FY,
     contract_tensor,
+    contract_words,
 )
 from planarough.forest_core import (
     EMPTY,
@@ -168,6 +172,32 @@ def test_elementary_differentials_match_sympy_reference():
         grid = f_taus([t.reshape((3, 5) + t.shape[1:]) for t in ft])
         assert grid.shape == (3, 5) + got.shape[1:] and grid.flags.c_contiguous
         assert np.array_equal(grid.reshape(got.shape).view(np.int64), got.view(np.int64))
+
+
+def test_both_compositions_pair_derivative_indices_in_planar_order():
+    # random tensors, symmetric in no pair of derivative indices (d = 2,
+    # n = 3), through f_τ and through F(Y) along a Y that carries every
+    # forest: the first derivative index pairs with the leftmost block, as
+    # in the recursive references; true derivatives are symmetric and would
+    # let any pairing pass
+    rng = np.random.default_rng(13)
+    d, n = 2, 3
+    x = d2_x(TRIG_POLY, cells=4)
+    nodes = len(x.grid)
+    ft = [rng.standard_normal((nodes, d) + (n,) * (m + 1)) for m in range(3)]
+    trees = [f for f in x.algebra.basis.forests if len(f.trees) == 1]
+    got = elementary_differentials(trees, d)(ft)
+    for col, f in enumerate(trees):
+        want = recursive_f_tau(f.trees[0], ft)
+        assert np.allclose(got[:, col], want, rtol=1e-13, atol=1e-13), f.key
+    coeffs = {f: rng.standard_normal((nodes, n)) for f in x.algebra.basis.forests}
+    y = ControlledPath(x=x, order=3, coeffs=coeffs, n_out=n)
+    dF = [rng.standard_normal((nodes, 2, n**m)) for m in range(4)]
+    want = reference_FY(y, dF, 3)
+    got = compose_FY(y, dF, 3)
+    assert set(got.coeffs) == {EMPTY} | set(want)
+    for f, arr in want.items():
+        assert np.allclose(got.coeffs[f], arr, rtol=1e-13, atol=1e-13), f.key
 
 
 def test_vector_field_family_validation():
@@ -406,27 +436,42 @@ def test_sweep_evaluates_windows_not_cells(monkeypatch):
     assert len(calls) <= 9 and calls[-1] == len(x.grid)
 
 
+def node_last(a):
+    """A copy of ``a`` with its first axis last and contiguous, the others flat."""
+    return a.reshape(len(a), -1).T.copy()
+
+
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_state_contractions_are_batch_invariant(d, n, N):
     # the sweep needs a node to read the same bits alone as in any batch;
-    # f_τ runs its inner loops over the nodes, and contract_tensor, which
-    # composes F(Y), adds whole arrays, so every row of a batch of any size
-    # must read its bits when evaluated alone: f_τ, and the contractions of
-    # d outputs' tensors of orders 0..N with as many directions.  The
+    # f_τ and F(Y) run the word program's contractions over node-last
+    # arrays, and contract_tensor adds whole arrays, so every row of a batch
+    # of any size must read its bits when evaluated alone: f_τ, the
+    # contractions of d outputs' tensors of orders 0..N with as many
+    # directions, and the words of m = 1..N blocks of two keys each.  The
     # batches tile a pool of 37 rows, so each row sits at many offsets.
     rng = np.random.default_rng(100 * d + 10 * n + N)
     pool = 37
     ft = [rng.standard_normal((pool, d) + (n,) * (m + 1)) for m in range(N)]
     DF = [rng.standard_normal((pool, d, n**m)) for m in range(N + 1)]
     vs = rng.standard_normal((N, pool, n))
+    keys = rng.standard_normal((N, pool, 2, n))
     trees = [f for f in all_forests(base_alphabet(d), N) if len(f.trees) == 1]
     f_taus = elementary_differentials(trees, d)
 
     def outputs(rows):
         contractions = [contract_tensor(t[rows], vs[:m, rows]) for m, t in enumerate(DF)]
-        return [f_taus([t[rows] for t in ft])] + contractions
+        words = [
+            contract_words(
+                node_last(t[rows]).reshape(d, -1, len(rows)),
+                [node_last(b[rows]).reshape(2, n, -1) for b in keys[:m]],
+            ).transpose(2, 0, 1)
+            for m, t in enumerate(DF)
+            if m
+        ]
+        return [f_taus([t[rows] for t in ft])] + contractions + words
 
     alone = [np.concatenate(a) for a in zip(*(outputs([r]) for r in range(pool)))]
     for size in (1, 3, 7, 15, 17, 300, 4097):

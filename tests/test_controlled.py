@@ -11,19 +11,28 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import rational, reference_contraction, reference_FY, reference_splittings
 
 from planarough import taylor
 from planarough.controlled import (
     ControlledPath,
     SmoothFunctionWithDerivatives,
-    _splittings,
     compose_FX,
     compose_FY,
     contract_tensor,
     driver_path,
     jets,
+    word_program,
 )
-from planarough.forest_core import EMPTY, forest, parse_forest, single, tree
+from planarough.forest_core import (
+    EMPTY,
+    all_forests,
+    base_alphabet,
+    forest,
+    parse_forest,
+    single,
+    tree,
+)
 from planarough.rough_path import DriverSpec, PolySignal, TrigSignal, lift
 
 
@@ -245,23 +254,13 @@ def test_contract_tensor_is_exact_on_fractions():
     # Σ t[a1…am]·v1[a1]…vm[am], with the first direction on the first axis
     rng = np.random.default_rng(11)
     n, outs, nodes = 3, 2, 4
-
-    def rational(shape):
-        flat = [Fraction(int(p), int(q)) for p, q in rng.integers(1, 9, (np.prod(shape), 2))]
-        return np.array(flat, dtype=object).reshape(shape)
-
     for m in range(4):
-        t = rational((nodes, outs, n**m))
-        vs = [rational((nodes, n)) for _ in range(m)]
+        t = rational(rng, (nodes, outs, n**m))
+        vs = [rational(rng, (nodes, n)) for _ in range(m)]
         got = contract_tensor(t, vs)
         assert got.shape == (nodes, outs)
-        for r, o in itertools.product(range(nodes), range(outs)):
-            want = sum(
-                t[r, o, np.ravel_multi_index(multi, (n,) * m) if m else 0]
-                * np.prod([v[r, a] for v, a in zip(vs, multi)], dtype=object)
-                for multi in itertools.product(range(n), repeat=m)
-            )
-            assert type(got[r, o]) is Fraction and got[r, o] == want, (m, r, o)
+        assert all(type(v) is Fraction for v in got.flat), m
+        assert np.array_equal(got, reference_contraction(t, vs)), m
 
 
 def test_one_point_matches_many_points():
@@ -425,17 +424,53 @@ def test_compose_FY_validation():
         jets(bad, y, 1)
 
 
-def test_splittings_census():
-    trees = parse_forest("•1•2•1").trees
-    blocks = list(_splittings(trees))
-    assert len(blocks) == 4  # 2**(n-1)
-    assert [tuple(len(b) for b in bs) for bs in blocks] == [
-        (3,),
-        (1, 2),
-        (2, 1),
-        (1, 1, 1),
-    ]
-    assert list(_splittings(())) == []
+def test_word_program_census():
+    # when Y carries every forest, a forest of k trees is the word of
+    # 2**(k-1) compositions, one per splitting into consecutive blocks,
+    # ordered by their cuts between trees read as a binary number
+    forests = [f for f in all_forests(base_alphabet(2), 3) if f.weight]
+    keys = {}
+    for f in forests:
+        keys.setdefault(f.weight, []).append(f)
+    splits = {}
+    for w in (1, 2, 3):
+        for weights, words in word_program(keys, w):
+            assert len(words) == np.prod([len(keys[v]) for v in weights])
+            for f in words:
+                splits.setdefault(f, []).append(weights)
+    assert set(splits) == set(forests)
+    for f, weights in splits.items():
+        assert len(weights) == 2 ** (len(f.trees) - 1), f.key
+    assert splits[parse_forest("•1•2•1")] == [(3,), (1, 2), (2, 1), (1, 1, 1)]
+    assert splits[parse_forest("[•1]2•1")] == [(3,), (2, 1)]
+    # no keys, no words; a missing weight drops every composition using it
+    assert word_program({}, 2) == []
+    assert [w for w, _ in word_program({1: keys[1], 3: keys[3]}, 3)] == [(3,), (1, 1, 1)]
+
+
+def test_compose_FY_is_exact_on_fractions():
+    # an exact oracle composes rational jets along a Y that carries trees and
+    # multi-tree forests (so words split into forest-valued blocks): on
+    # object arrays of Fractions every ⟨ω, F(Y)⟩ is the definition's sum
+    rng = np.random.default_rng(12)
+    x = lift(trig_driver(N=3, cells=4))
+    n, nodes = 2, len(x.grid)
+    keys = ["•1", "•2", "[•1]2", "•2•1", "•1•2", "[•2•1]1", "•1[•2]1", "•2•1•2"]
+    coeffs = {EMPTY: rational(rng, (nodes, n))}
+    coeffs |= {parse_forest(k): rational(rng, (nodes, n)) for k in keys}
+    y = ControlledPath(x=x, order=3, coeffs=coeffs, n_out=n)
+    dF = [rational(rng, (nodes, 2, n**m)) for m in range(4)]
+    want = reference_FY(y, dF, 3)
+    got = compose_FY(y, dF, 3)
+    assert set(got.coeffs) == {EMPTY} | {f for f, v in want.items() if np.any(v != 0)}
+    assert np.array_equal(got.coeffs[EMPTY], dF[0][..., 0])
+    for f, arr in got.coeffs.items():
+        if f is not EMPTY:
+            assert all(type(v) is Fraction for v in arr.flat), f.key
+            assert np.array_equal(arr, want[f]), f.key
+    # •2•1•2 splits four ways, three of them through carried multi-tree blocks
+    w = parse_forest("•2•1•2")
+    assert sum(all(b in coeffs for b in bs) for bs in reference_splittings(w.trees)) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ the documented behavior rather than hiding it.
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import sympy
 
 from reference import ScalarExtensionPath
 
-from planarough import ito_verify, taylor
+from planarough import controlled, ito_verify, taylor
 from planarough.calculus import (
     VectorFieldFamily,
     elementary_differentials,
@@ -537,15 +538,19 @@ def test_compile_budget(monkeypatch, N):
     # one parse per user expression, on construction (F and the four stacked
     # field components); verifying parses nothing: every derivative order is
     # a Taylor evaluation and every integrand a numeric contraction.  Every
-    # term reads its integrands off one composition F(Y) at order N
+    # term reads its integrands off one composition F(Y) at order N, and
+    # solve_rde's f_τ runs the word program without calling compose_FY,
+    # which a trace wraps in every module that binds it
     calls, composed = [], []
     parse, compose = taylor.parse_expression, ito_verify.compose_FY
     monkeypatch.setattr(
         taylor, "parse_expression", lambda *a: calls.append(a[0]) or parse(*a)
     )
-    monkeypatch.setattr(
-        ito_verify, "compose_FY", lambda *a: composed.append(a[2]) or compose(*a)
-    )
+    counted = lambda *a: composed.append(a[2]) or compose(*a)  # noqa: E731
+    for name, module in list(sys.modules.items()):
+        if name.startswith("planarough") and vars(module).get("compose_FY") is compose:
+            monkeypatch.setattr(module, "compose_FY", counted)
+    assert controlled.compose_FY is counted
     driver = trig_driver(N=N, cells=64)
     fields = VectorFieldFamily.from_expressions(
         [("1 + 0.2*y2**2", "0.3*y1"), ("0.25", "1 - y2/4")], ("y1", "y2")
