@@ -21,11 +21,13 @@ letters ``(i j)``, whose level-one increments are defined per substep as
 increment of the intensity on ``[•_j]_i``.  Restricted to base-letter forests
 the extension reproduces the lift exactly, so a verification needs it alone.
 
-Both paths run one Magnus pipeline.  It samples each distinct signal once
-(values on the substep nodes, rates on the two Gauss arrays), then builds the
-substep characters one block of whole cells at a time and keeps only the
-block's cell characters, so the ``(substeps, dim)`` temporaries of the Magnus
-step are block-sized, not path-sized.
+Both paths run one Magnus pipeline, one block of whole cells at a time.  Per
+block it samples each distinct signal once (values on the block's substep
+nodes, rates at its Gauss points), builds the block's substep characters and
+keeps only their cell characters, so the samples and the ``(substeps, dim)``
+temporaries of the Magnus step are block-sized, not path-sized.  The path-sized
+arrays are the substep nodes, a spectral signal's samples (one FFT of the
+whole grid) and the cell characters with their dyadic pyramid.
 """
 
 from __future__ import annotations
@@ -295,39 +297,79 @@ def get_algebra(letters, max_weight: int) -> FloatAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _sample_substeps(driver: DriverSpec):
-    """Sample each distinct signal once on the substep nodes and Gauss points.
+def _sample_blocks(driver: DriverSpec, cells: int, base_values: np.ndarray):
+    """Yield the samples of each block of ``cells`` whole cells, left to right.
 
-    A signal with a ``sample_grid`` method samples the uniform grid itself
-    when it can (a spectral signal by FFT); every other signal, and a grid
-    that method declines, is evaluated by ``value`` and ``rate``.  Returns
-    the substep lengths ``h``, one column ``(forest, increments, rates at
-    c₁, rates at c₂)`` per base letter and intensity, and the base signals
-    on the grid, which is every ``substeps``-th node.
+    A block is ``(h, columns)``: its substep lengths and one column
+    ``(forest, increments, rates at c₁, rates at c₂)`` per base letter and
+    intensity.  Each distinct signal is sampled once.  A signal's ``value``
+    and ``rate`` are elementwise, so every signal is sampled block by block
+    on slices of the one node array: values on the block's nodes, each node
+    once (the block's first node is the last one of the block before), and
+    rates at the Gauss points ``lo + h·c``.  A signal with a ``sample_grid``
+    method instead samples the whole grid once (a spectral signal by FFT, or
+    by ``value`` and ``rate`` on the whole grid where that method declines),
+    and its blocks are slices of those samples.  The base signals' values on
+    the grid, every ``substeps``-th node, are written into ``base_values``.
+
+    Samples are checked block by block, before the block is yielded, so the
+    signal that a non-finite sample is reported on is the first one in grid
+    order (by block), then in letter order (base letters, then intensities).
     """
     steps = driver.cells * driver.substeps
+    rows = cells * driver.substeps
     nodes = np.linspace(0.0, driver.T, steps + 1)
-    lo, hi = nodes[:-1], nodes[1:]
-    h = hi - lo
     pairs = [(single(i + 1), sig) for i, sig in enumerate(driver.base)]
     pairs += list(driver.intensities)
-    seen = {}
+    signals = {}  # id of each distinct signal: its first forest, the signal
     for f, sig in pairs:
-        if id(sig) in seen:
-            continue
+        signals.setdefault(id(sig), (f, sig))
+    whole = {}  # whole-grid samples of the signals that sample the grid
+    for key, (_f, sig) in signals.items():
         sample_grid = getattr(sig, "sample_grid", None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sampled = sample_grid(driver.T, steps) if sample_grid else None
-            if sampled is None:
-                sampled = (sig.value(nodes), *(sig.rate(lo + h * c) for c in _GAUSS))
-            v, r1, r2 = sampled
-            inc = v[1:] - v[:-1]
-        if not all(np.isfinite(a).all() for a in sampled):
-            raise ConfigError(f"the signal on {f.key} is not finite on the grid")
-        seen[id(sig)] = (v, inc, r1, r2)
-    columns = [(f, *seen[id(sig)][1:]) for f, sig in pairs]
-    base_values = np.stack([seen[id(s)][0][:: driver.substeps] for s in driver.base])
-    return h, columns, base_values
+        if sample_grid:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sampled = sample_grid(driver.T, steps)
+                whole[key] = sampled if sampled is not None else _sample(sig, nodes)
+    last = {}  # each other signal's value on the last node sampled
+
+    # one call per block, so the suspended generator holds none of its samples
+    def block(start):
+        at = nodes[start : start + rows + 1]
+        lo = at[:-1]
+        h = at[1:] - lo
+        samples = {}
+        for key, (f, sig) in signals.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                if key in whole:
+                    v, *rates = whole[key]
+                    v = v[start : start + rows + 1]
+                    r1, r2 = (r[start : start + rows] for r in rates)
+                else:
+                    v = sig.value(at[1:] if start else at)
+                    if start:
+                        v = np.concatenate(([last[key]], v))
+                    r1, r2 = (sig.rate(lo + h * c) for c in _GAUSS)
+                inc = v[1:] - v[:-1]
+            if not all(np.isfinite(a).all() for a in (v, r1, r2)):
+                raise ConfigError(f"the signal on {f.key} is not finite on the grid")
+            last[key] = v[-1]
+            samples[key] = v, inc, r1, r2
+        first = start // driver.substeps
+        for i, sig in enumerate(driver.base):
+            values = samples[id(sig)][0][:: driver.substeps]
+            base_values[i, first : first + len(values)] = values
+        return h, [(f, *samples[id(sig)][1:]) for f, sig in pairs]
+
+    for start in range(0, steps, rows):
+        yield block(start)
+
+
+def _sample(sig, nodes: np.ndarray):
+    """Values on ``nodes`` and rates at the Gauss points between them."""
+    lo = nodes[:-1]
+    h = nodes[1:] - lo
+    return sig.value(nodes), *(sig.rate(lo + h * c) for c in _GAUSS)
 
 
 def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
@@ -367,22 +409,24 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
 _BLOCK = 180_000
 
 
-def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, h: np.ndarray, columns):
+def _cell_blocks(driver: DriverSpec, algebra: FloatAlgebra, base_values, brackets):
     """Yield the cell characters block by block.
 
-    Each block is the same power-of-two number of whole cells; its substep
-    characters come from :func:`_substep_chars` on the block's slice of the
-    samples and its cell characters are their ★-products per cell.  The
-    substep characters never leave this generator and are dropped before the
-    next block is built.
+    Each block is the same power-of-two number of whole cells.  Its samples
+    come from :func:`_sample_blocks`, with the bracket letters' columns of
+    :func:`_bracket_columns` when ``brackets`` is set; its substep
+    characters come from :func:`_substep_chars` on them, and its cell
+    characters are their ★-products per cell.  The samples are dropped once
+    the substep characters are built, and those before the next block is
+    sampled, so neither outlives its block.
     """
     block_rows = budget_rows(_BLOCK, algebra.dim)
     cells = min(driver.cells, max(2, block_rows // driver.substeps))
-    rows = cells * driver.substeps
-    for start in range(0, len(h), rows):
-        block = slice(start, start + rows)
-        sampled = [(f, *(a[block] for a in arrays)) for f, *arrays in columns]
-        sub_chars = _substep_chars(algebra, h[block], sampled)
+    for h, columns in _sample_blocks(driver, cells, base_values):
+        if brackets:
+            columns += _bracket_columns(h, columns)
+        sub_chars = _substep_chars(algebra, h, columns)
+        del h, columns
         cell_chars = algebra.star_reduce(
             sub_chars.reshape(cells, driver.substeps, algebra.dim)
         )
@@ -489,10 +533,15 @@ class RoughPath:
         return fit_loglog(scales, maxima)
 
 
-def _path(driver, algebra, h, columns, base_values) -> RoughPath:
+def _path(driver: DriverSpec, algebra: FloatAlgebra, brackets: bool) -> RoughPath:
+    base_values = np.empty((driver.d, driver.cells + 1))
+    cell_chars = np.empty((driver.cells, algebra.dim))
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        cell_chars = list(_cell_blocks(driver, algebra, h, columns))
-        levels = _pyramid(algebra, np.concatenate(cell_chars))
+        for chars in _cell_blocks(driver, algebra, base_values, brackets):
+            cell_chars[done : done + len(chars)] = chars
+            done += len(chars)
+        levels = _pyramid(algebra, cell_chars)
     # ★ only adds and multiplies, and every row's entries reach the product
     # through its unit terms, so a non-finite cell character, or an overflow
     # on any level, leaves the one row of the top level, and its sum,
@@ -511,10 +560,7 @@ def _path(driver, algebra, h, columns, base_values) -> RoughPath:
 
 def lift(driver: DriverSpec) -> RoughPath:
     """Lift a driver to a branched rough path over its base alphabet."""
-    # the algebra's tables before the samples: in the other order two d = 3,
-    # N = 3 lifts of 16,384 substeps peaked 0.5 MB higher in one process
-    algebra = get_algebra(base_alphabet(driver.d), driver.N)
-    return _path(driver, algebra, *_sample_substeps(driver))
+    return _path(driver, get_algebra(base_alphabet(driver.d), driver.N), False)
 
 
 def bracket_extension(driver: DriverSpec) -> RoughPath:
@@ -523,7 +569,14 @@ def bracket_extension(driver: DriverSpec) -> RoughPath:
     Level-one bracket components integrate ``⟨•_j •_i⟩ − ⟨[•_j]_i⟩`` of the
     base substep characters, so the defining identity holds exactly on every
     grid interval (that combination is primitive, hence additive), and the
-    base-letter components are those of :func:`lift` bit for bit.
+    base-letter components are those of :func:`lift` bit for bit.  Their
+    columns come from each block's samples, by :func:`_bracket_columns`.
+    """
+    return _path(driver, get_algebra(bracket_alphabet(driver.d), driver.N), True)
+
+
+def _bracket_columns(h: np.ndarray, columns) -> list:
+    """The bracket letters' columns of one block of samples.
 
     Per substep, ``⟨exp Ω, •_j •_i⟩`` and ``⟨exp Ω, [•_j]_i⟩`` share the
     quadratic part ``½·Ω_j·Ω_i`` and the Gauss commutator
@@ -534,8 +587,6 @@ def bracket_extension(driver: DriverSpec) -> RoughPath:
     zero increments and gets no column.  A lift step that breaks this
     identity has to compute the difference again.
     """
-    algebra = get_algebra(bracket_alphabet(driver.d), driver.N)  # as in lift
-    h, columns, base_values = _sample_substeps(driver)
     brackets = []
     for f, inc, *_rates in columns:
         if f.degree == 2:  # the tree [•j]i, with root i
@@ -543,7 +594,7 @@ def bracket_extension(driver: DriverSpec) -> RoughPath:
             rate = -inc / h
             letter = (root.letter, root.children[0].letter)
             brackets.append((single(letter), -inc, rate, rate))
-    return _path(driver, algebra, h, columns + brackets, base_values)
+    return brackets
 
 
 # ---------------------------------------------------------------------------

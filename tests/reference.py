@@ -1,8 +1,9 @@
 """Reference code that only the tests use: the scalar extension paths of a
 bracket extension, the series a bracket letter abbreviates, the ★-exponential
-by full products, the reader of the lift that ``planarough lift`` writes
-with ``"dump": true``, and the composition ``F(Y)`` and the contraction
-``D^mF:(v1, …, vm)`` written out by their definitions.
+by full products, the whole-grid sampler of a driver's signals, the reader of
+the lift that ``planarough lift`` writes with ``"dump": true``, and the
+composition ``F(Y)`` and the contraction ``D^mF:(v1, …, vm)`` written out by
+their definitions.
 
 The acceptance criteria, ``test_paths``, ``test_ito`` and ``test_hopf``
 measure the library against these; the library itself pairs the extension's
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from planarough.forest_core import b_plus, concat, forest, parse_forest, single
-from planarough.rough_path import RoughPath, _pyramid, get_algebra
+from planarough.rough_path import _GAUSS, ConfigError, RoughPath, _pyramid, get_algebra
 
 
 def bracket_series(i: int, j: int) -> dict:
@@ -69,6 +70,42 @@ class ScalarExtensionPath:
 
     def additivity_defect(self, a: int, u: int, b: int) -> float:
         return self.increment(a, b) - self.increment(a, u) - self.increment(u, b)
+
+
+def sample_substeps(driver):
+    """Sample each distinct signal once on the whole substep grid.
+
+    A signal with a ``sample_grid`` method samples the uniform grid itself
+    when it can (a spectral signal by FFT); every other signal, and a grid
+    that method declines, is evaluated by ``value`` and ``rate``.  Returns
+    the substep lengths ``h``, one column ``(forest, increments, rates at
+    c₁, rates at c₂)`` per base letter and intensity, and the base signals
+    on the grid, which is every ``substeps``-th node: the samples that the
+    lift takes block by block, all at once.
+    """
+    steps = driver.cells * driver.substeps
+    nodes = np.linspace(0.0, driver.T, steps + 1)
+    lo, hi = nodes[:-1], nodes[1:]
+    h = hi - lo
+    pairs = [(single(i + 1), sig) for i, sig in enumerate(driver.base)]
+    pairs += list(driver.intensities)
+    seen = {}
+    for f, sig in pairs:
+        if id(sig) in seen:
+            continue
+        sample_grid = getattr(sig, "sample_grid", None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sampled = sample_grid(driver.T, steps) if sample_grid else None
+            if sampled is None:
+                sampled = (sig.value(nodes), *(sig.rate(lo + h * c) for c in _GAUSS))
+            v, r1, r2 = sampled
+            inc = v[1:] - v[:-1]
+        if not all(np.isfinite(a).all() for a in sampled):
+            raise ConfigError(f"the signal on {f.key} is not finite on the grid")
+        seen[id(sig)] = (v, inc, r1, r2)
+    columns = [(f, *seen[id(sig)][1:]) for f, sig in pairs]
+    base_values = np.stack([seen[id(s)][0][:: driver.substeps] for s in driver.base])
+    return h, columns, base_values
 
 
 def load_lift(out_dir: str) -> RoughPath:

@@ -413,7 +413,10 @@ def test_exit_config_on_a_name_stdout_cannot_encode(tmp_path):
 
 def test_general_ito_leaves_numpy_test_modules_unloaded(tmp_path):
     # a general ito run loads none of numpy.f2py, numpy.testing and unittest
-    # (a star import of numpy, as sympy's lambdify of "numpy" does, loads all)
+    # (a star import of numpy, as sympy's lambdify of "numpy" does, loads all),
+    # nor numpy.random, whose import (secrets, hmac, _hashlib) costs 10-14 ms
+    # and 6.4 MB of RSS per process; a driver without a spectral signal
+    # draws no random numbers
     exp = analytic_ito_experiment("lean")
     del exp["driver"]["intensities"]
     exp["driver"]["cells"] = 64
@@ -429,8 +432,8 @@ def test_general_ito_leaves_numpy_test_modules_unloaded(tmp_path):
     code = (
         "import sys; from planarough.cli import main; "
         f"rc = main(['ito', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
-        "print(rc, sorted(m for m in ('numpy.f2py', 'numpy.testing', 'unittest') "
-        "if m in sys.modules))"
+        "print(rc, sorted(m for m in ('numpy.f2py', 'numpy.testing', 'unittest', "
+        "'numpy.random') if m in sys.modules))"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
@@ -531,9 +534,9 @@ def count_pipelines(monkeypatch) -> list:
     pipelines = []
     real = rough_path._cell_blocks
 
-    def counted(driver, algebra, h, columns):
+    def counted(driver, algebra, *args):
         pipelines.append(algebra.basis.letters)
-        return real(driver, algebra, h, columns)
+        return real(driver, algebra, *args)
 
     monkeypatch.setattr(rough_path, "_cell_blocks", counted)
     return pipelines
@@ -837,6 +840,34 @@ def test_exit_ok_on_spectral_grid_beyond_the_fft(tmp_path, capsys, period, T):
             "ito", {"base": [{"kind": "poly", "coeffs": [0, 1]}]},
             "log(x1)", id="ito-F-log-of-zero",
         ),
+        # 64 x 1024 substeps on [0, 4] are two Magnus blocks; the base is
+        # finite on the first and its rate 3e307·t² overflows from t = 2.45
+        pytest.param(
+            "ito",
+            {
+                "T": 4.0,
+                "substeps": 1024,
+                "base": [{"kind": "poly", "coeffs": [0, 0, 0, 1e307]}],
+            },
+            "x1**2", id="ito-poly-overflows-in-a-late-block",
+        ),
+        # two signals: the intensity overflows in the first block, the base
+        # only in the second
+        pytest.param(
+            "lift",
+            {
+                "T": 4.0,
+                "substeps": 1024,
+                "base": [{"kind": "poly", "coeffs": [0, 0, 0, 1e307]}],
+                "intensities": [
+                    {
+                        "tree": "[•1]1",
+                        "signal": {"kind": "poly", "coeffs": [0, 0, 0, 4e307]},
+                    }
+                ],
+            },
+            "x1**2", id="lift-poly-intensity-overflows-first",
+        ),
         # every aligned block is finite, an unaligned probed interval is not
         pytest.param(
             "lift",
@@ -868,6 +899,30 @@ def test_exit_config_on_non_finite_values(tmp_path, command, driver, F):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: "), err
     assert not (tmp_path / "o" / "huge").exists()
+
+
+def test_exit_config_names_the_first_non_finite_signal_in_grid_order(
+    tmp_path, capsys
+):
+    # the lift samples one Magnus block at a time (two here), so the signal
+    # named is the first non-finite one in grid order: the intensity, which
+    # overflows in the first block, not the base, first in letter order
+    exp = analytic_ito_experiment("huge")
+    exp["driver"].update(
+        T=4.0,
+        cells=64,
+        substeps=1024,
+        base=[{"kind": "poly", "coeffs": [0, 0, 0, 1e307]}],
+    )
+    exp["driver"]["intensities"][0]["signal"]["coeffs"] = [0, 0, 0, 4e307]
+    exp["lift"] = {}
+    cfg = write_config(tmp_path, "c.json", exp)
+    for command in ("lift", "ito"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "the signal on [•1]1 is not finite on the grid" in err, err
+        assert not (out / "huge").exists()
 
 
 def test_reports_refuse_non_finite_numbers(tmp_path):

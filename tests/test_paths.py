@@ -8,6 +8,7 @@ or the lift is caught.
 """
 
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from reference import ScalarExtensionPath, load_lift
+from reference import ScalarExtensionPath, load_lift, sample_substeps
 
 from planarough.cli import write_lift
 from planarough.forest_core import (
@@ -29,14 +30,14 @@ from planarough.forest_core import (
     parse_forest,
     single,
 )
-from planarough.hopf_mkw import shuffle
+from planarough.hopf_mkw import budget_rows, shuffle
 from planarough.rough_path import (
     ConfigError,
     DriverSpec,
     PolySignal,
     SpectralSignal,
     TrigSignal,
-    _sample_substeps,
+    _BLOCK,
     _substep_chars,
     alpha_window,
     bracket_extension,
@@ -437,7 +438,7 @@ def test_scalar_extension_path_consistency():
 
 
 # ---------------------------------------------------------------------------
-# One Magnus pipeline: each lift samples each signal once
+# One Magnus pipeline: each lift samples each signal once, block by block
 # ---------------------------------------------------------------------------
 
 
@@ -480,20 +481,29 @@ def test_each_lift_samples_each_distinct_signal_once():
             d=2,
             base=(first, second),
             intensities=((parse_forest("[•1]2"), first),),
-            cells=32,
+            cells=1024,
             substeps=4,
             N=3,
             alpha=0.30,
         )
 
-    n = 32 * 4
+    n = 1024 * 4
     for build in (lift, bracket_extension):
         trig_calls, spectral_calls = CountingSignal(trig), CountingSignal(spectral)
         path = build(spec(trig_calls, spectral_calls))
+        # the trig signal is sampled block by block, every node and every
+        # Gauss point once in total, and no call is larger than one block:
+        # 2048 rows of the lift's dim 51, fewer of the extension's
+        rows = budget_rows(_BLOCK, path.algebra.dim)
+        assert rows <= n // 2
         assert trig_calls.grid_calls == []
-        assert trig_calls.value_sizes == [n + 1]
-        assert trig_calls.rate_sizes == [n, n]
-        # period = T = 1: the FFT length q = 128 exceeds 2·33, so the
+        assert sum(trig_calls.value_sizes) == n + 1
+        assert max(trig_calls.value_sizes) <= rows + 1
+        assert len(trig_calls.value_sizes) == n // rows
+        c1_sizes, c2_sizes = trig_calls.rate_sizes[0::2], trig_calls.rate_sizes[1::2]
+        assert sum(c1_sizes) == sum(c2_sizes) == n
+        assert max(trig_calls.rate_sizes) <= rows
+        # period = T = 1: the FFT length q = 4096 exceeds 2·33, so the
         # spectral signal samples the whole grid in its one grid call
         assert spectral_calls.grid_calls == [(1.0, n)]
         assert spectral_calls.value_sizes == []
@@ -539,12 +549,13 @@ def test_fft_samples_match_the_outer_product(T, period, steps, modes, fft):
     driver = DriverSpec(
         d=1, base=(sig,), T=T, cells=steps // 4, substeps=4, N=2, alpha=0.45
     )
-    _h, columns, base_values = _sample_substeps(driver)
+    _h, columns, base_values = sample_substeps(driver)
     v, r1, r2 = grid if fft else want  # the FFT's samples, or bitwise the product
     _f, inc, rate1, rate2 = columns[0]
     assert np.array_equal(inc, v[1:] - v[:-1])
     assert np.array_equal(rate1, r1) and np.array_equal(rate2, r2)
     assert np.array_equal(base_values[0], v[::4])
+    assert np.array_equal(lift(driver).base_values[0], v[::4])
 
 
 def test_spectral_sampling_peak_memory_is_node_sized():
@@ -557,7 +568,7 @@ def test_spectral_sampling_peak_memory_is_node_sized():
     driver = DriverSpec(d=1, base=(sig,), cells=8192, substeps=4, N=3, alpha=0.3)
     tracemalloc.start()
     try:
-        _sample_substeps(driver)
+        sample_substeps(driver)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -594,21 +605,30 @@ def _one_shot_levels(driver, algebra, h, columns):
 
 
 @pytest.mark.parametrize(
-    "d, cells, substeps",
-    [(2, 512, 16), (2, 4, 4096), (2, 2, 2), (1, 64, 512)],
-    ids=["512-16", "4-4096", "2-2", "d1-64-512"],
+    "d, cells, substeps, first",
+    [
+        (2, 512, 16, 0),
+        (2, 4, 4096, 0),
+        (2, 2, 2, 0),
+        (1, 64, 512, 0),
+        (1, 128, 512, 1),
+    ],
+    ids=["512-16", "4-4096", "2-2", "d1-64-512", "d1-trig-128-512"],
 )
-def test_blocked_lift_matches_one_shot(d, cells, substeps):
-    # the lift builds its substeps a block of cells at a time, with rows
-    # sized by the algebra: at d = 2 (dim 51, blocks of 2048 rows) 512 x 16
-    # is four blocks, 4 x 4096 two blocks of two cells, 2 x 2 less than one;
-    # at d = 1 (dim 9, 16,384 rows) 64 x 512 is two blocks
+def test_blocked_lift_matches_one_shot(d, cells, substeps, first):
+    # the lift samples and builds its substeps a block of cells at a time,
+    # with rows sized by the algebra: at d = 2 (dim 51, blocks of 2048 rows)
+    # 512 x 16 is four blocks, 4 x 4096 two blocks of two cells, 2 x 2 less
+    # than one; at d = 1 (dim 9, 16,384 rows) 64 x 512 is two blocks, and
+    # 128 x 512 four, where the trig base and the poly intensity are sampled
+    # per block and the whole-grid reference samples them at once
+    bases = (
+        SpectralSignal(hurst=0.8, modes=32, seed=5, amplitude=0.3),
+        TrigSignal(((0.6, 3.0, 2.9), (0.25, 7.0, 2.3))),
+    )
     driver = DriverSpec(
         d=d,
-        base=(
-            SpectralSignal(hurst=0.8, modes=32, seed=5, amplitude=0.3),
-            TrigSignal(((0.6, 3.0, 2.9), (0.25, 7.0, 2.3))),
-        )[:d],
+        base=bases[first : first + d],
         intensities=(
             (parse_forest(f"[•1]{d}"), PolySignal((0.0, 0.17, 0.11))),
             (parse_forest("[•2•1]1"), TrigSignal(((0.12, 4.0, 2.7),))),
@@ -619,7 +639,8 @@ def test_blocked_lift_matches_one_shot(d, cells, substeps):
         alpha=0.30,
     )
     x = lift(driver)
-    h, columns, _values = _sample_substeps(driver)
+    h, columns, values = sample_substeps(driver)
+    assert np.array_equal(x.base_values, values)
     levels = _one_shot_levels(driver, x.algebra, h, columns)
     assert len(x.levels) == len(levels)
     for got, want in zip(x.levels, levels):
@@ -661,7 +682,7 @@ def test_bracket_increments_are_negated_intensity_increments(d, N, trees):
         N=N,
         alpha=0.45 if N == 2 else 0.30,
     )
-    h, columns, _values = _sample_substeps(driver)
+    h, columns, _values = sample_substeps(driver)
     algebra = get_algebra(base_alphabet(d), N)
     sub = _substep_chars(algebra, h, columns)
     idx = algebra.basis.index
@@ -689,8 +710,9 @@ def test_lift_peak_memory_is_block_sized():
     # takes its rates on the sampled columns only (12.8 MiB just before, on
     # the same interpreter); 4.8 MiB (0.49 of the full-width array) since
     # blocks and chunks are sized by elements, 1024 and 256 rows at this
-    # dim 157.  The fixed 2048-row blocks before them peaked at 0.80 of it,
-    # so the bound sits between the two
+    # dim 157, and 4.4 MiB (0.45) since the signals are sampled per block.
+    # The fixed 2048-row blocks before them peaked at 0.80 of it, so the
+    # bound sits between the two
     driver = d3_driver(cells=512, substeps=16)
     lift(d3_driver(cells=2, substeps=2))  # warm the algebra tables
     tracemalloc.start()
@@ -701,6 +723,65 @@ def test_lift_peak_memory_is_block_sized():
         tracemalloc.stop()
     full_width = 512 * 16 * 157 * np.dtype(float).itemsize
     assert peak < 0.65 * full_width, peak / 2**20
+
+
+def test_lift_samples_are_block_sized():
+    # simple-n2-analytic's driver, 4096 x 64 substeps at dims 4 and 5: the
+    # whole-grid samples kept about 11 node-sized arrays alive through the
+    # lift and the extension (nodes, step lengths, each signal's values,
+    # increments and two rates, the bracket column's −Δλ and −Δλ/h), 22.0
+    # MiB; sampled per block of 32,768 substeps, only the node array is
+    # path-sized
+    driver = DriverSpec(
+        d=1,
+        base=(PolySignal((0.0, 1.0)),),
+        intensities=((parse_forest("[•1]1"), PolySignal((0.0, -0.5))),),
+        cells=4096,
+        substeps=64,
+        N=2,
+        alpha=0.45,
+    )
+    node_array = (4096 * 64 + 1) * np.dtype(float).itemsize
+    for build in (lift, bracket_extension):
+        build(dataclasses.replace(driver, cells=2, substeps=2))  # warm the tables
+        tracemalloc.start()
+        try:
+            build(driver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * node_array, (build.__name__, peak / node_array)
+
+
+@pytest.mark.parametrize(
+    "base, intensity, named",
+    [
+        # the intensity overflows in the first block, the base only in the
+        # second: the first non-finite signal in grid order is named
+        ((0.0, 0.0, 0.0, 1e307), (0.0, 0.0, 0.0, 4e307), "[•1]1"),
+        # both overflow in the first block: then the first in letter order
+        ((0.0, 0.0, 0.0, 4e307), (0.0, 0.0, 0.0, 5e307), "•1"),
+    ],
+)
+def test_non_finite_samples_name_the_first_signal_in_grid_order(
+    base, intensity, named
+):
+    # 1024 x 64 substeps on [0, 4] are two blocks, [0, 2] and [2, 4], of the
+    # lift (dim 4) and of the extension (dim 5); a cubic c·t³ has rate 3c·t²,
+    # which overflows from t = 2.45 at c = 1e307 and from 1.22 at c = 4e307
+    driver = DriverSpec(
+        d=1,
+        base=(PolySignal(base),),
+        intensities=((parse_forest("[•1]1"), PolySignal(intensity)),),
+        T=4.0,
+        cells=1024,
+        substeps=64,
+        N=2,
+        alpha=0.45,
+    )
+    for build in (lift, bracket_extension):
+        with pytest.raises(ConfigError, match=re.escape(f"signal on {named} is")):
+            build(driver)
 
 
 # ---------------------------------------------------------------------------
