@@ -474,41 +474,52 @@ class CountingSignal:
 def test_each_lift_samples_each_distinct_signal_once():
     trig = TrigSignal(((0.9, 2.0, 0.1), (0.3, 7.0, 0.8)))
     spectral = SpectralSignal(hurst=0.78, modes=33, seed=11, amplitude=0.35)
+    # q = 0.37·4096 is not whole, so no FFT fits this spectral signal's grid
+    off_fft = SpectralSignal(hurst=0.6, modes=24, seed=3, amplitude=0.4, period=0.37)
+    n = 1024 * 4
+    assert off_fft.sample_grid(1.0, n) is None
 
-    def spec(first, second):
+    def spec(first, second, third):
         # the first signal also drives an intensity: still one distinct signal
         return DriverSpec(
             d=2,
             base=(first, second),
-            intensities=((parse_forest("[•1]2"), first),),
+            intensities=(
+                (parse_forest("[•1]2"), first),
+                (parse_forest("[•2]1"), third),
+            ),
             cells=1024,
             substeps=4,
             N=3,
             alpha=0.30,
         )
 
-    n = 1024 * 4
     for build in (lift, bracket_extension):
-        trig_calls, spectral_calls = CountingSignal(trig), CountingSignal(spectral)
-        path = build(spec(trig_calls, spectral_calls))
-        # the trig signal is sampled block by block, every node and every
-        # Gauss point once in total, and no call is larger than one block:
-        # 2048 rows of the lift's dim 51, fewer of the extension's
+        trig_calls, spectral_calls, off_fft_calls = (
+            CountingSignal(sig) for sig in (trig, spectral, off_fft)
+        )
+        path = build(spec(trig_calls, spectral_calls, off_fft_calls))
+        # the trig signal, and the spectral signal whose grid call declines,
+        # are sampled block by block, every node and every Gauss point once
+        # in total, and no call is larger than one block: 2048 rows of the
+        # lift's dim 51, fewer of the extension's
         rows = budget_rows(_BLOCK, path.algebra.dim)
         assert rows <= n // 2
         assert trig_calls.grid_calls == []
-        assert sum(trig_calls.value_sizes) == n + 1
-        assert max(trig_calls.value_sizes) <= rows + 1
-        assert len(trig_calls.value_sizes) == n // rows
-        c1_sizes, c2_sizes = trig_calls.rate_sizes[0::2], trig_calls.rate_sizes[1::2]
-        assert sum(c1_sizes) == sum(c2_sizes) == n
-        assert max(trig_calls.rate_sizes) <= rows
-        # period = T = 1: the FFT length q = 4096 exceeds 2·33, so the
+        assert off_fft_calls.grid_calls == [(1.0, n)]
+        for calls in (trig_calls, off_fft_calls):
+            assert sum(calls.value_sizes) == n + 1
+            assert max(calls.value_sizes) <= rows + 1
+            assert len(calls.value_sizes) == n // rows
+            c1_sizes, c2_sizes = calls.rate_sizes[0::2], calls.rate_sizes[1::2]
+            assert sum(c1_sizes) == sum(c2_sizes) == n
+            assert max(calls.rate_sizes) <= rows
+        # period = T = 1: the FFT length q = 4096 exceeds 2·33, so that
         # spectral signal samples the whole grid in its one grid call
         assert spectral_calls.grid_calls == [(1.0, n)]
         assert spectral_calls.value_sizes == []
         assert spectral_calls.rate_sizes == []
-        plain = build(spec(trig, spectral))
+        plain = build(spec(trig, spectral, off_fft))
         assert np.array_equal(path.base_values, plain.base_values)
         for a, b in zip(path.levels, plain.levels):
             assert np.array_equal(a, b)
@@ -550,7 +561,7 @@ def test_fft_samples_match_the_outer_product(T, period, steps, modes, fft):
         d=1, base=(sig,), T=T, cells=steps // 4, substeps=4, N=2, alpha=0.45
     )
     _h, columns, base_values = sample_substeps(driver)
-    v, r1, r2 = grid if fft else want  # the FFT's samples, or bitwise the product
+    v, r1, r2 = grid if fft else want  # the FFT's samples, or bitwise the sums
     _f, inc, rate1, rate2 = columns[0]
     assert np.array_equal(inc, v[1:] - v[:-1])
     assert np.array_equal(rate1, r1) and np.array_equal(rate2, r2)
@@ -560,10 +571,10 @@ def test_fft_samples_match_the_outer_product(T, period, steps, modes, fft):
 
 def test_spectral_sampling_peak_memory_is_node_sized():
     # simple-n3-fbm's spectral driver: 96 modes on 8192 cells x 4 substeps.
-    # The outer product peaked at 74.1 MiB (296 node arrays) with its
-    # (steps, modes) phase temporaries; the FFT peaks at 2.1 MiB (8.5 node
-    # arrays: nodes, step lengths, values, increments, two rates, and the
-    # FFT's bins and output)
+    # The FFT peaks at 2.1 MiB (8.5 node arrays: nodes, step lengths,
+    # values, increments, two rates, and the FFT's bins and output); the
+    # (steps, modes) phase arrays of an outer product of nodes and modes
+    # peaked at 74.1 MiB (296 node arrays)
     sig = SpectralSignal(hurst=0.78, modes=96, seed=11, amplitude=0.35)
     driver = DriverSpec(d=1, base=(sig,), cells=8192, substeps=4, N=3, alpha=0.3)
     tracemalloc.start()
@@ -612,19 +623,26 @@ def _one_shot_levels(driver, algebra, h, columns):
         (2, 2, 2, 0),
         (1, 64, 512, 0),
         (1, 128, 512, 1),
+        (1, 64, 512, 2),
     ],
-    ids=["512-16", "4-4096", "2-2", "d1-64-512", "d1-trig-128-512"],
+    ids=[
+        "512-16", "4-4096", "2-2", "d1-64-512", "d1-trig-128-512",
+        "d1-off-fft-64-512",
+    ],
 )
 def test_blocked_lift_matches_one_shot(d, cells, substeps, first):
     # the lift samples and builds its substeps a block of cells at a time,
     # with rows sized by the algebra: at d = 2 (dim 51, blocks of 2048 rows)
     # 512 x 16 is four blocks, 4 x 4096 two blocks of two cells, 2 x 2 less
     # than one; at d = 1 (dim 9, 16,384 rows) 64 x 512 is two blocks, and
-    # 128 x 512 four, where the trig base and the poly intensity are sampled
-    # per block and the whole-grid reference samples them at once
+    # 128 x 512 four.  The trig base, the poly intensity and the spectral
+    # base whose period fits no FFT of the grid (q = 0.37·32768 is not
+    # whole) are sampled per block, and the whole-grid reference samples
+    # them at once
     bases = (
         SpectralSignal(hurst=0.8, modes=32, seed=5, amplitude=0.3),
         TrigSignal(((0.6, 3.0, 2.9), (0.25, 7.0, 2.3))),
+        SpectralSignal(hurst=0.8, modes=32, seed=5, amplitude=0.3, period=0.37),
     )
     driver = DriverSpec(
         d=d,
@@ -725,6 +743,19 @@ def test_lift_peak_memory_is_block_sized():
     assert peak < 0.65 * full_width, peak / 2**20
 
 
+def peak_node_arrays(build, driver) -> float:
+    """Traced peak memory of ``build(driver)``, in arrays the size of its
+    substep nodes, with the algebra tables built beforehand."""
+    build(dataclasses.replace(driver, cells=2, substeps=2))
+    tracemalloc.start()
+    try:
+        build(driver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / ((driver.cells * driver.substeps + 1) * np.dtype(float).itemsize)
+
+
 def test_lift_samples_are_block_sized():
     # simple-n2-analytic's driver, 4096 x 64 substeps at dims 4 and 5: the
     # whole-grid samples kept about 11 node-sized arrays alive through the
@@ -741,16 +772,30 @@ def test_lift_samples_are_block_sized():
         N=2,
         alpha=0.45,
     )
-    node_array = (4096 * 64 + 1) * np.dtype(float).itemsize
     for build in (lift, bracket_extension):
-        build(dataclasses.replace(driver, cells=2, substeps=2))  # warm the tables
-        tracemalloc.start()
-        try:
-            build(driver)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * node_array, (build.__name__, peak / node_array)
+        peak = peak_node_arrays(build, driver)
+        assert peak < 6, (build.__name__, peak)
+
+
+def test_off_fft_spectral_samples_are_block_sized():
+    # simple-n3-fbm's driver with a period of 0.37, which no FFT of its
+    # 8192 x 4 substeps fits: sampled on the whole grid by an outer product
+    # of nodes and modes, the lift peaked at 297 node arrays and the
+    # extension at 298; sampled per block by the sum of sines, 17.9 and 15.5
+    sig = SpectralSignal(hurst=0.78, modes=96, seed=11, amplitude=0.35, period=0.37)
+    driver = DriverSpec(
+        d=1,
+        base=(sig,),
+        intensities=((parse_forest("[•1]1"), TrigSignal(((0.15, 3.0, 0.2),))),),
+        cells=8192,
+        substeps=4,
+        N=3,
+        alpha=0.30,
+    )
+    assert sig.sample_grid(driver.T, 8192 * 4) is None
+    for build in (lift, bracket_extension):
+        peak = peak_node_arrays(build, driver)
+        assert peak < 25, (build.__name__, peak)
 
 
 @pytest.mark.parametrize(
@@ -813,6 +858,10 @@ def test_spectral_signal_deterministic():
     assert np.array_equal(a.value(t), b.value(t))
     assert not np.array_equal(a.value(t), c.value(t))
     assert np.array_equal(a.rate(t), b.rate(t))
+    # a spectral signal is the trig signal of its modes, equal by its
+    # parameters as trig signals are by their terms
+    assert isinstance(a, TrigSignal)
+    assert a == b and hash(a) == hash(b) and a != c
 
 
 def test_spectral_lift_holder_slope_orders_by_roughness():
