@@ -40,7 +40,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
+import gc
 import json
 import math
 import os
@@ -532,8 +534,41 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _set_up_process() -> None:
+    """Set up a process that :func:`main` runs, before any work or fork.
+
+    The lift, ★ and ``solve_rde`` free their arrays block by block.  Under
+    glibc's dynamic thresholds the heap trims after each block and the next
+    block faults the same pages in again (ito-suite at ``--jobs 1``: 23.0k
+    minor faults, 7.2k with fixed thresholds); fixed thresholds keep them
+    mapped.  A C library without ``mallopt`` is left as it is.  Freezing
+    the ~22k objects that exist after import, numpy's and the interpreter's,
+    moves them out of every later collection: the run's, the ``--jobs``
+    workers' and the interpreter's at exit.
+    """
+    if os.name == "posix":
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+            mallopt.restype = ctypes.c_int
+            # M_MMAP_THRESHOLD at glibc's own cap for its dynamic threshold
+            # on 64-bit, M_TRIM_THRESHOLD at twice it, as its dynamic rule
+            mallopt(-3, 32 << 20)
+            mallopt(-1, 64 << 20)
+    gc.freeze()
+
+
 def main(argv=None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    """Run ``planarough`` on ``argv``, or on ``sys.argv`` when it is None.
+
+    With ``argv`` None, main runs the process, as the console script does,
+    and sets it up first (:func:`_set_up_process`).  A call with a list is a
+    library call and leaves the caller's process as it is.
+    """
+    if argv is None:
+        _set_up_process()
+        argv = sys.argv[1:]
+    args = _parse_args(argv)
     try:
         if args.config is None:
             if args.command != "hopf-selftest":
@@ -548,7 +583,9 @@ def main(argv=None) -> int:
         with contextlib.ExitStack() as stack:
             if args.jobs > 1 and len(runs) > 1:
                 # imported here, so a serial run never loads multiprocessing;
-                # the fork start method starts every worker on the first submit
+                # the fork start method starts every worker on the first
+                # submit; forked from a process main runs, the workers share
+                # its frozen import objects, which their collections skip
                 from concurrent.futures import ProcessPoolExecutor
 
                 workers = min(args.jobs, len(runs))

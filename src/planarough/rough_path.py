@@ -514,7 +514,9 @@ def _path(driver: DriverSpec, algebra: FloatAlgebra, brackets: bool) -> RoughPat
             del sub_chars
             # ``chars`` stays bound until the next block's: freed at once, it
             # let the heap trim pages that the next block faults in again
-            # (lift-d3n3 at ``--jobs 2``: 20k → 45k minor faults, +9% wall)
+            # (lift-d3n3 at ``--jobs 2``: 20k → 45k minor faults, +9% wall).
+            # A process that cli.main runs fixes the heap's thresholds, so
+            # this matters only to library callers, under glibc's dynamic ones
             cell_chars[first : first + cells] = chars
         levels = _pyramid(algebra, cell_chars)
     # ★ only adds and multiplies, and every row's entries reach the product

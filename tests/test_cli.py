@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -370,6 +371,83 @@ def run_cli_fresh(argv, **environ) -> subprocess.CompletedProcess:
     """Run ``planarough argv`` in a new interpreter (see :func:`run_fresh`)."""
     code = f"import sys; from planarough.cli import main; sys.exit(main({argv!a}))"
     return run_fresh(code, **environ)
+
+
+def run_cli_program(argv, **environ) -> subprocess.CompletedProcess:
+    """Run ``planarough argv`` in a new interpreter as the console script
+    does: ``sys.argv`` set and ``main()`` called, so that main runs the
+    process.  Its last stdout line is :func:`process_state`'s."""
+    return run_fresh(_counted(f"sys.argv[1:] = {argv!a}; rc = main()"), **environ)
+
+
+def run_cli_library(argv, **environ) -> subprocess.CompletedProcess:
+    """Run ``main(argv)``, a library call, in a new interpreter.  Its last
+    stdout line is :func:`process_state`'s."""
+    return run_fresh(_counted(f"rc = main({argv!a})"), **environ)
+
+
+def _counted(call: str) -> str:
+    return (
+        "import gc, resource, sys; from planarough.cli import main; "
+        f"{call}; usage = resource.getrusage(resource.RUSAGE_SELF); "
+        "print(rc, gc.get_freeze_count(), usage.ru_minflt); sys.exit(rc)"
+    )
+
+
+def process_state(proc: subprocess.CompletedProcess) -> tuple:
+    """main's exit code, the collector's freeze count and the process's
+    minor page faults, read after main returned."""
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return tuple(int(v) for v in proc.stdout.splitlines()[-1].split())
+
+
+def test_main_sets_up_only_a_process_it_runs(tmp_path):
+    # main reading sys.argv runs the process and freezes the import objects;
+    # main given a list is a library call and leaves the collector as it is
+    argv = ["hopf-selftest", "--out", str(tmp_path / "o")]
+    _, frozen, _ = process_state(run_cli_program(argv))
+    assert frozen > 0
+    assert process_state(run_cli_library(argv))[1] == 0
+
+
+@pytest.mark.skipif(
+    os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"),
+    reason="the C library has no mallopt",
+)
+def test_program_run_keeps_freed_blocks_mapped(tmp_path):
+    # under glibc's dynamic thresholds each of the lift's 8 blocks trims the
+    # heap and the next block faults the same pages in again: 16.9k minor
+    # faults for the whole process, 6.9k with the thresholds main fixes
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "simple-n2-analytic.json")
+    argv = ["ito", "--config", cfg, "--out", str(tmp_path / "o")]
+    _, _, program = process_state(run_cli_program(argv))
+    _, _, library = process_state(run_cli_library(argv))
+    assert program <= 0.6 * library, (program, library)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_program_run_writes_the_bytes_of_a_library_call(tmp_path, jobs):
+    general = analytic_ito_experiment("general")
+    del general["driver"]["intensities"]
+    general["driver"]["cells"] = 64
+    general["ito"] = {
+        "theorem": "general",
+        "F": {"exprs": ["sin(y1)"], "vars": ["y1"]},
+        "fields": {"exprs": [["cos(y1)"]], "vars": ["y1"]},
+        "xi": [0.5],
+        "rungs": 3,
+        "tolerance": 1e-4,
+    }
+    exps = [analytic_ito_experiment("simple"), general]
+    cfg = write_config(tmp_path, "c.json", {"experiments": exps})
+    argv = ["ito", "--config", cfg, "--jobs", jobs, "--out"]
+    process_state(run_cli_program(argv + [str(tmp_path / "program")]))
+    assert main(argv + [str(tmp_path / "library")]) == EXIT_OK
+    program = tree_bytes(tmp_path / "program")
+    assert program.keys() == {
+        "summary.json", "simple/ito_report.json", "general/ito_report.json"
+    }
+    assert program == tree_bytes(tmp_path / "library")
 
 
 def run_cli_ascii(argv) -> subprocess.CompletedProcess:
