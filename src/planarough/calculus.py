@@ -48,8 +48,8 @@ class DivergenceError(RuntimeError):
 @dataclass(eq=False)
 class VectorFieldFamily:
     """Driving vector fields ``f_1, …, f_d`` on R^n as one ``stacked``
-    function of ``d·n`` outputs: one Taylor evaluation serves every order
-    of every field."""
+    function of ``d·n`` outputs (row ``i·n + a`` is component a of field i,
+    both from 0): one Taylor evaluation serves every order of every field."""
 
     stacked: SmoothFunctionWithDerivatives
     d: int
@@ -72,20 +72,13 @@ class VectorFieldFamily:
     def n(self) -> int:
         return self.stacked.n_in
 
-    def tensors(self, u, order: int) -> list:
-        """``D^m f_i(u)`` for m = 0..order, axes ``(..., i, a, b1, …, bm)``."""
-        lead = np.shape(u)[:-1] + (self.d,)
-        return [
-            t.reshape(lead + (self.n,) * (m + 1))
-            for m, t in enumerate(self.stacked.tensors(u, order))
-        ]
-
 
 def elementary_differentials(trees, d: int):
-    """The numeric map from the fields' tensors of orders 0..m, at any
-    leading axes, to ``f_τ`` for ``trees`` (of weight ≤ m + 1), stacked on
-    axis −2: ``f_[ω]i = ⟨ω, f_i(Y)⟩`` for ``Y`` carrying the ``f_τ`` on
-    trees and zero on other forests, one weight of words ω at a time.
+    """The numeric map from ``fields.stacked.tensors`` of orders 0..m,
+    node-last ``(d·n, n**k) + lead``, to ``f_τ`` for ``trees`` (of weight
+    ≤ m + 1), shape ``lead + (trees, n)``: ``f_[ω]i = ⟨ω, f_i(Y)⟩`` for
+    ``Y`` carrying the ``f_τ`` on trees and zero on other forests, one
+    weight of words ω at a time.
     ``ValueError`` for a forest that is no tree of weight ≤ ``MAX_WEIGHT``
     over ``1..d``."""
     # keys of weight w + 1: the trees [ω]i, ω slowest, as contract_words lays them out
@@ -99,10 +92,10 @@ def elementary_differentials(trees, d: int):
     slots = np.array([rows[f] for f in trees], dtype=np.intp)
 
     def f_taus(ft):
-        lead, n = ft[0].shape[:-2], ft[0].shape[-1]
+        lead, n = ft[0].shape[2:], len(ft[0]) // d
         nodes = ft[0].size // (d * n)
-        # node axis last and contiguous: axes (i, a, b1…bm flat, node)
-        ft = [t.reshape(nodes, d * n, -1).transpose(1, 2, 0).copy() for t in ft]
+        # axes (i, a, b1…bm flat, node)
+        ft = [t.reshape(t.shape[:2] + (nodes,)) for t in ft]
         blocks = [ft[0].reshape(d, n, nodes)]  # the f_τ of weight 1, 2, …
         pieces = blocks[:]
         for comps in program[: len(ft) - 1]:
@@ -214,7 +207,7 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
             end = min(done + width, x.cells)
             y[seen:end] = y[seen - 1]
             seen = max(seen, end + 1)
-            ft = f_taus(fields.tensors(y[done:end], x.N - 1))
+            ft = f_taus(fields.stacked.tensors(y[done:end], x.N - 1))
             inc = (cells[done:end, None, :] @ ft)[:, 0]  # bitwise cells[k] @ ft[k]
             new = np.concatenate([y[done : done + 1], inc]).cumsum(axis=0)
             same = new[1:-1].view(np.int64) == y[done + 1 : end].view(np.int64)
@@ -229,7 +222,7 @@ def solve_rde(x: RoughPath, fields: VectorFieldFamily, xi) -> ControlledPath:
             done += advance
             width = min(1024, max(16, 8 * advance))
 
-    values = np.moveaxis(f_taus(fields.tensors(y, x.N - 1)), -2, 0)
+    values = np.moveaxis(f_taus(fields.stacked.tensors(y, x.N - 1)), -2, 0)
     coeffs = {EMPTY: y} | {f: arr for f, arr in zip(trees, values) if np.any(arr)}
     return ControlledPath(x=x, order=x.N, coeffs=coeffs, n_out=fields.n)
 

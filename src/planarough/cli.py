@@ -226,6 +226,8 @@ def load_experiments(path: str) -> list:
         raise ConfigError(f"config holds an unreadable number: {exc}") from exc
     if isinstance(doc, dict) and "experiments" in doc:
         exps = _list(doc["experiments"], "experiments")
+        if not exps:  # no verdict passes on no evidence
+            raise ConfigError("experiments must hold at least one experiment")
     elif isinstance(doc, dict):
         exps = [doc]
     else:

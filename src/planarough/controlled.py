@@ -45,11 +45,11 @@ class SmoothFunctionWithDerivatives:
 
     ``value(u)`` evaluates the map at points ``u`` of shape ``(..., n_in)``;
     ``tensor(u, m)`` the m-th derivative tensor and ``tensors(u, m)`` those
-    of orders 0..m from one Taylor evaluation; ``dm(u, (v1, …, vm))`` the
-    m-th derivative as a symmetric multilinear form on the given direction
-    arrays.  All evaluations broadcast over leading axes, and every row is
-    computed by elementwise operations alone, so a row reads the same bits
-    in any batch.  The expressions are parsed once, on construction.
+    of orders 0..m from one Taylor evaluation, node-last; ``dm(u, (v1, …,
+    vm))`` the m-th derivative as a symmetric multilinear form on the given
+    direction arrays.  All evaluations broadcast over leading axes, and every
+    row is computed by elementwise operations alone, so a row reads the same
+    bits in any batch.  The expressions are parsed once, on construction.
     """
 
     exprs: tuple
@@ -91,11 +91,13 @@ class SmoothFunctionWithDerivatives:
         return self.tensor(u, 0)[..., 0]
 
     def tensor(self, u, m: int) -> np.ndarray:
-        """m-th derivative tensor, shape ``(..., n_out, n_in**m)`` (flat)."""
-        return self.tensors(u, m)[m]
+        """m-th derivative tensor, shape ``(..., n_out, n_in**m)`` (flat): a
+        view of :meth:`tensors`' node-last array."""
+        return np.moveaxis(self.tensors(u, m)[m], (0, 1), (-2, -1))
 
     def tensors(self, u, order: int) -> list:
-        """The flat tensors of orders 0..order, from one Taylor evaluation."""
+        """The flat tensors of orders 0..order, from one Taylor evaluation,
+        node-last: shapes ``(n_out, n_in**m) + u.shape[:-1]``."""
         if order > MAX_WEIGHT:
             raise ValueError(f"derivative order {order} exceeds {MAX_WEIGHT}")
         return self._program.tensors(np.asarray(u, dtype=float), order)
@@ -117,8 +119,8 @@ def contract_tensor(t, directions) -> np.ndarray:
 
 
 def jets(func: SmoothFunctionWithDerivatives, y, order: int) -> list:
-    """The flat tensors ``D^m func`` (m = 0..order) at ``y``'s states;
-    :class:`ConfigError` unless ``func`` takes those states and its tensors
+    """The flat tensors ``D^m func`` (m = 0..order) at ``y``'s states,
+    node-last ``(n_out, n**m, nodes)``; :class:`ConfigError` unless ``func`` takes those states and its tensors
     there are finite."""
     if func.n_in != y.n_out:
         raise ConfigError(f"F takes {func.n_in} variables, the path has {y.n_out}")
@@ -252,8 +254,8 @@ def contract_words(t, blocks) -> np.ndarray:
 def compose_FY(y: ControlledPath, jets: list, order: int) -> ControlledPath:
     """The controlled path of ``F(Y)`` for ``Y`` itself controlled.
 
-    ``jets[m]`` is ``D^m F`` at ``y``'s states, flat with shape
-    ``(nodes, n_out, n**m)``, for m up to ``order`` (see :func:`jets`).  The
+    ``jets[m]`` is ``D^m F`` at ``y``'s states, flat and node-last,
+    ``(n_out, n**m, nodes)``, for m up to ``order`` (see :func:`jets`).  The
     coefficient at a forest ω sums, over every way of splitting ω's tree
     word into consecutive nonempty blocks ``ω1 … ωm`` that ``Y`` carries,
     ``D^m F(Y):(⟨ω1, Y⟩, …, ⟨ωm, Y⟩)``: :func:`contract_words` of each
@@ -263,14 +265,13 @@ def compose_FY(y: ControlledPath, jets: list, order: int) -> ControlledPath:
         raise ValueError(f"no order-{order} composition at {y.order}, {len(jets)} jets")
     keys = {w: [f for f in y.coeffs if f.weight == w] for w in range(1, order + 1)}
     blocks = {w: np.array([y.coeffs[f].T for f in fs]) for w, fs in keys.items()}
-    n_out = jets[0].shape[-2]
-    tensors = [t.transpose(1, 2, 0).copy() for t in jets[: order + 1]]
     acc = {}
     for w in range(1, order + 1):
         for weights, words in word_program(keys, w):
-            out = contract_words(tensors[len(weights)], [blocks[v] for v in weights])
+            out = contract_words(jets[len(weights)], [blocks[v] for v in weights])
             for f, arr in zip(words, np.ascontiguousarray(out.transpose(0, 2, 1))):
                 acc[f] = acc[f] + arr if f in acc else arr
     index = y.x.algebra.basis.index
     coeffs = {f: acc[f] for f in sorted(acc, key=index.get) if np.any(acc[f])}
-    return ControlledPath(y.x, order, {EMPTY: jets[0][..., 0]} | coeffs, n_out)
+    value = jets[0][:, 0].T.copy()  # (nodes, n_out), C-contiguous
+    return ControlledPath(y.x, order, {EMPTY: value} | coeffs, len(jets[0]))

@@ -355,22 +355,20 @@ def _substep_chars(algebra: FloatAlgebra, h: np.ndarray, columns) -> np.ndarray:
     Ω is the exact increment plus the two-point Gauss commutator correction
     ``h²·√3/12·[a₁, a₂]``; the rates ``a₁, a₂`` live on the sampled columns
     only, so they are stacked as ``(len(h), columns)`` arrays and the
-    commutator runs the structure constants inside them.  Each temporary
-    is dropped once used, so at most two arrays of Ω's shape are alive at
-    a time (Ω with the correction, then Ω with ``exp(Ω)``);
-    :func:`_path` calls this one block at a time.
+    commutator runs the structure constants inside them.  Ω is the
+    commutator's output, scaled in place and given each sampled increment
+    in its column, so at most two arrays of Ω's shape are alive at a time
+    (Ω, then Ω with ``exp(Ω)``); :func:`_path` calls this one block at a
+    time.
     """
     index = algebra.basis.index
     support = [index[f] for f, *_ in columns]
     a1, a2 = (np.stack([col[k] for col in columns], axis=-1) for k in (2, 3))
-    correction = algebra.commutator(a1, a2, support)
+    omega = algebra.commutator(a1, a2, support)
     del a1, a2
-    correction *= ((h * h) * (_SQRT3 / 12.0))[:, None]
-    omega = np.zeros_like(correction)
+    omega *= ((h * h) * (_SQRT3 / 12.0))[:, None]
     for f, inc, _r1, _r2 in columns:
-        omega[:, index[f]] = inc
-    omega += correction
-    del correction
+        omega[:, index[f]] += inc
     return algebra.exp(omega)
 
 

@@ -13,6 +13,9 @@ through a fixed index table, a function is applied as
 gather of the result times ``α!``.  Every operation is elementwise over the
 points, so a point reads the same bits in any batch.
 
+This module owns the one layout of derivative tensors, node-last
+``(outputs, n_in**m) + lead``, in which ``F(Y)`` and ``f_τ`` read them.
+
 :mod:`planarough.controlled` imports this module at the first expression
 it parses, so commands that parse none never compile it.
 """
@@ -309,9 +312,10 @@ class TaylorProgram:
         self.code = [("var", k, None) for k in range(self.n_in)]
         self.outputs = [parse_expression(e, variables, self.code) for e in exprs]
 
-    def jets(self, u: np.ndarray, m: int) -> list:
-        """Every output's jet to degree m at ``u``, shape ``(size,) + lead``
-        (a float for a constant output)."""
+    def jets(self, u: np.ndarray, m: int) -> np.ndarray:
+        """Every output's jet to degree m at ``u``, stacked node-last: shape
+        ``(outputs, size) + lead`` for ``u`` of shape ``lead + (n_in,)``.  A
+        constant output is the jet of a constant."""
         n = self.n_in
         size, ranks, _, _ = _jet_tables(n, m)
         x = np.zeros((n, size) + u.shape[:-1])
@@ -323,24 +327,24 @@ class TaylorProgram:
             a = vals[a] if type(a) is int else a
             b = vals[b] if type(b) is int else b
             vals.append(_jet_op(op, a, b, m, ranks))
-        return [vals[i] if isinstance(i, int) else i for i in self.outputs]
+        out = np.zeros((len(self.outputs), size) + u.shape[:-1])
+        for jet, i in zip(out, self.outputs):
+            if isinstance(i, int):
+                jet[...] = vals[i]
+            else:
+                jet[0] = i
+        return out
 
     def tensors(self, u: np.ndarray, m: int) -> list:
-        """The flat derivative tensors of orders 0..m at ``u``, shapes
-        ``lead + (outputs, n_in**k)``, all read off one evaluation of the
-        jets to degree m: a coefficient of degree k sums the same terms in
-        the same order at every degree ≥ k."""
-        lead = u.shape[:-1]
-        to_last = tuple(range(1, len(lead) + 1)) + (0,)
+        """The flat derivative tensors of orders 0..m at ``u``, node-last and
+        C-contiguous: shapes ``(outputs, n_in**k) + lead``, each one gather of
+        the jets times ``α!``.  All are read off one evaluation of the jets to
+        degree m: a coefficient of degree k sums the same terms in the same
+        order at every degree ≥ k."""
         jets = self.jets(u, m)
         out = []
         for k in range(m + 1):
             _, _, gather, scale = _jet_tables(self.n_in, k)
-            t = np.empty(lead + (len(jets), len(gather)))
-            for i, jet in enumerate(jets):
-                if isinstance(jet, float):
-                    t[..., i, :] = jet if k == 0 else 0.0
-                else:
-                    t[..., i, :] = jet[gather].transpose(to_last) * scale
-            out.append(t)
+            out.append(jets.take(gather, axis=1))
+            out[k] *= scale.reshape(scale.shape + (1,) * (u.ndim - 1))
         return out

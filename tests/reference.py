@@ -159,7 +159,8 @@ def reference_contraction(t, vs):
 def recursive_f_tau(t, ft):
     """``f_τ`` of the tree ``t`` at the nodes by the defining recursion
     ``f_[τ1…τm]i = D^m f_i:(f_τ1, …, f_τm)``; ``ft[m]`` holds the fields'
-    m-th derivative tensors, axes ``(node, i, a, b1, …, bm)``."""
+    m-th derivative tensors node-first, axes ``(node, i, a)`` and then the m
+    derivative axes, flat or not."""
     dfi = ft[len(t.children)][:, t.letter - 1]
     kids = [recursive_f_tau(c, ft) for c in t.children]
     return reference_contraction(dfi.reshape(dfi.shape[:2] + (-1,)), kids)

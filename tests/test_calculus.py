@@ -73,7 +73,7 @@ def f_taus_at(fields, keys, u):
     """``f_τ(u)`` for the trees ``keys``, shape ``(..., len(keys), n)``."""
     trees = [parse_forest(k) for k in keys]
     order = max(f.weight for f in trees) - 1
-    return elementary_differentials(trees, fields.d)(fields.tensors(u, order))
+    return elementary_differentials(trees, fields.d)(fields.stacked.tensors(u, order))
 
 
 def test_f_tau_scalar_hand_values():
@@ -155,7 +155,7 @@ def test_elementary_differentials_match_sympy_reference():
         local = dict(zip(names, symbols))
         exprs = [[sympy.sympify(e, locals=local) for e in f] for f in exprs]
         u = rng.uniform(-1.5, 1.5, (15, n))
-        ft = fields.tensors(u, 2)
+        ft = fields.stacked.tensors(u, 2)
         got = f_taus(ft)
         for col, f in enumerate(trees):
             ref = reference_f_tau(exprs, symbols, f.trees[0])
@@ -168,10 +168,14 @@ def test_elementary_differentials_match_sympy_reference():
             )
             scale = np.abs(want).max()
             assert np.allclose(got[:, col], want, rtol=1e-12, atol=1e-12 * scale), f.key
-        # any leading axes: the nodes on a (3, 5) grid read the flat call's bits
-        grid = f_taus([t.reshape((3, 5) + t.shape[1:]) for t in ft])
-        assert grid.shape == (3, 5) + got.shape[1:] and grid.flags.c_contiguous
-        assert np.array_equal(grid.reshape(got.shape).view(np.int64), got.view(np.int64))
+        # any leading axes: the nodes on a (3, 5) grid read the flat call's
+        # bits, from node-last tensors reshaped or evaluated on that grid
+        on_grid = fields.stacked.tensors(u.reshape(3, 5, n), 2)
+        for grid_ft in ([t.reshape(t.shape[:2] + (3, 5)) for t in ft], on_grid):
+            grid = f_taus(grid_ft)
+            assert grid.shape == (3, 5) + got.shape[1:] and grid.flags.c_contiguous
+            flat = grid.reshape(got.shape)
+            assert np.array_equal(flat.view(np.int64), got.view(np.int64))
 
 
 def test_both_compositions_pair_derivative_indices_in_planar_order():
@@ -184,16 +188,17 @@ def test_both_compositions_pair_derivative_indices_in_planar_order():
     d, n = 2, 3
     x = d2_x(TRIG_POLY, cells=4)
     nodes = len(x.grid)
-    ft = [rng.standard_normal((nodes, d) + (n,) * (m + 1)) for m in range(3)]
+    ft = [rng.standard_normal((d * n, n**m, nodes)) for m in range(3)]
+    first = [np.moveaxis(t, -1, 0).reshape(nodes, d, n, -1) for t in ft]  # the reference's
     trees = [f for f in x.algebra.basis.forests if len(f.trees) == 1]
     got = elementary_differentials(trees, d)(ft)
     for col, f in enumerate(trees):
-        want = recursive_f_tau(f.trees[0], ft)
+        want = recursive_f_tau(f.trees[0], first)
         assert np.allclose(got[:, col], want, rtol=1e-13, atol=1e-13), f.key
     coeffs = {f: rng.standard_normal((nodes, n)) for f in x.algebra.basis.forests}
     y = ControlledPath(x=x, order=3, coeffs=coeffs, n_out=n)
-    dF = [rng.standard_normal((nodes, 2, n**m)) for m in range(4)]
-    want = reference_FY(y, dF, 3)
+    dF = [rng.standard_normal((2, n**m, nodes)) for m in range(4)]
+    want = reference_FY(y, [np.moveaxis(t, -1, 0) for t in dF], 3)
     got = compose_FY(y, dF, 3)
     assert set(got.coeffs) == {EMPTY} | set(want)
     for f, arr in want.items():
@@ -344,7 +349,7 @@ def cell_recursion(x, fields, xi):
     y[0] = xi
     with np.errstate(all="ignore"):
         for k in range(x.cells):
-            ft = f_taus(fields.tensors(y[k : k + 1], x.N - 1))[0]
+            ft = f_taus(fields.stacked.tensors(y[k : k + 1], x.N - 1))[0]
             y[k + 1] = y[k] + cells[k] @ ft
             if not np.all(np.abs(y[k + 1]) <= 1e6):
                 return y[: k + 2]
@@ -419,9 +424,9 @@ def test_sweep_evaluates_windows_not_cells(monkeypatch):
     # a smooth driver settles each window in a few sweeps, so the fields are
     # evaluated far fewer times than once per cell
     calls = []
-    tensors = VectorFieldFamily.tensors
+    tensors = SmoothFunctionWithDerivatives.tensors
     monkeypatch.setattr(
-        VectorFieldFamily,
+        SmoothFunctionWithDerivatives,
         "tensors",
         lambda self, u, order: calls.append(len(u)) or tensors(self, u, order),
     )
@@ -454,7 +459,7 @@ def test_state_contractions_are_batch_invariant(d, n, N):
     # batches tile a pool of 37 rows, so each row sits at many offsets.
     rng = np.random.default_rng(100 * d + 10 * n + N)
     pool = 37
-    ft = [rng.standard_normal((pool, d) + (n,) * (m + 1)) for m in range(N)]
+    ft = [rng.standard_normal((d * n, n**m, pool)) for m in range(N)]
     DF = [rng.standard_normal((pool, d, n**m)) for m in range(N + 1)]
     vs = rng.standard_normal((N, pool, n))
     keys = rng.standard_normal((N, pool, 2, n))
@@ -471,7 +476,7 @@ def test_state_contractions_are_batch_invariant(d, n, N):
             for m, t in enumerate(DF)
             if m
         ]
-        return [f_taus([t[rows] for t in ft])] + contractions + words
+        return [f_taus([t[..., rows] for t in ft])] + contractions + words
 
     alone = [np.concatenate(a) for a in zip(*(outputs([r]) for r in range(pool)))]
     for size in (1, 3, 7, 15, 17, 300, 4097):

@@ -560,6 +560,15 @@ def test_exit_config_on_bad_alpha(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ito", "lift", "integrate", "rde"])
+def test_exit_config_on_empty_experiment_list(tmp_path, capsys, command):
+    # no experiment, no verdict: a run that checked nothing must not pass
+    cfg = write_config(tmp_path, "c.json", {"experiments": []})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "at least one experiment" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_exit_config_on_unknown_signal(tmp_path):
     exp = analytic_ito_experiment("bad")
     exp["driver"]["base"] = [{"kind": "brownian"}]
@@ -1219,6 +1228,15 @@ FROZEN_REPORTS = {
         "lift.csv",
         "b7ac77427017c45f37958ae69ebe0d226f7debcc019906d36ef072e35b2dbe82",
     ),
+    "rde-d2n3": (
+        "rde",
+        {
+            "driver": PIN_DRIVER,
+            "rde": {"fields": PIN_GENERAL["fields"], "xi": PIN_GENERAL["xi"]},
+        },
+        "solution.csv",
+        "fc5da25d2d34e976d7c838dd0fd8f5526d1f774d332ec7dca209ae52612d5679",
+    ),
 }
 
 
@@ -1302,6 +1320,11 @@ def test_report_bytes_are_frozen(tmp_path, name):
     which vanish in exact arithmetic, by at most 2.7e-20, and slopes by at
     most 1.2e-11 (``general-d2n3``); ``lhs``, every verdict and every other
     digest kept their bytes.
+
+    ``rde-d2n3`` hashes the ``rde`` command's ``solution.csv`` for the
+    general theorem's fields and ``xi``: every node of ``solve_rde``'s
+    windowed sweeps, recorded before the derivative tensors became node-last
+    from the Taylor jets through ``f_τ``.
     """
     command, doc, report, digest = FROZEN_REPORTS[name]
     cfg = write_config(tmp_path, "c.json", {"name": name, **doc})

@@ -234,7 +234,7 @@ def test_one_evaluation_reads_every_order_bit_for_bit():
         u = rng.uniform(0.2, 1.6, (5, len(variables)))
         top = func.tensors(u, 3)
         for m in range(4):
-            assert np.array_equal(top[m], func.tensor(u, m)), (exprs, m)
+            assert np.array_equal(np.moveaxis(top[m], -1, 0), func.tensor(u, m)), (exprs, m)
 
 
 @given(st.floats(-2.0, 2.0))
@@ -274,6 +274,27 @@ def test_one_point_matches_many_points():
         many = func.tensor(u, m)
         for p in range(len(u)):
             assert np.array_equal(func.tensor(u[p], m), many[p])
+
+
+def test_tensors_are_node_last_and_tensor_is_their_view():
+    # the one layout of derivative tensors: tensors() node-last and
+    # C-contiguous, (n_out, n_in**m) + lead, at any leading axes; tensor()
+    # is the same bits node-first, and a constant output is the jet of a
+    # constant, its value at order 0 and exact zeros above
+    func = SmoothFunctionWithDerivatives.from_expressions(
+        ("sin(x1)*x2**2 + log(x1**2 + 1)", "x1**2.5 + exp(-x2)/x1", "0.25"),
+        ("x1", "x2"),
+    )
+    rng = np.random.default_rng(14)
+    for lead in ((), (7,), (3, 5)):
+        u = rng.uniform(0.2, 1.6, lead + (2,))
+        for m in range(4):
+            t = func.tensors(u, m)[m]
+            assert t.shape == (3, 2**m) + lead and t.flags.c_contiguous, (lead, m)
+            first = np.moveaxis(t, (0, 1), (-2, -1))
+            assert np.array_equal(first.view(np.int64), func.tensor(u, m).view(np.int64))
+            want = np.full(t.shape[1:], 0.25 if m == 0 else 0.0)
+            assert np.array_equal(t[2].view(np.int64), want.view(np.int64)), (lead, m)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +480,11 @@ def test_compose_FY_is_exact_on_fractions():
     coeffs = {EMPTY: rational(rng, (nodes, n))}
     coeffs |= {parse_forest(k): rational(rng, (nodes, n)) for k in keys}
     y = ControlledPath(x=x, order=3, coeffs=coeffs, n_out=n)
-    dF = [rational(rng, (nodes, 2, n**m)) for m in range(4)]
-    want = reference_FY(y, dF, 3)
+    dF = [rational(rng, (2, n**m, nodes)) for m in range(4)]
+    want = reference_FY(y, [np.moveaxis(t, -1, 0) for t in dF], 3)
     got = compose_FY(y, dF, 3)
     assert set(got.coeffs) == {EMPTY} | {f for f, v in want.items() if np.any(v != 0)}
-    assert np.array_equal(got.coeffs[EMPTY], dF[0][..., 0])
+    assert np.array_equal(got.coeffs[EMPTY], dF[0][:, 0].T)
     for f, arr in got.coeffs.items():
         if f is not EMPTY:
             assert all(type(v) is Fraction for v in arr.flat), f.key

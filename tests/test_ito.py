@@ -484,7 +484,7 @@ def general_jets_against_sympy(f_exprs, F_expr):
     basis = xhat.algebra.basis
     u = np.random.default_rng(10).uniform(-1.2, 1.2, (len(xhat.grid), len(sym.y)))
     trees = [f for f in basis.forests if len(f.trees) == 1 and f.weight == f.degree]
-    values = elementary_differentials(trees, 2)(fields.tensors(u, 2))
+    values = elementary_differentials(trees, 2)(fields.stacked.tensors(u, 2))
     coeffs = {EMPTY: u} | dict(zip(trees, np.moveaxis(values, -2, 0)))
     y = ControlledPath(x=xhat, order=3, coeffs=coeffs, n_out=len(sym.y))
     W = compose_FY(y, jets(func, y, 3), 3)
